@@ -253,15 +253,26 @@ def _check_tail_validity(a: int, P: int, s: int = 2) -> None:
 # single-line and pair-line probabilities
 
 
+def _line_product(x: int, P: int, acc: ProductAccumulator) -> Interval:
+    """Product over p <= P of (1 - min(p,x)/p^2), accumulated in acc."""
+    for p in primes_up_to(P):
+        acc.multiply(p * p - min(p, x), p * p)
+    return acc.result()
+
+
+def _pair_product(d: int, x: int, P: int, acc: ProductAccumulator) -> Interval:
+    """Product over p <= P of (1 - a/p^2), a = min(p,x) if p | d else 2 min(p,x)."""
+    for p in primes_up_to(P):
+        m = min(p, x)
+        acc.multiply(p * p - (m if d % p == 0 else 2 * m), p * p)
+    return acc.result()
+
+
 def line_white_trunc(x: int, P: int) -> Fraction:
     """Exact truncated product over p <= P of (1 - min(p,x)/p^2)."""
     if x < 1 or P < 2:
         raise DomainError(f"need x >= 1 and P >= 2, got x={x}, P={P}")
-    value = Fraction(1)
-    for p in primes_up_to(P):
-        m = min(p, x)
-        value *= Fraction(p * p - m, p * p)
-    return value
+    return _line_product(x, P, ProductAccumulator(exact=True)).lo
 
 
 def line_white_prob(x: int, P: int) -> Interval:
@@ -274,11 +285,7 @@ def line_white_prob(x: int, P: int) -> Interval:
         raise DomainError(f"need x >= 1 and P >= 2, got x={x}, P={P}")
     Q = max(P, x)
     _check_tail_validity(x, Q)
-    acc = _accumulator_for(Q)
-    for p in primes_up_to(Q):
-        m = min(p, x)
-        acc.multiply(p * p - m, p * p)
-    return acc.result() * _tail_interval_one_minus(x, Q)
+    return _line_product(x, Q, _accumulator_for(Q)) * _tail_interval_one_minus(x, Q)
 
 
 def pair_line_trunc(d: int, x: int, P: int) -> Fraction:
@@ -289,14 +296,7 @@ def pair_line_trunc(d: int, x: int, P: int) -> Fraction:
         raise DomainError(f"separation d={d} exceeds x={x}")
     if P < 2:
         raise DomainError("P >= 2 required")
-    value = Fraction(1)
-    for p in primes_up_to(P):
-        m = min(p, x)
-        a = m if d % p == 0 else 2 * m
-        value *= Fraction(p * p - a, p * p)
-        if value == 0:
-            break
-    return value
+    return _pair_product(d, x, P, ProductAccumulator(exact=True)).lo
 
 
 def pair_line_prob(d: int, x: int, P: int) -> Interval:
@@ -317,12 +317,7 @@ def pair_line_prob(d: int, x: int, P: int) -> Interval:
         raise DomainError("P >= 2 required")
     Q = max(P, x)
     _check_tail_validity(2 * x, Q)
-    acc = _accumulator_for(Q)
-    for p in primes_up_to(Q):
-        m = min(p, x)
-        a = m if d % p == 0 else 2 * m
-        acc.multiply(p * p - a, p * p)
-    return acc.result() * _tail_interval_one_minus(2 * x, Q)
+    return _pair_product(d, x, Q, _accumulator_for(Q)) * _tail_interval_one_minus(2 * x, Q)
 
 
 # ---------------------------------------------------------------------------

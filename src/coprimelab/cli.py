@@ -46,14 +46,11 @@ from .lattice import (
 )
 from .perco import (
     MC_CSV_HEADER,
-    annulus_event,
     estimate_annulus,
     estimate_crossing,
     estimate_spanning,
     estimate_staircase,
     label_clusters,
-    staircase,
-    trial_seed,
 )
 
 _REQUIRED = object()
@@ -325,19 +322,9 @@ def cmd_annulus(args) -> int:
     stats = estimate_annulus(args.k, args.trials, args.P, args.seed,
                              workers=args.workers)
     _emit(out, "annulus.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    lines = []
-    if stats.successes:
-        spec = lattice_from_id("Z2")
-        k = args.k
-        window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
-        for t in range(stats.trials):
-            config = sample_coset_config(spec, args.P, trial_seed(args.seed, t))
-            event = annulus_event(colour_window(config, window), k)
-            if event.occurred:
-                lines = [f"trial {t}"] + event.witness_lines()
-                break
-    if lines:
-        _emit(out, "witness.txt", "\n".join(lines) + "\n")
+    if stats.witness is not None:
+        t, event = stats.witness
+        _emit(out, "witness.txt", "\n".join([f"trial {t}"] + event.witness_lines()) + "\n")
     if out is not None:
         _write_manifest(out, "annulus", effective)
     return 0
@@ -349,20 +336,11 @@ def cmd_staircase(args) -> int:
     stats = estimate_staircase(args.n_max, args.trials, args.P, args.seed,
                                workers=args.workers)
     _emit(out, "staircase.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    lines = []
-    if stats.successes:
-        spec = lattice_from_id("Z2")
-        side = 2 ** (args.n_max + 1) + 1
-        window = Window((0, 0), (side, side))
-        for t in range(stats.trials):
-            config = sample_coset_config(spec, args.P, trial_seed(args.seed, t))
-            result = staircase(colour_window(config, window), 0, args.n_max)
-            if result.succeeded:
-                lines = [f"trial {t}"]
-                lines += [f"stage {n} {kind} line={c}" for n, kind, c in result.witnesses]
-                lines += [f"{x} {y}" for x, y in result.path]
-                break
-    if lines:
+    if stats.witness is not None:
+        t, result = stats.witness
+        lines = [f"trial {t}"]
+        lines += [f"stage {n} {kind} line={c}" for n, kind, c in result.witnesses]
+        lines += [f"{x} {y}" for x, y in result.path]
         _emit(out, "witness.txt", "\n".join(lines) + "\n")
     if out is not None:
         _write_manifest(out, "staircase", effective)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .errors import DomainError, ParseError
-from .lattice import LatticeSpec, basis_coordinates, standard_lattice
+from .lattice import LatticeSpec, lattice_spec
 from .rng import RNG_ID, substream
 
 _U64 = (1 << 64) - 1
@@ -31,18 +31,11 @@ _U64 = (1 << 64) - 1
 
 
 def lattice_from_id(lattice_id: str) -> LatticeSpec:
-    m = re.fullmatch(r"Z(\d+)", lattice_id)
+    m = re.fullmatch(r"([ZD])(\d+)", lattice_id)
     if m:
-        return standard_lattice("hypercubic", int(m.group(1)))[0]
-    m = re.fullmatch(r"D(\d+)", lattice_id)
-    if m:
-        return standard_lattice("D", int(m.group(1)))[0]
-    if lattice_id == "E8":
-        return standard_lattice("E8")[0]
-    if lattice_id == "Leech":
-        return standard_lattice("Leech")[0]
-    if lattice_id == "triangular":
-        return standard_lattice("triangular")[0]
+        return lattice_spec("hypercubic" if m.group(1) == "Z" else "D", int(m.group(2)))
+    if lattice_id in ("E8", "Leech", "triangular"):
+        return lattice_spec(lattice_id)
     raise DomainError(f"unknown lattice id {lattice_id!r}")
 
 
@@ -128,18 +121,23 @@ class Colouring:
 # sampling
 
 
-def sample_coset_config(spec: LatticeSpec, P: int, seed: int) -> CosetConfig:
-    """Independent uniform coset per prime p <= P, reproducible from the seed.
+def coset_residues(seed: int, P: int, dim: int):
+    """Yield (p, rep) for every prime p <= P in increasing order.
 
-    Each prime gets its own derived stream, so the result does not depend on
-    evaluation order or on which other primes are sampled.
+    rep holds dim uniform residues mod p drawn from the prime's own substream
+    of the seed, so a prime's residues do not depend on which other primes
+    are drawn, and a consumer may stop early.
     """
-    if P < 2:
-        raise DomainError(f"need P >= 2, got {P}")
-    reps: dict[int, tuple[int, ...]] = {}
     for p in primes_up_to(P):
         stream = substream(seed, "coset", p)
-        reps[p] = tuple(stream.below(p) for _ in range(spec.dim))
+        yield p, tuple(stream.below(p) for _ in range(dim))
+
+
+def sample_coset_config(spec: LatticeSpec, P: int, seed: int) -> CosetConfig:
+    """Independent uniform coset per prime p <= P, reproducible from the seed."""
+    if P < 2:
+        raise DomainError(f"need P >= 2, got {P}")
+    reps = dict(coset_residues(seed, P, spec.dim))
     return CosetConfig(spec.name, P, seed & _U64, RNG_ID, reps)
 
 
@@ -401,8 +399,11 @@ def save_colouring(colouring: Colouring, path) -> None:
 
 
 def load_colouring(path) -> Colouring:
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read colouring file: {exc}") from None
     pos = 0
 
     def take_line(lineno):
@@ -414,22 +415,31 @@ def load_colouring(path) -> Colouring:
         pos = end + 1
         return out
 
+    def ints(text, lineno, what):
+        try:
+            return tuple(int(t) for t in text.split())
+        except ValueError:
+            raise ParseError(f"non-integer {what}", line=lineno) from None
+
     if take_line(1) != b"P5":
         raise ParseError("not a binary PGM", line=1)
-    meta = {}
+    meta = {}  # comment key -> (value, line number)
     lineno = 1
     while True:
         lineno += 1
         line = take_line(lineno)
         if line.startswith(b"#"):
-            text = line[1:].strip().decode("utf-8")
+            try:
+                text = line[1:].strip().decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("comment is not UTF-8", line=lineno) from None
             key, _, value = text.partition("=")
-            meta[key.strip()] = value
+            meta[key.strip()] = (value, lineno)
             continue
-        dims = line.split()
-        if len(dims) != 2:
-            raise ParseError("expected width and height", line=lineno)
-        width, height = int(dims[0]), int(dims[1])
+        dims = ints(line, lineno, "width and height")
+        if len(dims) != 2 or min(dims) < 1:
+            raise ParseError("expected positive width and height", line=lineno)
+        width, height = dims
         break
     lineno += 1
     if take_line(lineno) != b"255":
@@ -441,16 +451,18 @@ def load_colouring(path) -> Colouring:
         )
     if "origin" not in meta or "extents" not in meta:
         raise ParseError("missing origin/extents comments", line=2)
-    origin = tuple(int(t) for t in meta["origin"].split())
-    extents = tuple(int(t) for t in meta["extents"].split())
+    origin = ints(*meta["origin"], "origin")
+    extents = ints(*meta["extents"], "extents")
     if extents != (width, height):
-        raise ParseError("extents comment disagrees with raster size", line=2)
+        raise ParseError("extents comment disagrees with raster size", line=meta["extents"][1])
+    if len(origin) != 2:
+        raise ParseError("origin comment needs two coordinates", line=meta["origin"][1])
     arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
     bad = (arr != 0) & (arr != 255)
     if bad.any():
         raise ParseError("raster contains values other than 0 and 255", line=lineno)
     window = Window(origin, extents)
-    provenance = meta.get("provenance", "unknown")
+    provenance = meta.get("provenance", ("unknown", None))[0]
     guess = re.search(r"lattice=(\S+)", provenance)
     lattice_id = guess.group(1) if guess else f"Z{window.dim}"
     return Colouring(window, arr == 255, lattice_id, provenance)

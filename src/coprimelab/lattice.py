@@ -429,54 +429,58 @@ def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
     return tuple(coords)
 
 
-def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
-                     alpha: int = 1) -> tuple[LatticeSpec, GenSet]:
-    """A named lattice together with its standard generating set.
+def lattice_spec(kind: str, d: int | None = None) -> LatticeSpec:
+    """A named lattice's basis and membership rule, without a generating set.
 
     kinds: "triangular", "hypercubic" (alias "square" when d=2), "D", "E8",
-    "Leech", "spread_out" (hypercubic points of norm <= alpha).
+    "Leech".
     """
     kind_l = kind.lower().replace("-", "_")
     if kind_l == "triangular":
-        spec = LatticeSpec("triangular", 2, _identity_columns(2), "all", "hexagonal")
-        return spec, minimal_vectors(spec)
+        return LatticeSpec("triangular", 2, _identity_columns(2), "all", "hexagonal")
     if kind_l in ("hypercubic", "square"):
         dd = 2 if kind_l == "square" else d
         if dd is None or dd < 1:
             raise DomainError("hypercubic lattice needs a dimension")
-        spec = LatticeSpec(f"Z{dd}", dd, _identity_columns(dd), "all")
-        return spec, minimal_vectors(spec)
+        return LatticeSpec(f"Z{dd}", dd, _identity_columns(dd), "all")
     if kind_l == "d":
         if d is None or d < 2:
             raise DomainError("D-lattice needs dimension >= 2")
-        spec = LatticeSpec(f"D{d}", d, _d_lattice_columns(d), "sum-even")
-        return spec, minimal_vectors(spec)
+        return LatticeSpec(f"D{d}", d, _d_lattice_columns(d), "sum-even")
     if kind_l == "e8":
-        spec = _e8_spec()
-        return spec, minimal_vectors(spec)
+        return _e8_spec()
     if kind_l == "leech":
-        spec = _leech_spec()
-        return spec, minimal_vectors(spec)
-    if kind_l == "spread_out":
-        if d is None or d < 1 or alpha < 1:
-            raise DomainError("spread_out needs dimension and alpha >= 1")
-        spec = LatticeSpec(f"Z{d}", d, _identity_columns(d), "all")
-        vectors = []
-        for v in itertools.product(range(-alpha, alpha + 1), repeat=d):
-            if all(c == 0 for c in v):
-                continue
-            if norm in ("inf", "linf"):
-                inside = max(abs(c) for c in v) <= alpha
-            elif norm in ("1", "l1"):
-                inside = sum(abs(c) for c in v) <= alpha
-            elif norm in ("2", "l2"):
-                inside = sum(c * c for c in v) <= alpha * alpha
-            else:
-                raise DomainError(f"unknown norm {norm!r}")
-            if inside:
-                vectors.append(v)
-        return spec, GenSet.from_iterable(vectors)
+        return _leech_spec()
     raise DomainError(f"unknown lattice kind {kind!r}")
+
+
+def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
+                     alpha: int = 1) -> tuple[LatticeSpec, GenSet]:
+    """A named lattice together with its standard generating set.
+
+    kinds: those of lattice_spec, whose generating set is the minimal
+    vectors, and "spread_out" (hypercubic points of norm <= alpha).
+    """
+    if kind.lower().replace("-", "_") != "spread_out":
+        spec = lattice_spec(kind, d)
+        return spec, minimal_vectors(spec)
+    if d is None or d < 1 or alpha < 1:
+        raise DomainError("spread_out needs dimension and alpha >= 1")
+    vectors = []
+    for v in itertools.product(range(-alpha, alpha + 1), repeat=d):
+        if all(c == 0 for c in v):
+            continue
+        if norm in ("inf", "linf"):
+            inside = max(abs(c) for c in v) <= alpha
+        elif norm in ("1", "l1"):
+            inside = sum(abs(c) for c in v) <= alpha
+        elif norm in ("2", "l2"):
+            inside = sum(c * c for c in v) <= alpha * alpha
+        else:
+            raise DomainError(f"unknown norm {norm!r}")
+        if inside:
+            vectors.append(v)
+    return lattice_spec("hypercubic", d), GenSet.from_iterable(vectors)
 
 
 def minimal_vectors(spec: LatticeSpec) -> GenSet:

@@ -10,10 +10,9 @@ second-moment upper bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +22,11 @@ try:
 except ImportError:  # pragma: no cover - scipy is a hard dependency
     _ndimage = None
 
-from .arith import decimal_str, primes_up_to
-from .colouring import Colouring, Window, colour_window, sample_coset_config
+from .arith import decimal_str
+from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
 from .errors import DomainError
-from .lattice import GenSet, standard_lattice
-from .rng import stream_seed, substream
+from .lattice import GenSet, LatticeSpec, lattice_spec
+from .rng import stream_seed
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -52,7 +51,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class McStats:
-    """One Monte Carlo experiment: integer counts plus a Wilson 95% interval."""
+    """One Monte Carlo experiment: integer counts plus a Wilson 95% interval.
+
+    witness is (trial index, event result) of the lowest-index successful
+    trial, or None; it is left out of equality and of the CSV row.
+    """
 
     experiment: str
     n: int
@@ -61,6 +64,7 @@ class McStats:
     trials: int
     successes: int
     seed: int
+    witness: tuple | None = field(default=None, compare=False)
 
     @property
     def estimate(self) -> float:
@@ -433,7 +437,8 @@ def spanning_stats(colouring: Colouring) -> SpanningStats:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimators
+# Monte Carlo estimators: a trial function takes (trial seed, *event args)
+# and returns a true value, the witness for annulus and staircase, on success.
 
 
 def _crossing_trial(seed: int, n: int, x: int, P: int) -> bool:
@@ -441,13 +446,10 @@ def _crossing_trial(seed: int, n: int, x: int, P: int) -> bool:
 
     Row j is blackened by prime p iff the row's class matches rep_2 and the
     first x columns meet the rep_1 class; only the row survival vector is
-    needed.  Draw order per prime matches sample_coset_config exactly.
+    needed, and the residues stop being drawn once every row is black.
     """
     white_rows = np.ones(n, dtype=bool)
-    for p in primes_up_to(P):
-        stream = substream(seed, "coset", p)
-        r1 = stream.below(p)
-        r2 = stream.below(p)
+    for p, (r1, r2) in coset_residues(seed, P, 2):
         if p <= x or (r1 - 1) % p < x:
             white_rows[(r2 - 1) % p :: p] = False
             if not white_rows.any():
@@ -455,21 +457,62 @@ def _crossing_trial(seed: int, n: int, x: int, P: int) -> bool:
     return bool(white_rows.any())
 
 
-def _crossing_chunk(args) -> int:
-    master_seed, n, x, P, lo, hi = args
-    return sum(_crossing_trial(trial_seed(master_seed, t), n, x, P) for t in range(lo, hi))
+def _annulus_trial(seed: int, spec: LatticeSpec, P: int, k: int) -> AnnulusResult | None:
+    window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
+    event = annulus_event(colour_window(sample_coset_config(spec, P, seed), window), k)
+    return event if event.occurred else None
 
 
-def _sum_chunks(fn, worker_args, workers: int) -> int:
-    if workers <= 1:
-        return sum(fn(a) for a in worker_args)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, worker_args))
+def _staircase_trial(seed: int, spec: LatticeSpec, P: int,
+                     n_max: int) -> StaircaseResult | None:
+    side = 2 ** (n_max + 1) + 1
+    window = Window((0, 0), (side, side))
+    result = staircase(colour_window(sample_coset_config(spec, P, seed), window), 0, n_max)
+    return result if result.succeeded else None
+
+
+def _spanning_trial(seed: int, spec: LatticeSpec, P: int, L: int) -> bool:
+    window = Window((0, 0, 0), (1, 1, L + 1))
+    return spanning_stats(colour_window(sample_coset_config(spec, P, seed), window)).all_white
+
+
+def _trial_chunk(args):
+    """Run trials lo..hi-1: (successes, (index, result) of the first or None)."""
+    trial, event_args, master_seed, lo, hi = args
+    successes, first = 0, None
+    for t in range(lo, hi):
+        result = trial(trial_seed(master_seed, t), *event_args)
+        if result:
+            successes += 1
+            if first is None:
+                first = (t, result)
+    return successes, first
 
 
 def _chunk_ranges(trials: int, pieces: int):
     step = max(1, math.ceil(trials / pieces))
     return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
+
+
+def _run_trials(trial, event_args: tuple, trials: int, master_seed: int,
+                workers: int):
+    """Success count and first success (index, result) over all trials.
+
+    Trial t always uses seed trial_seed(master_seed, t), and the first
+    success is the lowest such t, so neither depends on the worker count.
+    """
+    if workers < 1:
+        raise DomainError(f"need workers >= 1, got {workers}")
+    chunks = [(trial, event_args, master_seed, lo, hi)
+              for lo, hi in _chunk_ranges(trials, workers * 4)]
+    processes = min(workers, len(chunks))
+    if processes <= 1:
+        results = [_trial_chunk(c) for c in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_trial_chunk, chunks))
+    firsts = [first for _, first in results if first is not None]
+    return sum(n for n, _ in results), min(firsts, key=lambda f: f[0], default=None)
 
 
 def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
@@ -482,60 +525,31 @@ def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
     """
     if n < 1 or x < 1 or trials < 1 or P < 2:
         raise DomainError("need n,x >= 1, trials >= 1, P >= 2")
-    args = [(master_seed, n, x, P, lo, hi) for lo, hi in _chunk_ranges(trials, max(workers, 1) * 4)]
-    successes = _sum_chunks(_crossing_chunk, args, workers)
-    return McStats("crossing", n, x, P, trials, successes, master_seed)
-
-
-def _event_trial(seed: int, kind: str, param: int, P: int) -> bool:
-    spec, _ = standard_lattice("square")
-    config = sample_coset_config(spec, P, seed)
-    if kind == "annulus":
-        k = param
-        window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
-        return annulus_event(colour_window(config, window), k).occurred
-    if kind == "staircase":
-        n_max = param
-        side = 2 ** (n_max + 1) + 1
-        window = Window((0, 0), (side, side))
-        return staircase(colour_window(config, window), 0, n_max).succeeded
-    raise DomainError(f"unknown event kind {kind!r}")
-
-
-def _event_chunk(args) -> int:
-    master_seed, kind, param, P, lo, hi = args
-    return sum(
-        _event_trial(trial_seed(master_seed, t), kind, param, P)
-        for t in range(lo, hi)
-    )
-
-
-def _estimate_event(kind: str, param: int, n: int, x: int, trials: int, P: int,
-                    master_seed: int, workers: int) -> McStats:
-    args = [
-        (master_seed, kind, param, P, lo, hi)
-        for lo, hi in _chunk_ranges(trials, max(workers, 1) * 4)
-    ]
-    successes = _sum_chunks(_event_chunk, args, workers)
-    return McStats(kind, n, x, P, trials, successes, master_seed)
+    successes, witness = _run_trials(_crossing_trial, (n, x, P), trials, master_seed, workers)
+    return McStats("crossing", n, x, P, trials, successes, master_seed, witness)
 
 
 def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
                      workers: int = 1) -> McStats:
-    """Frequency of the white-circuit event at scale k."""
+    """Frequency of the white-circuit event at scale k; the witness is the
+    first successful trial's (index, AnnulusResult)."""
     if k < 3 or k % 3:
         raise DomainError("annulus scale must be a positive multiple of 3")
-    return _estimate_event("annulus", k, k, k, trials, P, master_seed, workers)
+    args = (lattice_spec("square"), P, k)
+    successes, witness = _run_trials(_annulus_trial, args, trials, master_seed, workers)
+    return McStats("annulus", k, k, P, trials, successes, master_seed, witness)
 
 
 def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
                        workers: int = 1) -> McStats:
-    """Frequency of all dyadic staircase stages 0..n_max holding at once."""
+    """Frequency of all dyadic staircase stages 0..n_max holding at once; the
+    witness is the first successful trial's (index, StaircaseResult)."""
     if n_max < 0:
         raise DomainError("n_max >= 0 required")
     side = 2 ** (n_max + 1)
-    return _estimate_event("staircase", n_max, side, side, trials, P,
-                           master_seed, workers)
+    args = (lattice_spec("square"), P, n_max)
+    successes, witness = _run_trials(_staircase_trial, args, trials, master_seed, workers)
+    return McStats("staircase", side, side, P, trials, successes, master_seed, witness)
 
 
 def estimate_spanning(L: int, trials: int, P: int, master_seed: int,
@@ -543,21 +557,6 @@ def estimate_spanning(L: int, trials: int, P: int, master_seed: int,
     """Frequency of an all-white vertical column {0}^2 x [0, L] in dimension 3."""
     if L < 1:
         raise DomainError("column length >= 1 required")
-    args = [
-        (master_seed, "spanning", L, P, lo, hi)
-        for lo, hi in _chunk_ranges(trials, max(workers, 1) * 4)
-    ]
-    successes = _sum_chunks(_spanning_chunk, args, workers)
-    return McStats("spanning", L, 1, P, trials, successes, master_seed)
-
-
-def _spanning_trial(seed: int, L: int, P: int) -> bool:
-    spec, _ = standard_lattice("hypercubic", 3)
-    config = sample_coset_config(spec, P, seed)
-    window = Window((0, 0, 0), (1, 1, L + 1))
-    return spanning_stats(colour_window(config, window)).all_white
-
-
-def _spanning_chunk(args) -> int:
-    master_seed, _kind, L, P, lo, hi = args
-    return sum(_spanning_trial(trial_seed(master_seed, t), L, P) for t in range(lo, hi))
+    args = (lattice_spec("hypercubic", 3), P, L)
+    successes, witness = _run_trials(_spanning_trial, args, trials, master_seed, workers)
+    return McStats("spanning", L, 1, P, trials, successes, master_seed, witness)

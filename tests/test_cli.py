@@ -187,6 +187,14 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_rejected(capsys, workers):
+    code, _, err = run(capsys, "crossing", "--n", "4", "--x", "4", "--trials",
+                       "10", "--workers", workers)
+    assert code == 2
+    assert "workers" in err
+
+
 def test_crossing_csv_golden(capsys, tmp_path):
     code, out, _ = run(capsys, "crossing", "--n", "4", "--x", "4", "--trials",
                        "200", "--seed", "5", "--P", "11", "--out", str(tmp_path))
@@ -295,6 +303,34 @@ def test_infer_reports_truth(capsys, tmp_path):
                        "--p-max", "11")
     assert code == 0
     assert "warning" in out  # asked beyond the sampled cutoff
+
+
+def _pgm(size=b"2 2", origin=b"0 0", provenance=b"lattice=Z2"):
+    return (b"P5\n# origin=" + origin + b"\n# extents=2 2\n# provenance=" + provenance
+            + b"\n" + size + b"\n255\n" + bytes([255, 0, 0, 255]))
+
+
+@pytest.mark.parametrize(
+    "data,code,where",
+    [
+        (_pgm(), 0, None),
+        (_pgm(size=b"2 two"), 3, "line 5"),
+        (_pgm(size=b"-2 -2"), 3, "line 5"),
+        (_pgm(origin=b"0 zero"), 3, "line 2"),
+        (_pgm(provenance=b"\xff\xfe"), 3, "line 4"),
+        (None, 3, "cannot read"),
+    ],
+    ids=["valid", "size-line", "negative-size", "origin-comment", "non-utf8-comment",
+         "missing-file"],
+)
+def test_infer_pgm_read_failures_are_parse_errors(capsys, tmp_path, data, code, where):
+    path = tmp_path / "w.pgm"
+    if data is not None:
+        path.write_bytes(data)
+    got, _, err = run(capsys, "infer", "--pgm", str(path), "--p-max", "3")
+    assert got == code
+    if where is not None:
+        assert err.startswith("parse error") and where in err
 
 
 def test_module_entry_point():

@@ -66,6 +66,22 @@ def test_lattice_registry():
         lattice_from_id("Q17")
 
 
+def test_lattice_from_id_is_the_standard_spec_without_minimal_vectors(monkeypatch):
+    from coprimelab import lattice
+
+    kinds = {"Z2": ("hypercubic", 2), "Z3": ("hypercubic", 3), "D4": ("D", 4),
+             "E8": ("E8", None), "Leech": ("Leech", None),
+             "triangular": ("triangular", None)}
+    expected = {i: lattice.standard_lattice(kind, d)[0] for i, (kind, d) in kinds.items()}
+
+    def forbidden(spec):
+        raise AssertionError(f"minimal vectors of {spec.name} enumerated")
+
+    monkeypatch.setattr(lattice, "minimal_vectors", forbidden)
+    for lattice_id, spec in expected.items():
+        assert lattice_from_id(lattice_id) == spec
+
+
 def test_window_validation():
     with pytest.raises(DomainError):
         Window((0, 0), (4, 0))

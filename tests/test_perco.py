@@ -245,6 +245,30 @@ def test_worker_count_does_not_change_counts():
     assert a1.successes == a3.successes
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_estimators_return_first_success_as_witness(workers):
+    # reference: a serial scan over the trials for the first success
+    def first_success(trials, window, event, succeeded):
+        for t in range(trials):
+            config = sample_coset_config(Z2, 97, trial_seed(7, t))
+            result = event(colour_window(config, window))
+            if succeeded(result):
+                return t, result
+        return None
+
+    annulus = estimate_annulus(9, 60, 97, 7, workers=workers)
+    expect = first_success(60, Window((-9, -9), (19, 19)),
+                           lambda col: annulus_event(col, 9), lambda r: r.occurred)
+    assert expect is not None and annulus.witness == expect
+    stairs = estimate_staircase(3, 48, 97, 7, workers=workers)
+    expect = first_success(48, Window((0, 0), (17, 17)),
+                           lambda col: staircase(col, 0, 3), lambda r: r.succeeded)
+    assert expect is not None and stairs.witness == expect
+    # the witness is no part of the experiment's identity or its CSV row
+    bare = McStats("staircase", 16, 16, 97, 48, stairs.successes, 7)
+    assert stairs == bare and stairs.csv_row() == bare.csv_row()
+
+
 def test_rotation_symmetry_within_ci():
     # a quarter turn swaps the roles of the axes without changing the law
     horizontal = estimate_crossing(12, 24, 4000, 59, 31)
