@@ -149,6 +149,8 @@ def _read_config(path: str, cmd: str, spec: dict) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError:
+        raise ParseError("config file is not UTF-8") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

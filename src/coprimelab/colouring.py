@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import primes_up_to
 from .errors import DomainError, ParseError
-from .lattice import LatticeSpec, lattice_spec
+from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_spec
 from .rng import RNG_ID, substream
 
 _U64 = (1 << 64) - 1
@@ -145,8 +145,9 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
     """Evaluate the truncated colouring on a window.
 
     A point is black when its basis-coefficient vector matches some prime's
-    representative mod p.  Hypercubic lattices take the fast dense path;
-    other lattices enumerate their points inside the box through the basis.
+    representative mod p.  Lattices whose basis is the identity (Z_d and the
+    triangular model) take the dense slicing path; others test every grid
+    point of the window for membership and solve for its coefficients.
     """
     spec = lattice_from_id(config.lattice_id)
     if window.dim != spec.dim:
@@ -155,7 +156,7 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
         f"config lattice={config.lattice_id} P={config.P} "
         f"seed={config.seed} rng={config.rng_id}"
     )
-    if config.lattice_id.startswith("Z"):
+    if np.array_equal(spec.columns, np.eye(spec.dim, dtype=np.int64)):
         white = np.ones(window.array_shape(), dtype=bool)
         for p, rep in config.reps.items():
             idx = tuple(
@@ -167,52 +168,24 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
     return _colour_sublattice_window(spec, config, window, provenance)
 
 
-def _coefficient_box(spec: LatticeSpec, window: Window):
-    """Integer bounds on basis coefficients of lattice points in the window."""
-    from .lattice import _adjugate_and_det  # exact inverse pieces
-
-    adj, det = _adjugate_and_det(spec)
-    d = spec.dim
-    corners = []
-    for mask in range(1 << d):
-        corner = [
-            window.origin[i] + (window.extents[i] - 1 if mask >> i & 1 else 0)
-            for i in range(d)
-        ]
-        corners.append(corner)
-    los, his = [], []
-    for i in range(d):
-        vals = [
-            Fraction(sum(adj[i][j] * corner[j] for j in range(d)), det)
-            for corner in corners
-        ]
-        los.append(math.ceil(min(vals)))
-        his.append(math.floor(max(vals)))
-    return los, his
-
-
 def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
-    import itertools
-
     shape = window.array_shape()
-    white = np.zeros(shape, dtype=bool)
-    in_lattice = np.zeros(shape, dtype=bool)
-    los, his = _coefficient_box(spec, window)
-    d = spec.dim
-    cols = spec.columns
-    primes = sorted(config.reps)
-    for coeff in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        v = tuple(sum(coeff[j] * cols[j][i] for j in range(d)) for i in range(d))
-        if not window.contains_point(v):
-            continue
-        idx = tuple(c - o for c, o in zip(v, window.origin))[::-1]
-        in_lattice[idx] = True
-        black = any(
-            all((c - r) % p == 0 for c, r in zip(coeff, config.reps[p]))
-            for p in primes
-        )
-        white[idx] = not black
-    return Colouring(window, white, config.lattice_id, provenance, in_lattice)
+    d = window.dim
+    reach = max(max(abs(o), abs(o + e - 1)) for o, e in zip(window.origin, window.extents))
+    dtype = np.int64 if reach < 1 << 62 else object
+    # grid points in C order of the array, coordinate k in column k
+    pts = np.indices(shape).reshape(d, -1)[::-1].T.astype(dtype)
+    pts += np.array(window.origin, dtype=dtype)
+    in_lattice = contains_bulk(spec, pts)
+    numerators, det = basis_numerators(spec, pts[in_lattice])
+    coeff = numerators // det
+    black = np.zeros(len(coeff), dtype=bool)
+    for p, rep in config.reps.items():
+        black |= ((coeff - np.array(rep)) % p == 0).all(axis=1)
+    white = np.zeros(len(pts), dtype=bool)
+    white[in_lattice] = ~black
+    return Colouring(window, white.reshape(shape), config.lattice_id, provenance,
+                     in_lattice.reshape(shape))
 
 
 def oracle_from_origin(X, window: Window) -> Colouring:
@@ -334,8 +307,13 @@ _CONFIG_HEADER = re.compile(
 
 
 def load_config(path) -> CosetConfig:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError("config file is not UTF-8") from None
     if not lines:
         raise ParseError("empty config file", line=1)
     m = _CONFIG_HEADER.match(lines[0])

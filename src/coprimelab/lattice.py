@@ -332,11 +332,13 @@ class GenSet:
         return any(all(c == 0 for c in v) for v in self.vectors)
 
 
-def norm_sq(spec: LatticeSpec, v) -> int:
+def norm_sq(spec: LatticeSpec, v):
+    """Squared norm of a vector, or of each row of an (n, dim) array."""
+    coords = v.T if isinstance(v, np.ndarray) else v
     if spec.form == "hexagonal":
-        a, b = v
+        a, b = coords
         return a * a - a * b + b * b
-    return sum(c * c for c in v)
+    return sum(c * c for c in coords)
 
 
 def _identity_columns(d: int) -> tuple[tuple[int, ...], ...]:
@@ -365,9 +367,8 @@ def _e8_spec() -> LatticeSpec:
     gens.append([1] * 7 + [-3])
     columns = _basis_from_generators(gens, 8, 256)
     spec = LatticeSpec("E8", 8, columns, "e8")
-    for col in columns:
-        if not contains(spec, col):
-            raise AssertionError("E8 basis column fails the direct membership rule")
+    if not contains_bulk(spec, np.array(columns)).all():
+        raise AssertionError("E8 basis column fails the direct membership rule")
     return spec
 
 
@@ -382,29 +383,38 @@ def _leech_spec() -> LatticeSpec:
     gens.append([-3] + [1] * 23)
     columns = _basis_from_generators(gens, 24, 8**12)
     spec = LatticeSpec("Leech", 24, columns, "leech")
-    for col in columns:
-        if not contains(spec, col):
-            raise AssertionError("Leech basis column fails the digit conditions")
+    if not contains_bulk(spec, np.array(columns)).all():
+        raise AssertionError("Leech basis column fails the digit conditions")
     return spec
 
 
 def contains(spec: LatticeSpec, v) -> bool:
     """Direct membership test against the spec's rule."""
-    v = tuple(int(c) for c in v)
+    v = [int(c) for c in v]
     if len(v) != spec.dim:
         raise DomainError(f"vector of length {len(v)} in dimension {spec.dim}")
+    return bool(contains_bulk(spec, np.array([v], dtype=object))[0])
+
+
+def contains_bulk(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
+    """Membership of each row of an (n, dim) integer array under the spec's rule.
+
+    The array may hold int64 or Python ints (dtype=object); sums may wrap in
+    int64 since the rules only read them mod 4.
+    """
     rule = spec.membership_id
     if rule == "all":
-        return True
+        return np.ones(len(pts), dtype=bool)
     if rule == "sum-even":
-        return sum(v) % 2 == 0
+        return pts.sum(axis=1) % 2 == 0
     if rule == "e8":
-        parities = {c & 1 for c in v}
-        return len(parities) == 1 and sum(v) % 4 == 0
+        same_parity = (pts & 1 == pts[:, :1] & 1).all(axis=1)
+        return same_parity & (pts.sum(axis=1) % 4 == 0)
     if rule == "leech":
-        return leech_contains(v, build_golay())
+        return leech_contains_bulk(pts, build_golay())
     if rule == "basis":
-        return basis_coordinates(spec, v) is not None
+        numerators, det = basis_numerators(spec, pts)
+        return (numerators % det == 0).all(axis=1)
     raise DomainError(f"unknown membership rule {rule!r}")
 
 
@@ -415,6 +425,20 @@ def _adjugate_and_det(spec: LatticeSpec):
     if det == 0:
         raise DomainError("singular basis")
     return _adjugate(rows), det
+
+
+def basis_numerators(spec: LatticeSpec, pts: np.ndarray) -> tuple[np.ndarray, int]:
+    """adj(B) @ v for each row v of pts, and det(B).
+
+    A row is a lattice point iff all its numerators divide by det, and its
+    basis coordinates are then the quotients.  The product is int64 while
+    max row-sum |adj| * max |coordinate| stays below 2^62, Python ints
+    (dtype=object) beyond that, so it is exact for any input.
+    """
+    adj, det = _adjugate_and_det(spec)
+    bound = max(sum(abs(a) for a in row) for row in adj) * int(np.abs(pts).max(initial=0))
+    dtype = np.int64 if bound < 1 << 62 else object
+    return pts.astype(dtype, copy=False) @ np.array(adj, dtype=dtype).T, det
 
 
 def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
@@ -486,23 +510,26 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
 def minimal_vectors(spec: LatticeSpec) -> GenSet:
     """All nonzero lattice vectors of minimal norm.
 
-    Triangular, hypercubic, D_d (d <= 8) and E_8 are found by exhaustive
-    search over a box that provably contains every candidate; the Leech set
+    Triangular, Z_d and D_d (d <= 8) and E_8 are found by exhaustive search
+    over a box that provably contains every candidate; Z_d and D_d for d > 8
+    are written down from their forced shapes; the Leech set
     is built from its three shape families and verified by membership and
     norm (completeness of the three families is classical).
     """
     if spec.name == "Leech":
         return _leech_minimal_vectors()
-    if spec.name.startswith("D") and spec.dim > 8:
-        # box search gets expensive; the minimal shape (two entries +-1) is
-        # forced since any entry of size >= 2 already exceeds norm 2
+    if spec.name.startswith(("Z", "D")) and spec.dim > 8:
+        # the box gets too large to hold; the minimal shape (one entry +-1 for
+        # Z_d, two for D_d) is forced since an entry of size >= 2 already
+        # exceeds norm 2
+        k = 1 if spec.name.startswith("Z") else 2
         vectors = []
-        for i, j in itertools.combinations(range(spec.dim), 2):
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        for support in itertools.combinations(range(spec.dim), k):
+            for signs in itertools.product((1, -1), repeat=k):
                 v = [0] * spec.dim
-                v[i] = si
-                v[j] = sj
-                vectors.append(tuple(v))
+                for i, s in zip(support, signs):
+                    v[i] = s
+                vectors.append(v)
         return GenSet.from_iterable(vectors)
     if spec.name.startswith("Z") or spec.name == "triangular":
         reach = 1
@@ -510,21 +537,10 @@ def minimal_vectors(spec: LatticeSpec) -> GenSet:
         reach = 2
     else:
         raise DomainError(f"no feasible enumeration for {spec.name!r}")
-
-    best: int | None = None
-    found: list[tuple[int, ...]] = []
-    for v in itertools.product(range(-reach, reach + 1), repeat=spec.dim):
-        if all(c == 0 for c in v) or not contains(spec, v):
-            continue
-        q = norm_sq(spec, v)
-        if best is None or q < best:
-            best = q
-            found = [v]
-        elif q == best:
-            found.append(v)
-    if best is None:
-        raise AssertionError("no nonzero vectors found")
-    return GenSet.from_iterable(found)
+    pts = _enumerate_box_points(spec, reach)
+    pts = pts[pts.any(axis=1)]
+    q = norm_sq(spec, pts)
+    return GenSet.from_iterable(pts[q == q.min()])
 
 
 @lru_cache(maxsize=1)
@@ -575,29 +591,23 @@ def _leech_minimal_vectors() -> GenSet:
 
 
 def leech_contains(x, code: GolayCode) -> bool:
-    """Digit-condition membership test for the integer Leech model.
-
-    Bits of negative entries follow two's complement (bit k of x is
-    (x >> k) & 1 with arithmetic shift): every entry shares bit 0; the bit-1
-    pattern is a codeword; the bit-2 sum has the parity of the entries.
-    """
+    """Digit-condition membership test for the integer Leech model."""
     x = [int(c) for c in x]
     if len(x) != 24:
         raise DomainError("Leech vectors have 24 coordinates")
-    b0 = x[0] & 1
-    if any(c & 1 != b0 for c in x):
-        return False
-    word = 0
-    for i, c in enumerate(x):
-        word |= (c >> 1 & 1) << i
-    if word not in code:
-        return False
-    return sum(c >> 2 & 1 for c in x) % 2 == b0
+    return bool(leech_contains_bulk(np.array([x], dtype=object), code)[0])
 
 
 def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
-    """Vectorized membership for an (n, 24) integer array."""
-    arr = np.asarray(arr, dtype=np.int64)
+    """Digit-condition membership for an (n, 24) integer array.
+
+    Bits of negative entries follow two's complement (bit k of x is
+    (x >> k) & 1 with arithmetic shift): every entry shares bit 0; the bit-1
+    pattern is a codeword; the bit-2 sum has the parity of the entries.  Only
+    bits 0-2 are read, so they are taken first, which keeps Python ints of
+    any size exact.
+    """
+    arr = (np.asarray(arr) & 7).astype(np.int8)
     b0 = arr[:, :1] & 1
     ok = (arr & 1 == b0).all(axis=1)
     bit1 = (arr >> 1) & 1
@@ -780,18 +790,7 @@ def _enumerate_box_points(spec: LatticeSpec, radius: int) -> np.ndarray:
         raise DomainError("box too large to enumerate pointwise")
     grids = np.meshgrid(*([np.arange(-radius, radius + 1)] * spec.dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    rule = spec.membership_id
-    if rule == "all":
-        return pts
-    if rule == "sum-even":
-        return pts[pts.sum(axis=1) % 2 == 0]
-    if rule == "e8":
-        parity_ok = (pts & 1 == (pts[:, :1] & 1)).all(axis=1)
-        return pts[parity_ok & (pts.sum(axis=1) % 4 == 0)]
-    if rule == "leech":
-        return pts[leech_contains_bulk(pts, build_golay())]
-    keep = [i for i, p in enumerate(map(tuple, pts)) if contains(spec, p)]
-    return pts[keep]
+    return pts[contains_bulk(spec, pts)]
 
 
 def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,

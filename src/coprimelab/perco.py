@@ -17,11 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from scipy import ndimage as _ndimage
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _ndimage = None
-
 from .arith import decimal_str
 from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
 from .errors import DomainError
@@ -122,91 +117,17 @@ class ClusterLabels:
         return np.nonzero(self.touches.any(axis=(1, 2)))[0]
 
 
-def _first_visit_remap(raw: np.ndarray, count: int) -> tuple[np.ndarray, int]:
-    flat = raw.ravel()
-    uniq, first = np.unique(flat, return_index=True)
-    keep = uniq > 0
-    uniq, first = uniq[keep], first[keep]
-    order = np.argsort(first, kind="stable")
-    remap = np.full(count + 1, -1, dtype=np.int64)
-    remap[uniq[order]] = np.arange(len(uniq))
-    out = np.where(raw > 0, remap[raw], -1)
-    return out, len(uniq)
-
-
-def _labels_ndimage(mask: np.ndarray, S: GenSet) -> tuple[np.ndarray, int]:
-    d = mask.ndim
-    structure = np.zeros((3,) * d, dtype=bool)
-    structure[(1,) * d] = True
-    for s in S:
-        structure[tuple(c + 1 for c in reversed(s))] = True
-    raw, count = _ndimage.label(mask, structure=structure)
-    return _first_visit_remap(raw, count)
-
-
-class _DisjointSet:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _labels_unionfind(mask: np.ndarray, S: GenSet) -> tuple[np.ndarray, int]:
-    shape = mask.shape
-    d = mask.ndim
-    total = mask.size
-    dsu = _DisjointSet(total)
-    flat = mask.ravel()
-    half = [s for s in S if s > tuple(-c for c in s)]
-    strides = np.cumprod((1,) + shape[:0:-1])[::-1]
-    for s in half:
-        offset = tuple(reversed(s))  # array-axis order
-        src = tuple(
-            slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape)
-        )
-        dst = tuple(
-            slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape)
-        )
-        both = mask[src] & mask[dst]
-        if not both.any():
-            continue
-        base = np.nonzero(both)
-        a_idx = np.zeros(len(base[0]), dtype=np.int64)
-        b_idx = np.zeros(len(base[0]), dtype=np.int64)
-        for ax in range(d):
-            a_idx += (base[ax] + src[ax].start) * strides[ax]
-            b_idx += (base[ax] + dst[ax].start) * strides[ax]
-        for a, b in zip(a_idx.tolist(), b_idx.tolist()):
-            dsu.union(a, b)
-    raw = np.zeros(total, dtype=np.int64)
-    next_label = 0
-    roots: dict[int, int] = {}
-    on = np.nonzero(flat)[0]
-    for i in on.tolist():
-        r = dsu.find(i)
-        if r not in roots:
-            next_label += 1
-            roots[r] = next_label
-        raw[i] = roots[r]
-    return np.where(raw > 0, raw - 1, -1).reshape(shape), next_label
-
-
 def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> ClusterLabels:
-    """Union-find components of one colour; ids in raster first-visit order.
+    """Connected components of one colour; ids in raster first-visit order.
 
-    Generating sets inside the unit box go through the fast ndimage path; any
-    other symmetric set falls back to explicit union-find over offsets.
+    Edges are contracted one offset pair {s, -s} at a time: the points joined
+    by s give a graph on the current component ids, whose connected
+    components become the next ids.  Each graph has at most one edge per
+    point, so memory stays linear in the window whatever the size of S.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")
     if S.dim != colouring.window.dim:
@@ -216,11 +137,32 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     mask = colouring.white if colour == "white" else ~colouring.white
     if colouring.in_lattice is not None:
         mask = mask & colouring.in_lattice
-    unit_range = all(all(abs(c) <= 1 for c in s) for s in S)
-    if unit_range and _ndimage is not None:
-        labels, count = _labels_ndimage(mask, S)
-    else:
-        labels, count = _labels_unionfind(mask, S)
+    shape = mask.shape
+    on = np.flatnonzero(mask)
+    point = np.full(shape, -1, dtype=np.int64)
+    point.flat[on] = np.arange(len(on))
+    comp = np.arange(len(on))  # component id of each point, raster order
+    count = len(on)
+    for s in S:
+        if s < tuple(-c for c in s):
+            continue
+        offset = tuple(reversed(s))  # array-axis order
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
+        both = mask[src] & mask[dst]
+        a, b = comp[point[src][both]], comp[point[dst][both]]
+        joined = a != b
+        if not joined.any():
+            continue
+        a, b = a[joined], b[joined]
+        graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(count, count))
+        count, merged = connected_components(graph, directed=False)
+        comp = merged[comp]
+    _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    labels = np.full(shape, -1, dtype=np.int64)
+    labels.flat[on] = rank[inverse]
     sizes = np.bincount(labels[labels >= 0], minlength=count).astype(np.int64)
     d = colouring.window.dim
     touches = np.zeros((count, d, 2), dtype=bool)

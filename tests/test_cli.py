@@ -2,13 +2,17 @@
 
 import subprocess
 import sys
+import tempfile
 from itertools import permutations
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coprimelab.cli import main
+from coprimelab.cli import _SPECS, _read_config, build_parser, main
 from coprimelab.colouring import (
     Window,
     colour_window,
@@ -16,6 +20,7 @@ from coprimelab.colouring import (
     sample_coset_config,
     lattice_from_id,
 )
+from coprimelab.errors import ParseError
 
 CROSSING_GOLDEN = "crossing,4,4,11,200,165,0.825,0.766355688518,0.871394849337,5"
 
@@ -167,6 +172,30 @@ def test_config_errors(capsys, tmp_path):
     code, _, err = run(capsys, "crossing", "--config", str(cfg))
     assert code == 3
     assert "line 3" in err
+
+    cfg.write_bytes(b"command = crossing\n# \xff\nn = 4\nx = 4\n")
+    code, _, err = run(capsys, "crossing", "--config", str(cfg))
+    assert code == 3
+    assert "not UTF-8" in err
+
+
+_CONFIG_LINES = [b"command = crossing", b"command = sample", b"n = 4", b"x = 4", b"n = 5",
+                 b"# note", b"# \xff\xfe", b"bogus = 1", b"x", b"=", b" ", b"\x80"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(st.sampled_from(_CONFIG_LINES), max_size=6).map(b"\n".join)))
+def test_read_config_raises_only_parse_errors(data):
+    build_parser()  # registers each command's keys
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.cfg"
+        path.write_bytes(data)
+        try:
+            values = _read_config(str(path), "crossing", _SPECS["crossing"])
+        except ParseError:
+            return
+    assert isinstance(values, dict)
 
 
 def test_missing_required_and_unknown_flag(capsys):

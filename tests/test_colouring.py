@@ -183,6 +183,66 @@ def test_sublattice_window_membership():
     assert int(col.in_lattice.sum()) == 25
 
 
+def per_point_colouring(spec, config, window):
+    """Per-point rule: contains, then basis_coordinates, then residues mod p."""
+    from coprimelab.lattice import basis_coordinates, contains
+
+    d = window.dim
+    white = np.zeros(window.array_shape(), dtype=bool)
+    in_lattice = np.zeros(window.array_shape(), dtype=bool)
+    for idx in np.ndindex(*window.array_shape()):
+        point = tuple(window.origin[k] + idx[d - 1 - k] for k in range(d))
+        if not contains(spec, point):
+            continue
+        in_lattice[idx] = True
+        coeff = basis_coordinates(spec, point)
+        white[idx] = not any(
+            all((c - r) % p == 0 for c, r in zip(coeff, rep))
+            for p, rep in config.reps.items()
+        )
+    return white, in_lattice
+
+
+@pytest.mark.parametrize(
+    "lattice_id,origin,extents,P,seed",
+    [
+        ("D3", (-4, -3, -5), (9, 7, 8), 31, 1),
+        ("D3", (2, 5, 0), (5, 4, 6), 13, 2),
+        ("D4", (-3, -3, -2, -4), (6, 5, 5, 6), 97, 3),
+        ("D4", (10, -20, 7, 1), (4, 4, 3, 4), 31, 4),
+        ("E8", (-1,) * 8, (3,) * 8, 97, 0),
+        ("E8", (-3, -1, -2, -4, -1, -2, -3, -2), (3,) * 8, 31, 2),
+    ],
+)
+def test_sublattice_colouring_matches_per_point_rule(lattice_id, origin, extents, P, seed):
+    spec = lattice_from_id(lattice_id)
+    config = sample_coset_config(spec, P, seed)
+    window = Window(origin, extents)
+    col = colour_window(config, window)
+    white, in_lattice = per_point_colouring(spec, config, window)
+    assert np.array_equal(col.in_lattice, in_lattice)
+    assert np.array_equal(col.white, white)
+    assert in_lattice.any() and (white & in_lattice).any() and (~white & in_lattice).any()
+
+
+def test_sublattice_colouring_is_exact_beyond_int64():
+    d2 = lattice_from_id("D2")
+    config = sample_coset_config(d2, 13, 7)
+    window = Window((2**70, -(2**66)), (6, 5))
+    col = colour_window(config, window)
+    white, in_lattice = per_point_colouring(d2, config, window)
+    assert np.array_equal(col.in_lattice, in_lattice)
+    assert np.array_equal(col.white, white)
+
+
+def test_triangular_colouring_is_the_z2_colouring():
+    window = Window((-9, -4), (23, 17))
+    tri = colour_window(sample_coset_config(lattice_from_id("triangular"), 97, 8), window)
+    z2 = colour_window(sample_coset_config(Z2, 97, 8), window)
+    assert tri.in_lattice is None
+    assert np.array_equal(tri.white, z2.white)
+
+
 def test_infer_recovers_truth():
     config = sample_coset_config(Z2, 97, 4242)
     col = colour_window(config, Window((0, 0), (150, 150)))
@@ -236,6 +296,15 @@ def test_config_parse_error_carries_line_number(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text(CONFIG_GOLDEN.replace("3 0 1", "3 9 1"))
     with pytest.raises(ParseError, match=r"line 3"):
+        load_config(bad)
+
+
+def test_config_read_failures_are_parse_errors(tmp_path):
+    with pytest.raises(ParseError, match="cannot read"):
+        load_config(tmp_path / "missing.txt")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(CONFIG_GOLDEN.encode().replace(b"2 1 1", b"2 1 \xff"))
+    with pytest.raises(ParseError, match="not UTF-8"):
         load_config(bad)
 
 

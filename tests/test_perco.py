@@ -36,6 +36,8 @@ Z2 = standard_lattice("square")[0]
 SQUARE = standard_lattice("square")[1]
 TRIANGULAR = standard_lattice("triangular")[1]
 SPREAD2 = standard_lattice("spread_out", 2, norm="inf", alpha=2)[1]
+Z3, SPREAD3 = standard_lattice("spread_out", 3, norm="inf", alpha=2)
+D2 = standard_lattice("D", 2)[0]
 
 PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -75,15 +77,26 @@ def bfs_labels(mask, S):
     return labels, nxt
 
 
-@pytest.mark.parametrize("adjacency", ["square", "triangular", "spread2"])
-def test_labels_match_bfs_oracle(adjacency):
-    S = {"square": SQUARE, "triangular": TRIANGULAR, "spread2": SPREAD2}[adjacency]
+@pytest.mark.parametrize(
+    "spec,S,window",
+    [
+        (Z2, SQUARE, Window((-6, -6), (13, 13))),
+        (Z2, TRIANGULAR, Window((-6, -6), (13, 13))),
+        (Z2, SPREAD2, Window((-6, -6), (13, 13))),
+        (Z3, SPREAD3, Window((-4, -3, -5), (9, 7, 8))),
+        (D2, SQUARE, Window((-7, -5), (14, 13))),
+    ],
+    ids=["square", "triangular", "spread2", "spread3", "D2-square"],
+)
+def test_labels_match_bfs_oracle(spec, S, window):
     for seed in range(25):
-        config = sample_coset_config(Z2, 31, seed)
-        col = colour_window(config, Window((-6, -6), (13, 13)))
+        config = sample_coset_config(spec, 31, seed)
+        col = colour_window(config, window)
         for colour in ("white", "black"):
             got = label_clusters(col, S, colour)
             mask = col.white if colour == "white" else ~col.white
+            if col.in_lattice is not None:
+                mask = mask & col.in_lattice
             want, n = bfs_labels(mask, S)
             assert got.count == n
             assert np.array_equal(got.labels, want)
