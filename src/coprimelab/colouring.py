@@ -24,6 +24,7 @@ from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_spec
 from .rng import RNG_ID, substream
 
 _U64 = (1 << 64) - 1
+_CHUNK_ENTRIES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +174,25 @@ def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
     d = window.dim
     reach = max(max(abs(o), abs(o + e - 1)) for o, e in zip(window.origin, window.extents))
     dtype = np.int64 if reach < 1 << 62 else object
-    # grid points in C order of the array, coordinate k in column k
-    pts = np.indices(shape).reshape(d, -1)[::-1].T.astype(dtype)
-    pts += np.array(window.origin, dtype=dtype)
-    in_lattice = contains_bulk(spec, pts)
-    numerators, det = basis_numerators(spec, pts[in_lattice])
-    coeff = numerators // det
-    black = np.zeros(len(coeff), dtype=bool)
-    for p, rep in config.reps.items():
-        black |= ((coeff - np.array(rep)) % p == 0).all(axis=1)
-    white = np.zeros(len(pts), dtype=bool)
-    white[in_lattice] = ~black
+    origin = np.array(window.origin, dtype=dtype)
+    reps = [(p, np.array(rep)) for p, rep in config.reps.items()]
+    n = window.point_count
+    white = np.zeros(n, dtype=bool)
+    in_lattice = np.zeros(n, dtype=bool)
+    # a run of flat C-order positions at a time keeps every temporary below
+    # _CHUNK_ENTRIES coordinates, whatever the window size
+    step = max(1, _CHUNK_ENTRIES // d)
+    for start in range(0, n, step):
+        flat = np.arange(start, min(start + step, n))
+        pts = np.stack(np.unravel_index(flat, shape)[::-1], axis=1).astype(dtype) + origin
+        member = contains_bulk(spec, pts)
+        numerators, det = basis_numerators(spec, pts[member])
+        coeff = numerators // det
+        black = np.zeros(len(coeff), dtype=bool)
+        for p, rep in reps:
+            black |= ((coeff - rep) % p == 0).all(axis=1)
+        in_lattice[flat] = member
+        white[flat[member]] = ~black
     return Colouring(window, white.reshape(shape), config.lattice_id, provenance,
                      in_lattice.reshape(shape))
 

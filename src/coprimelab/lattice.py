@@ -510,18 +510,17 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
 def minimal_vectors(spec: LatticeSpec) -> GenSet:
     """All nonzero lattice vectors of minimal norm.
 
-    Triangular, Z_d and D_d (d <= 8) and E_8 are found by exhaustive search
-    over a box that provably contains every candidate; Z_d and D_d for d > 8
-    are written down from their forced shapes; the Leech set
-    is built from its three shape families and verified by membership and
-    norm (completeness of the three families is classical).
+    Z_d and D_d are written down from their forced shapes; triangular and
+    E_8 are found by exhaustive search over a box that provably contains
+    every candidate; the Leech set is built from its three shape families and
+    verified by membership and norm (completeness of the three families is
+    classical).
     """
     if spec.name == "Leech":
         return _leech_minimal_vectors()
-    if spec.name.startswith(("Z", "D")) and spec.dim > 8:
-        # the box gets too large to hold; the minimal shape (one entry +-1 for
-        # Z_d, two for D_d) is forced since an entry of size >= 2 already
-        # exceeds norm 2
+    if spec.name.startswith(("Z", "D")):
+        # one entry +-1 for Z_d, two for D_d: an entry of size >= 2 already
+        # exceeds the norm of these
         k = 1 if spec.name.startswith("Z") else 2
         vectors = []
         for support in itertools.combinations(range(spec.dim), k):
@@ -531,9 +530,9 @@ def minimal_vectors(spec: LatticeSpec) -> GenSet:
                     v[i] = s
                 vectors.append(v)
         return GenSet.from_iterable(vectors)
-    if spec.name.startswith("Z") or spec.name == "triangular":
+    if spec.name == "triangular":
         reach = 1
-    elif spec.name.startswith("D") or spec.name == "E8":
+    elif spec.name == "E8":
         reach = 2
     else:
         raise DomainError(f"no feasible enumeration for {spec.name!r}")

@@ -184,7 +184,11 @@ def test_sublattice_window_membership():
 
 
 def per_point_colouring(spec, config, window):
-    """Per-point rule: contains, then basis_coordinates, then residues mod p."""
+    """Per-point rule: basis_coordinates, then residues mod p.
+
+    Membership comes from the scalar adjugate solve in basis_coordinates,
+    which shares no code with the bulk rule; contains must agree with it.
+    """
     from coprimelab.lattice import basis_coordinates, contains
 
     d = window.dim
@@ -192,10 +196,11 @@ def per_point_colouring(spec, config, window):
     in_lattice = np.zeros(window.array_shape(), dtype=bool)
     for idx in np.ndindex(*window.array_shape()):
         point = tuple(window.origin[k] + idx[d - 1 - k] for k in range(d))
-        if not contains(spec, point):
+        coeff = basis_coordinates(spec, point)
+        assert contains(spec, point) == (coeff is not None)
+        if coeff is None:
             continue
         in_lattice[idx] = True
-        coeff = basis_coordinates(spec, point)
         white[idx] = not any(
             all((c - r) % p == 0 for c, r in zip(coeff, rep))
             for p, rep in config.reps.items()
@@ -223,6 +228,20 @@ def test_sublattice_colouring_matches_per_point_rule(lattice_id, origin, extents
     assert np.array_equal(col.in_lattice, in_lattice)
     assert np.array_equal(col.white, white)
     assert in_lattice.any() and (white & in_lattice).any() and (~white & in_lattice).any()
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 7, 40])
+def test_sublattice_colouring_is_chunk_independent(monkeypatch, chunk_entries):
+    from coprimelab import colouring
+
+    spec = lattice_from_id("D3")
+    config = sample_coset_config(spec, 31, 1)
+    window = Window((-4, -3, -5), (9, 7, 8))
+    whole = colour_window(config, window)
+    monkeypatch.setattr(colouring, "_CHUNK_ENTRIES", chunk_entries)
+    chunked = colour_window(config, window)
+    assert np.array_equal(chunked.in_lattice, whole.in_lattice)
+    assert np.array_equal(chunked.white, whole.white)
 
 
 def test_sublattice_colouring_is_exact_beyond_int64():
