@@ -223,16 +223,19 @@ def _emit(out: Path | None, name: str, text: str) -> None:
 
 def cmd_sample(args) -> int:
     effective = _finalize(args)
+    if args.oracle is not None and args.lattice != "Z2":
+        raise DomainError("the gcd oracle is defined on the Z2 grid")
+    spec = lattice_from_id(args.lattice)
+    if spec.columns != ((1, 0), (0, 1)):
+        # refused before any work, so no partial output is left behind
+        raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
     out = _out_dir(args)
     if out is None:
         raise ParseError("sample writes files; --out is required")
     window = Window(args.origin, args.extents)
     if args.oracle is not None:
-        if args.lattice != "Z2":
-            raise DomainError("the gcd oracle is defined on the Z2 grid")
         col = oracle_from_origin(args.oracle, window)
     else:
-        spec = lattice_from_id(args.lattice)
         config = sample_coset_config(spec, args.P, args.seed)
         col = colour_window(config, window)
         save_config(config, out / "config.txt")

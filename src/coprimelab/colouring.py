@@ -21,7 +21,7 @@ import numpy as np
 from .arith import primes_up_to
 from .errors import DomainError, ParseError
 from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_spec
-from .rng import RNG_ID, substream
+from .rng import RNG_ID, below_lanes, stream_seeds
 
 _U64 = (1 << 64) - 1
 _CHUNK_ENTRIES = 1 << 20
@@ -122,23 +122,26 @@ class Colouring:
 # sampling
 
 
-def coset_residues(seed: int, P: int, dim: int):
-    """Yield (p, rep) for every prime p <= P in increasing order.
+def coset_residues(seeds, P: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(primes, residues) for every seed: residues[t, j, k] is the k-th of dim
+    uniform residues mod primes[j] drawn from that prime's own substream of
+    seeds[t], for every prime p <= P in increasing order.
 
-    rep holds dim uniform residues mod p drawn from the prime's own substream
-    of the seed, so a prime's residues do not depend on which other primes
-    are drawn, and a consumer may stop early.
+    A prime's residues do not depend on which other primes or seeds are
+    drawn.  Both arrays are int64; residues has shape (seeds, primes, dim).
     """
-    for p in primes_up_to(P):
-        stream = substream(seed, "coset", p)
-        yield p, tuple(stream.below(p) for _ in range(dim))
+    primes = np.array(primes_up_to(P).primes, dtype=np.int64)
+    states = stream_seeds(seeds, "coset", primes)
+    residues = [below_lanes(states, primes) for _ in range(dim)]
+    return primes, np.stack(residues, axis=-1).astype(np.int64)
 
 
 def sample_coset_config(spec: LatticeSpec, P: int, seed: int) -> CosetConfig:
     """Independent uniform coset per prime p <= P, reproducible from the seed."""
     if P < 2:
         raise DomainError(f"need P >= 2, got {P}")
-    reps = dict(coset_residues(seed, P, spec.dim))
+    primes, residues = coset_residues([seed], P, spec.dim)
+    reps = dict(zip(primes.tolist(), map(tuple, residues[0].tolist())))
     return CosetConfig(spec.name, P, seed & _U64, RNG_ID, reps)
 
 
@@ -329,8 +332,12 @@ def load_config(path) -> CosetConfig:
     if not m:
         raise ParseError("bad header", line=1)
     lattice_id, P, seed, rng_id = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
-    spec = lattice_from_id(lattice_id)
-    expected = list(primes_up_to(P))
+    try:
+        spec = lattice_from_id(lattice_id)
+    except DomainError as exc:
+        raise ParseError(str(exc), line=1) from None
+    if P < 2:
+        raise ParseError(f"need P >= 2, got {P}", line=1)
     reps: dict[int, tuple[int, ...]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -350,9 +357,16 @@ def load_config(path) -> CosetConfig:
         if any(not 0 <= r < p for r in rep):
             raise ParseError(f"residue out of range [0,{p}) for p={p}", line=lineno)
         reps[p] = rep
+    # The (k)-th prime is below k (ln k + ln ln k) for k >= 6 (Rosser), so a
+    # sieve to that reach for k = len(reps) + 1 tells whether P promises more
+    # primes than listed, however large P is.
+    k = len(reps) + 1
+    reach = 13 if k < 6 else math.ceil(k * (math.log(k) + math.log(math.log(k))))
+    expected = list(primes_up_to(min(P, reach)))
     if sorted(reps) != expected:
+        promised = len(expected) if P <= reach else f"more than {len(reps)}"
         raise ParseError(
-            f"config lists {len(reps)} primes, header promises {len(expected)}",
+            f"config lists {len(reps)} primes, header promises {promised}",
             line=len(lines),
         )
     return CosetConfig(lattice_id, P, seed, rng_id, reps)

@@ -1,11 +1,12 @@
 """Cluster labeling, crossing events and the Monte Carlo estimation harness.
 
-Events are always evaluated on finite windows of the truncated model; the
+Events are evaluated on finite windows of the truncated model.  The
 estimators derive one independent RNG substream per trial from the master
-seed, so success counts are plain integer sums and results are identical for
-any worker count.  Truncating the prime set only ever adds white points,
-which keeps the estimated crossing probabilities on the safe side of the
-second-moment upper bounds.
+seed, draw the residues of many trials as one array, and decide each event
+from which lines of its window stay white; success counts are plain integer
+sums and results are identical for any worker count.  Truncating the prime
+set only ever adds white points, which keeps the estimated crossing
+probabilities on the safe side of the second-moment upper bounds.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import decimal_str
+from .arith import decimal_str, primes_up_to
 from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
 from .errors import DomainError
-from .lattice import GenSet, LatticeSpec, lattice_spec
-from .rng import stream_seed
+from .lattice import GenSet, lattice_spec
+from .rng import stream_seed, stream_seeds
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -379,55 +380,96 @@ def spanning_stats(colouring: Colouring) -> SpanningStats:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimators: a trial function takes (trial seed, *event args)
-# and returns a true value, the witness for annulus and staircase, on success.
+# Monte Carlo estimators.  The residues of a sub-batch of trials are drawn as
+# one (trials, primes, dim) array, and an event kernel, called with
+# (primes, residues, *event args), returns every trial's success from the
+# survival of white lines alone, without colouring a window.
+
+# Most entries (residues plus tested lines, per trial) of one sub-batch, so
+# memory stays flat whatever the trial count or P.
+_BATCH_ENTRIES = 1 << 16
+
+
+def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
+                 across_lo: int, across_len: int) -> np.ndarray:
+    """White flags, shape (trials, length), of lines line_lo..line_lo+length-1
+    tested across across_lo..across_lo+across_len-1.
+
+    r_line and r_across are the (trials, primes) residues of the coordinate
+    that names a line and of the coordinate along it.  Prime p blackens
+    line c iff (c - r_line) % p == 0 and (r_across - across_lo) % p < across_len.
+    """
+    rows = np.arange(len(r_line))[:, None]
+    # the first line each prime blackens, or the spare column `length` if none
+    first = np.minimum((r_line - line_lo) % primes, length)
+    first[(r_across - across_lo) % primes >= across_len] = length
+    white = np.ones((len(r_line), length + 1), dtype=bool)
+    small = int(np.searchsorted(primes, length))
+    for j, p in enumerate(primes[:small].tolist()):
+        lines = first[:, j, None] + p * np.arange(-(-length // p))
+        white[rows, np.minimum(lines, length)] = False
+    # a prime p >= length blackens at most one line
+    white[rows, first[:, small:]] = False
+    return white[:, :length]
+
+
+def _crossing_kernel(primes, residues, n: int, x: int) -> np.ndarray:
+    """Some row 1..n white across the columns 1..x."""
+    rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x)
+    return rows.any(axis=1)
+
+
+def _annulus_kernel(primes, residues, k: int) -> np.ndarray:
+    """annulus_event on [-k, k]^2: a white column over [-k, k] in each of the
+    strips [-k, -k/3] and [k/3, k], and a white row in each."""
+    m = k // 3
+    x, y = residues[..., 0], residues[..., 1]
+    hit = np.ones(len(residues), dtype=bool)
+    for r_line, r_across in ((x, y), (y, x)):
+        for lo in (-k, m):
+            hit &= _white_lines(r_line, r_across, primes, lo, k - m + 1,
+                                -k, 2 * k + 1).any(axis=1)
+    return hit
+
+
+def _staircase_kernel(primes, residues, n_max: int) -> np.ndarray:
+    """staircase stages 0..n_max all crossed: stage n crosses
+    [0, 2^(n+1)] x [0, 2^n] by a row for even n, axes swapped for odd n."""
+    x, y = residues[..., 0], residues[..., 1]
+    hit = np.ones(len(residues), dtype=bool)
+    for n in range(n_max + 1):
+        r_line, r_across = (y, x) if n % 2 == 0 else (x, y)
+        hit &= _white_lines(r_line, r_across, primes, 0, 2**n + 1,
+                            0, 2 ** (n + 1) + 1).any(axis=1)
+    return hit
+
+
+def _spanning_kernel(primes, residues, L: int) -> np.ndarray:
+    """The column {0}^2 x [0, L] all white: no prime's coset meets it."""
+    r1, r2, r3 = residues[..., 0], residues[..., 1], residues[..., 2]
+    return ~((r1 == 0) & (r2 == 0) & (r3 <= L)).any(axis=1)
 
 
 def _crossing_trial(seed: int, n: int, x: int, P: int) -> bool:
-    """One crossing trial on [1,x] x [1,n] without materializing the window.
-
-    Row j is blackened by prime p iff the row's class matches rep_2 and the
-    first x columns meet the rep_1 class; only the row survival vector is
-    needed, and the residues stop being drawn once every row is black.
-    """
-    white_rows = np.ones(n, dtype=bool)
-    for p, (r1, r2) in coset_residues(seed, P, 2):
-        if p <= x or (r1 - 1) % p < x:
-            white_rows[(r2 - 1) % p :: p] = False
-            if not white_rows.any():
-                return False
-    return bool(white_rows.any())
-
-
-def _annulus_trial(seed: int, spec: LatticeSpec, P: int, k: int) -> AnnulusResult | None:
-    window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
-    event = annulus_event(colour_window(sample_coset_config(spec, P, seed), window), k)
-    return event if event.occurred else None
-
-
-def _staircase_trial(seed: int, spec: LatticeSpec, P: int,
-                     n_max: int) -> StaircaseResult | None:
-    side = 2 ** (n_max + 1) + 1
-    window = Window((0, 0), (side, side))
-    result = staircase(colour_window(sample_coset_config(spec, P, seed), window), 0, n_max)
-    return result if result.succeeded else None
-
-
-def _spanning_trial(seed: int, spec: LatticeSpec, P: int, L: int) -> bool:
-    window = Window((0, 0, 0), (1, 1, L + 1))
-    return spanning_stats(colour_window(sample_coset_config(spec, P, seed), window)).all_white
+    """One crossing trial on [1,x] x [1,n], for a single trial seed."""
+    return bool(_crossing_kernel(*coset_residues([seed], P, 2), n, x)[0])
 
 
 def _trial_chunk(args):
-    """Run trials lo..hi-1: (successes, (index, result) of the first or None)."""
-    trial, event_args, master_seed, lo, hi = args
+    """Run trials lo..hi-1: (successes, index of the first success or None).
+
+    Each trial draws dim residues per prime p <= P, and the kernel tests at
+    most `lines` lines per trial.
+    """
+    kernel, event_args, P, dim, lines, master_seed, lo, hi = args
+    step = max(1, _BATCH_ENTRIES // (len(primes_up_to(P)) * dim + lines))
     successes, first = 0, None
-    for t in range(lo, hi):
-        result = trial(trial_seed(master_seed, t), *event_args)
-        if result:
-            successes += 1
-            if first is None:
-                first = (t, result)
+    for start in range(lo, hi, step):
+        seeds = stream_seeds([master_seed], "trial", range(start, min(hi, start + step)))[0]
+        hit = kernel(*coset_residues(seeds, P, dim), *event_args)
+        successes += int(hit.sum())
+        if first is None and hit.any():
+            first = start + int(hit.argmax())
     return successes, first
 
 
@@ -436,16 +478,16 @@ def _chunk_ranges(trials: int, pieces: int):
     return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
 
 
-def _run_trials(trial, event_args: tuple, trials: int, master_seed: int,
-                workers: int):
-    """Success count and first success (index, result) over all trials.
+def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials: int,
+                master_seed: int, workers: int):
+    """Success count and index of the first success over all trials.
 
     Trial t always uses seed trial_seed(master_seed, t), and the first
     success is the lowest such t, so neither depends on the worker count.
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
-    chunks = [(trial, event_args, master_seed, lo, hi)
+    chunks = [(kernel, event_args, P, dim, lines, master_seed, lo, hi)
               for lo, hi in _chunk_ranges(trials, workers * 4)]
     processes = min(workers, len(chunks))
     if processes <= 1:
@@ -454,7 +496,19 @@ def _run_trials(trial, event_args: tuple, trials: int, master_seed: int,
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial_chunk, chunks))
     firsts = [first for _, first in results if first is not None]
-    return sum(n for n, _ in results), min(firsts, key=lambda f: f[0], default=None)
+    return sum(n for n, _ in results), min(firsts, default=None)
+
+
+def _witness(first, master_seed: int, P: int, window: Window, event, succeeded):
+    """(first, event result) evaluated on trial first's Z2 colouring of the
+    window, or None without a success; the result must be a success too."""
+    if first is None:
+        return None
+    config = sample_coset_config(lattice_spec("square"), P, trial_seed(master_seed, first))
+    result = event(colour_window(config, window))
+    if not succeeded(result):
+        raise AssertionError(f"trial {first}: line kernel and window colouring disagree")
+    return first, result
 
 
 def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
@@ -467,7 +521,9 @@ def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
     """
     if n < 1 or x < 1 or trials < 1 or P < 2:
         raise DomainError("need n,x >= 1, trials >= 1, P >= 2")
-    successes, witness = _run_trials(_crossing_trial, (n, x, P), trials, master_seed, workers)
+    successes, first = _run_trials(_crossing_kernel, (n, x), P, 2, n, trials,
+                                   master_seed, workers)
+    witness = None if first is None else (first, True)
     return McStats("crossing", n, x, P, trials, successes, master_seed, witness)
 
 
@@ -477,8 +533,11 @@ def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
     first successful trial's (index, AnnulusResult)."""
     if k < 3 or k % 3:
         raise DomainError("annulus scale must be a positive multiple of 3")
-    args = (lattice_spec("square"), P, k)
-    successes, witness = _run_trials(_annulus_trial, args, trials, master_seed, workers)
+    successes, first = _run_trials(_annulus_kernel, (k,), P, 2, k - k // 3 + 1, trials,
+                                   master_seed, workers)
+    window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
+    witness = _witness(first, master_seed, P, window, lambda col: annulus_event(col, k),
+                       lambda result: result.occurred)
     return McStats("annulus", k, k, P, trials, successes, master_seed, witness)
 
 
@@ -489,8 +548,11 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     if n_max < 0:
         raise DomainError("n_max >= 0 required")
     side = 2 ** (n_max + 1)
-    args = (lattice_spec("square"), P, n_max)
-    successes, witness = _run_trials(_staircase_trial, args, trials, master_seed, workers)
+    successes, first = _run_trials(_staircase_kernel, (n_max,), P, 2, 2**n_max + 1, trials,
+                                   master_seed, workers)
+    window = Window((0, 0), (side + 1, side + 1))
+    witness = _witness(first, master_seed, P, window, lambda col: staircase(col, 0, n_max),
+                       lambda result: result.succeeded)
     return McStats("staircase", side, side, P, trials, successes, master_seed, witness)
 
 
@@ -499,6 +561,7 @@ def estimate_spanning(L: int, trials: int, P: int, master_seed: int,
     """Frequency of an all-white vertical column {0}^2 x [0, L] in dimension 3."""
     if L < 1:
         raise DomainError("column length >= 1 required")
-    args = (lattice_spec("hypercubic", 3), P, L)
-    successes, witness = _run_trials(_spanning_trial, args, trials, master_seed, workers)
+    successes, first = _run_trials(_spanning_kernel, (L,), P, 3, 0, trials,
+                                   master_seed, workers)
+    witness = None if first is None else (first, True)
     return McStats("spanning", L, 1, P, trials, successes, master_seed, witness)

@@ -5,11 +5,17 @@ derived by SHA-256 from (master seed, purpose tag, index).  Pure integer
 arithmetic, so streams are bit-identical across platforms, Python versions and
 thread schedules.  The algorithm identifier below is stored in every artifact
 that records randomness.
+
+SplitMix64 is the readable reference generator.  stream_seeds and below_lanes
+run the same derivation and the same draws over numpy uint64 arrays, one lane
+per stream, bit for bit equal to it.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 RNG_ID = "splitmix64/sha256-streams/v1"
 
@@ -57,3 +63,53 @@ class SplitMix64:
 
 def substream(master_seed: int, tag: str, index: int = 0) -> SplitMix64:
     return SplitMix64(stream_seed(master_seed, tag, index))
+
+
+# ---------------------------------------------------------------------------
+# the same streams over arrays of lanes
+
+_LANE_MAX = np.uint64(_MASK64)
+
+
+def stream_seeds(master_seeds, tag: str, indices) -> np.ndarray:
+    """stream_seed(m, tag, i) for every master seed m and index i, as a uint64
+    array of shape (len(master_seeds), len(indices)).
+
+    One SHA-256 per pair defines the stream, so this hashing is the floor.
+    """
+    heads = [f"{int(m) & _MASK64}\x1f{tag}\x1f".encode() for m in master_seeds]
+    tails = [str(int(i)).encode() for i in indices]
+    sha = hashlib.sha256
+    digests = b"".join([sha(h + t).digest() for h in heads for t in tails])
+    words = np.frombuffer(digests, "<u8").reshape(len(heads), len(tails), 4)
+    return words[:, :, 0].astype(np.uint64)
+
+
+def below_lanes(states: np.ndarray, n) -> np.ndarray:
+    """SplitMix64.below(n) in every lane of a uint64 state array.
+
+    Advances states in place exactly as the scalar generator would, a
+    rejected lane drawing again, and returns the draws as uint64.  n is a
+    positive bound per lane (broadcast to the states' shape).
+    """
+    n = np.broadcast_to(np.asarray(n, dtype=np.uint64), states.shape).ravel()
+    if (n == 0).any():
+        raise ValueError("below() needs n >= 1")
+    # largest accepted draw, 2^64 - (2^64 mod n) - 1, without leaving uint64
+    top = _LANE_MAX - (_LANE_MAX % n + np.uint64(1)) % n
+    if not states.flags.c_contiguous:
+        raise ValueError("below_lanes() advances a C-contiguous state array")
+    flat = states.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.uint64)
+    lanes = np.arange(flat.size)
+    while lanes.size:
+        z = flat[lanes] + np.uint64(_GAMMA)
+        flat[lanes] = z
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        ok = z <= top[lanes]
+        done = lanes[ok]
+        out[done] = z[ok] % n[done]
+        lanes = lanes[~ok]
+    return out.reshape(states.shape)

@@ -150,6 +150,18 @@ def test_sample_oracle_mode(capsys, tmp_path):
         assert col.white_at(pt) == want
 
 
+@pytest.mark.parametrize("lattice,extents", [("D2", "16,16"), ("E8", "16,16"),
+                                             ("Z3", "4,4,4")])
+def test_sample_refuses_non_grid_lattice_before_writing(capsys, tmp_path, lattice, extents):
+    d = tmp_path / "s"
+    code, _, err = run(capsys, "sample", "--out", str(d), "--lattice", lattice,
+                       "--extents", extents, "--P", "31")
+    assert code == 2
+    assert "domain error" in err
+    assert not (d / "config.txt").exists()
+    assert not d.exists()
+
+
 def test_sample_requires_out(capsys):
     code, _, err = run(capsys, "sample", "--extents", "8,8")
     assert code == 3

@@ -6,6 +6,8 @@ in the oracle case.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from coprimelab.colouring import (
     CosetConfig,
     Window,
     colour_window,
+    coset_residues,
     has_full_white_block,
     infer_cosets,
     lattice_from_id,
@@ -31,7 +34,7 @@ from coprimelab.colouring import (
     truncation_error_bound,
 )
 from coprimelab.errors import DomainError, ParseError
-from coprimelab.rng import RNG_ID
+from coprimelab.rng import RNG_ID, substream
 
 Z2 = lattice_from_id("Z2")
 
@@ -286,6 +289,18 @@ def test_truncation_error_bound_values():
     assert truncation_error_bound(w3, 11) == Fraction(500, 121)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coset_residues_are_the_per_prime_substream_draws(dim):
+    seeds = [0, 5, 2**64 - 1, 123456789]
+    primes, residues = coset_residues(seeds, 61, dim)
+    assert primes.tolist() == list(primes_up_to(61))
+    assert residues.dtype == np.int64 and residues.shape == (4, len(primes), dim)
+    for t, seed in enumerate(seeds):
+        for j, p in enumerate(primes.tolist()):
+            stream = substream(seed, "coset", p)
+            assert residues[t, j].tolist() == [stream.below(p) for _ in range(dim)]
+
+
 def test_config_round_trip_and_golden(tmp_path):
     config = sample_coset_config(Z2, 7, 12345)
     path = tmp_path / "c.txt"
@@ -387,3 +402,53 @@ def test_coupling_disagreements_match_direct_scan():
         if g > 1 and min(q for q in range(2, g + 1) if g % q == 0) > P:
             expected.add(point)
     assert disagreements == expected
+
+
+_HEADERS = [b"coprime-config v1 lattice=%s P=%d seed=%d rng=x" % (lat, P, seed)
+            for lat in (b"Z2", b"Z3", b"D2", b"E8", b"triangular", b"Q7", b"D1", b"Z0")
+            for P in (0, 1, 2, 3, 7, 10**30)
+            for seed in (0, 2**70)]
+_CONFIG_TOKENS = [b"2", b"3", b"5", b"7", b"0", b"1", b"4", b"-1", b"9" * 30, b"x", b"\xff"]
+
+
+def _config_bytes():
+    line = st.lists(st.sampled_from(_CONFIG_TOKENS), max_size=4).map(b" ".join)
+    body = st.lists(line, max_size=6).map(b"\n".join)
+    return st.tuples(st.sampled_from(_HEADERS), body).map(b"\n".join)
+
+
+def _pgm_bytes():
+    head = st.lists(st.sampled_from([
+        b"# origin=0 0", b"# origin=1", b"# origin=-5 2**3", b"# extents=2 2",
+        b"# extents=3 1", b"# extents=a b", b"# provenance=lattice=Z2", b"#\xff", b"junk",
+    ]), max_size=4)
+    dims = st.sampled_from([b"2 2", b"3 1", b"0 2", b"x", b"2", b"99999999999 2"])
+    maxval = st.sampled_from([b"255", b"65535"])
+    raster = st.one_of(st.binary(max_size=6), st.lists(st.sampled_from([b"\x00", b"\xff"]),
+                                                        max_size=6).map(b"".join))
+    return st.tuples(head, dims, maxval, raster).map(
+        lambda t: b"\n".join([b"P5", *t[0], t[1], t[2]]) + b"\n" + t[3])
+
+
+def _loads_or_parse_error(load, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        try:
+            return load(path)
+        except ParseError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=96), _config_bytes()))
+def test_load_config_raises_only_parse_errors(data):
+    config = _loads_or_parse_error(load_config, data)
+    assert config is None or isinstance(config, CosetConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=96), _pgm_bytes()))
+def test_load_colouring_raises_only_parse_errors(data):
+    col = _loads_or_parse_error(load_colouring, data)
+    assert col is None or isinstance(col, Colouring)

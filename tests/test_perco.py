@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coprimelab.colouring import Colouring, Window, colour_window, sample_coset_config
+from coprimelab.colouring import (
+    Colouring,
+    Window,
+    colour_window,
+    coset_residues,
+    sample_coset_config,
+)
 from coprimelab.errors import DomainError
 from coprimelab.lattice import GenSet, standard_lattice
 from coprimelab.perco import (
@@ -30,7 +36,12 @@ from coprimelab.perco import (
     trial_seed,
     wilson_interval,
 )
-from coprimelab.perco import _crossing_trial
+from coprimelab.perco import (
+    _annulus_kernel,
+    _crossing_trial,
+    _spanning_kernel,
+    _staircase_kernel,
+)
 
 Z2 = standard_lattice("square")[0]
 SQUARE = standard_lattice("square")[1]
@@ -217,6 +228,46 @@ def test_row_shortcut_equals_full_window():
         config = sample_coset_config(Z2, 53, seed)
         col = colour_window(config, Window((1, 1), (23, 17)))
         assert fast == crossing(col, (1, 23, 1, 17), "horizontal").crossed
+
+
+# Each kernel against its event on full window colourings.  P = 31 puts
+# primes both below and above the line counts (7 lines per annulus strip,
+# 2 to 9 per staircase stage), so both branches of the line test run.
+_KERNEL_CASES = {
+    "annulus": (_annulus_kernel, 9, 31, "square", Window((-9, -9), (19, 19)),
+                lambda col: annulus_event(col, 9).occurred),
+    "staircase": (_staircase_kernel, 3, 31, "square", Window((0, 0), (17, 17)),
+                  lambda col: staircase(col, 0, 3).succeeded),
+    "spanning": (_spanning_kernel, 12, 31, "spread3", Window((0, 0, 0), (1, 1, 13)),
+                 lambda col: spanning_stats(col).all_white),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_line_kernels_equal_full_window_events(case):
+    kernel, arg, P, lattice, window, event = _KERNEL_CASES[case]
+    spec = Z2 if lattice == "square" else Z3
+    seeds = [trial_seed(31337, t) for t in range(120)]
+    got = kernel(*coset_residues(seeds, P, spec.dim), arg)
+    want = [event(colour_window(sample_coset_config(spec, P, s), window)) for s in seeds]
+    assert got.tolist() == want
+    assert 0 < sum(want) < len(want)  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("entries", [1, 100])
+def test_estimates_do_not_depend_on_the_batch_budget(monkeypatch, entries):
+    from coprimelab import perco
+
+    def run():
+        return [estimate_crossing(12, 10, 40, 31, 3), estimate_annulus(9, 40, 31, 3),
+                estimate_staircase(2, 40, 31, 3), estimate_spanning(8, 40, 31, 3)]
+
+    whole = run()
+    monkeypatch.setattr(perco, "_BATCH_ENTRIES", entries)
+    batched = run()
+    assert batched == whole
+    assert [s.witness for s in batched] == [s.witness for s in whole]
+    assert all(s.witness is not None for s in whole)
 
 
 def test_two_by_two_crossing_has_exact_truncated_probability():

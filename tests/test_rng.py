@@ -1,8 +1,16 @@
 import collections
 
+import numpy as np
 import pytest
 
-from coprimelab.rng import RNG_ID, SplitMix64, stream_seed, substream
+from coprimelab.rng import (
+    RNG_ID,
+    SplitMix64,
+    below_lanes,
+    stream_seed,
+    stream_seeds,
+    substream,
+)
 
 # Published splitmix64 reference outputs for seed 0.
 SPLITMIX_SEED0 = (
@@ -63,3 +71,51 @@ def test_uniform_unit_interval():
     xs = [g.uniform() for _ in range(1000)]
     assert all(0.0 <= x < 1.0 for x in xs)
     assert 0.4 < sum(xs) / len(xs) < 0.6
+
+
+def test_stream_seeds_match_the_scalar_derivation():
+    for (master, tag, index), expect in FROZEN_STREAM_SEEDS.items():
+        assert stream_seeds([master], tag, [index])[0, 0] == expect
+    masters = [0, 1, 42, 2**64 - 1, -1, 2**70 + 3]
+    indices = [0, 2, 7, 997, 10**6]
+    got = stream_seeds(masters, "coset", indices)
+    assert got.dtype == np.uint64 and got.shape == (6, 5)
+    assert got.tolist() == [[stream_seed(m, "coset", i) for i in indices] for m in masters]
+    lanes = stream_seeds(np.array(masters[:4], dtype=np.uint64), "coset", indices)
+    assert np.array_equal(lanes, got[:4])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bound", [1, 2, 3, 97, 2**32 + 15, 2**63, 2**63 + 1, 2**64 - 1])
+def test_below_lanes_equals_scalar_draws(bound, dim):
+    seeds = [stream_seed(s, "lanes", bound) for s in range(200)]
+    states = np.array(seeds, dtype=np.uint64)
+    got = np.stack([below_lanes(states, bound) for _ in range(dim)], axis=1)
+    rejected = 0
+    for seed, row, state in zip(seeds, got.tolist(), states.tolist()):
+        g = SplitMix64(seed)
+        assert row == [g.below(bound) for _ in range(dim)]
+        assert state == g.state
+        plain = SplitMix64(seed)
+        for _ in range(dim):
+            plain.next_u64()
+        rejected += plain.state != state
+    # near 2^63 about half of all draws are rejected and drawn again
+    assert rejected > 0 if bound == 2**63 + 1 else rejected == 0
+
+
+def test_below_lanes_takes_a_bound_per_lane():
+    seeds = [stream_seed(9, "per-lane", i) for i in range(6)]
+    bounds = [2, 3, 5, 7, 2**63 + 1, 11]
+    states = np.array([seeds] * 4, dtype=np.uint64)
+    got = below_lanes(states, np.array(bounds, dtype=np.uint64))
+    assert got.shape == (4, 6)
+    expect = [SplitMix64(s).below(n) for s, n in zip(seeds, bounds)]
+    assert got.tolist() == [expect] * 4
+
+
+def test_below_lanes_rejects_bad_input():
+    with pytest.raises(ValueError):
+        below_lanes(np.zeros(3, dtype=np.uint64), 0)
+    with pytest.raises(ValueError):
+        below_lanes(np.zeros((3, 2), dtype=np.uint64)[:, 0], 5)
