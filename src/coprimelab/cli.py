@@ -26,6 +26,7 @@ from .arith import (
 from .colouring import (
     Window,
     colour_window,
+    coset_slice,
     infer_cosets,
     lattice_from_id,
     load_colouring,
@@ -248,13 +249,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _membership_mask(rep, p: int, window: Window) -> np.ndarray:
-    mask = np.zeros(window.array_shape(), dtype=bool)
-    o1, o2 = window.origin
-    mask[(rep[1] - o2) % p :: p, (rep[0] - o1) % p :: p] = True
-    return mask
-
-
 def cmd_layers(args) -> int:
     effective = _finalize(args)
     out = _out_dir(args)
@@ -276,7 +270,7 @@ def cmd_layers(args) -> int:
     rgb[col.white] = (255, 255, 255)
     subset = np.zeros(window.array_shape(), dtype=np.uint8)
     for i, p in enumerate(primes):
-        subset[_membership_mask(config.rep(p), p, window)] |= 1 << i
+        subset[coset_slice(config.rep(p), p, window)] |= 1 << i
     for bits, colour in LAYER_PALETTE.items():
         if bits < 1 << len(primes):
             rgb[subset == bits] = colour

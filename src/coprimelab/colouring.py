@@ -90,6 +90,13 @@ class Window:
         return all(o <= c < o + e for c, o, e in zip(v, self.origin, self.extents))
 
 
+def coset_slice(rep, p: int, window: Window) -> tuple[slice, ...]:
+    """Index of a window array selecting the points congruent to rep mod p."""
+    return tuple(
+        slice((rep[k] - window.origin[k]) % p, None, p) for k in reversed(range(window.dim))
+    )
+
+
 @dataclass
 class Colouring:
     """White/black bits over a window, plus where they came from.
@@ -163,11 +170,7 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
     if np.array_equal(spec.columns, np.eye(spec.dim, dtype=np.int64)):
         white = np.ones(window.array_shape(), dtype=bool)
         for p, rep in config.reps.items():
-            idx = tuple(
-                slice((rep[k] - window.origin[k]) % p, None, p)
-                for k in reversed(range(window.dim))
-            )
-            white[idx] = False
+            white[coset_slice(rep, p, window)] = False
         return Colouring(window, white, config.lattice_id, provenance)
     return _colour_sublattice_window(spec, config, window, provenance)
 
@@ -265,11 +268,7 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
     for p in primes_up_to(p_max):
         found = []
         for r in itertools.product(range(p), repeat=d):
-            idx = tuple(
-                slice((r[k] - window.origin[k]) % p, None, p)
-                for k in reversed(range(d))
-            )
-            if not colouring.white[idx].any():
+            if not colouring.white[coset_slice(r, p, window)].any():
                 found.append(r)
         candidates[p] = found
     warning = False

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .rng import substream
+from .rng import below_lanes, stream_seeds
 
 # ---------------------------------------------------------------------------
 # the extended binary Golay code, built from the icosahedron
@@ -108,27 +108,49 @@ def _golay_word_set() -> frozenset[int]:
     return frozenset(build_golay().codewords)
 
 
+_BIT_WEIGHTS = 1 << np.arange(24, dtype=np.int64)
+
+
+def _bit_rows(words) -> np.ndarray:
+    """(n, 24) int8 0/1 matrix whose k-th row holds the bits of the k-th word."""
+    return (np.asarray(words, dtype=np.int64)[:, None] >> np.arange(24) & 1).astype(np.int8)
+
+
 @lru_cache(maxsize=1)
-def _octad_set() -> frozenset[int]:
-    return frozenset(build_golay().octads)
+def _octad_splits():
+    """The 759x24 octad bit matrix O and every unordered pair of octads, split
+    by overlap.
+
+    Two octads meet in 0, 2 or 4 points, read off O @ O.T.  A pair meeting in
+    2 has a dodecad as symmetric difference; a disjoint pair has a weight-16
+    codeword as union.  Returns O and {2: splits, 0: splits}, each splits
+    (support words, first, second) with octad rows first < second, sorted by
+    support word and then by first.
+    """
+    O = _bit_rows(build_golay().octads)
+    overlap = O.astype(np.int32) @ O.T.astype(np.int32)
+    splits = {}
+    for meet in (2, 0):
+        first, second = np.nonzero(np.triu(overlap == meet, 1))
+        words = (O[first] ^ O[second]) @ _BIT_WEIGHTS
+        order = np.argsort(words, kind="stable")
+        splits[meet] = (words[order], first[order], second[order])
+    return O, splits
 
 
 def dodecad_decomposition(code: GolayCode, dodecad: int) -> tuple[int, int]:
     """Write a weight-12 codeword as the symmetric difference of two octads.
 
-    The returned octads always overlap in exactly 2 positions (weights force
-    8 + 8 - 2*|overlap| = 12).
+    The returned octads, smaller first, always overlap in exactly 2
+    positions (weights force 8 + 8 - 2*|overlap| = 12).
     """
     if dodecad not in code or dodecad.bit_count() != 12:
         raise DomainError("not a dodecad of this code")
-    octads = _octad_set()
-    for o1 in code.octads:
-        o2 = o1 ^ dodecad
-        if o2 in octads:
-            if (o1 & o2).bit_count() != 2:
-                raise AssertionError("octad pair with unexpected overlap")
-            return (o1, o2) if o1 < o2 else (o2, o1)
-    raise AssertionError("dodecad admits no octad-pair decomposition")
+    words, first, second = _octad_splits()[1][2]
+    k = int(np.searchsorted(words, dodecad))
+    if k == len(words) or words[k] != dodecad:
+        raise AssertionError("dodecad admits no octad-pair decomposition")
+    return code.octads[first[k]], code.octads[second[k]]
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +475,23 @@ def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
     return tuple(coords)
 
 
+# a window on a d-dimensional lattice is a rank-d array, and numpy 1.x caps
+# array rank at 32 (numpy 2 at 64)
+_MAX_GRID_DIM = 32
+
+
 def lattice_spec(kind: str, d: int | None = None) -> LatticeSpec:
     """A named lattice's basis and membership rule, without a generating set.
 
     kinds: "triangular", "hypercubic" (alias "square" when d=2), "D", "E8",
-    "Leech".
+    "Leech".  Hypercubic and D dimensions are at most _MAX_GRID_DIM, checked
+    before any basis is built.
     """
     kind_l = kind.lower().replace("-", "_")
     if kind_l == "triangular":
         return LatticeSpec("triangular", 2, _identity_columns(2), "all", "hexagonal")
+    if kind_l in ("hypercubic", "d") and d is not None and d > _MAX_GRID_DIM:
+        raise DomainError(f"dimension {d} exceeds the supported maximum {_MAX_GRID_DIM}")
     if kind_l in ("hypercubic", "square"):
         dd = 2 if kind_l == "square" else d
         if dd is None or dd < 1:
@@ -490,6 +520,7 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
         return spec, minimal_vectors(spec)
     if d is None or d < 1 or alpha < 1:
         raise DomainError("spread_out needs dimension and alpha >= 1")
+    spec = lattice_spec("hypercubic", d)
     vectors = []
     for v in itertools.product(range(-alpha, alpha + 1), repeat=d):
         if all(c == 0 for c in v):
@@ -504,7 +535,7 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
             raise DomainError(f"unknown norm {norm!r}")
         if inside:
             vectors.append(v)
-    return lattice_spec("hypercubic", d), GenSet.from_iterable(vectors)
+    return spec, GenSet.from_iterable(vectors)
 
 
 def minimal_vectors(spec: LatticeSpec) -> GenSet:
@@ -543,46 +574,45 @@ def minimal_vectors(spec: LatticeSpec) -> GenSet:
 
 
 @lru_cache(maxsize=1)
-def _leech_minimal_vectors() -> GenSet:
+def _leech_minimal_rows() -> np.ndarray:
+    """The 196,560 minimal Leech vectors as a lexicographically sorted
+    (n, 24) int8 array: (+-4)^2 0^22, the even-minus signed octads
+    (+-2)^8 0^16, and (-+3) (+-1)^23 with the sign pattern of a codeword."""
     code = build_golay()
-    vectors: list[tuple[int, ...]] = []
 
-    for i, j in itertools.combinations(range(24), 2):
-        for si, sj in ((4, 4), (4, -4), (-4, 4), (-4, -4)):
-            v = [0] * 24
-            v[i] = si
-            v[j] = sj
-            vectors.append(tuple(v))
+    i, j = np.triu_indices(24, 1)
+    fours = np.zeros((len(i), 4, 24), dtype=np.int8)
+    for k, (si, sj) in enumerate(((4, 4), (4, -4), (-4, 4), (-4, -4))):
+        fours[np.arange(len(i)), k, i] = si
+        fours[np.arange(len(i)), k, j] = sj
 
-    for octad in code.octads:
-        support = [i for i in range(24) if octad >> i & 1]
-        for signs in range(128):
-            v = [0] * 24
-            minus = 0
-            for k, pos in enumerate(support[:-1]):
-                if signs >> k & 1:
-                    v[pos] = -2
-                    minus += 1
-                else:
-                    v[pos] = 2
-            v[support[-1]] = -2 if minus % 2 else 2
-            vectors.append(tuple(v))
+    O = _octad_splits()[0]
+    signs = _bit_rows(range(256))[:, :8]
+    minus = signs[signs.sum(axis=1) % 2 == 0]  # the 128 even minus sets
+    support = np.nonzero(O)[1].reshape(len(O), 8)
+    octads = np.zeros((len(O), len(minus), 24), dtype=np.int8)
+    octads[np.arange(len(O))[:, None, None], np.arange(len(minus))[:, None],
+           support[:, None, :]] = 2 - 4 * minus
 
-    for word in code.codewords:
-        base = [-1 if word >> i & 1 else 1 for i in range(24)]
-        for j in range(24):
-            v = base[:]
-            v[j] = base[j] - 4 * base[j]  # flip across 0 by 4: +-1 -> -+3
-            vectors.append(tuple(v))
+    base = 1 - 2 * _bit_rows(code.codewords)
+    threes = np.repeat(base[:, None, :], 24, axis=1)
+    threes[:, np.arange(24), np.arange(24)] *= -3  # +-1 -> -+3
 
-    if len(set(vectors)) != 196_560:
-        raise AssertionError(f"built {len(set(vectors))} Leech vectors, wanted 196560")
-    arr = np.array(vectors, dtype=np.int64)
+    arr = np.concatenate([f.reshape(-1, 24) for f in (fours, octads, threes)])
+    arr = arr[np.lexsort(arr.T[::-1])]
+    distinct = 1 + int((arr[1:] != arr[:-1]).any(axis=1).sum())
+    if distinct != 196_560:
+        raise AssertionError(f"built {distinct} Leech vectors, wanted 196560")
     if not bool(leech_contains_bulk(arr, code).all()):
         raise AssertionError("constructed vector fails the digit conditions")
     if not bool(((arr * arr).sum(axis=1) == 32).all()):
         raise AssertionError("constructed vector has wrong norm")
-    return GenSet.from_iterable(vectors)
+    return arr
+
+
+@lru_cache(maxsize=1)
+def _leech_minimal_vectors() -> GenSet:
+    return GenSet(tuple(map(tuple, _leech_minimal_rows().tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -835,196 +865,136 @@ def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
                             len(targets))
 
 
-@lru_cache(maxsize=1)
-def _leech_slice_tables():
-    code = build_golay()
-    octads = code.octads
-    octad_set = set(octads)
-    # for each dodecad, the 66 decompositions indexed by the 2-point overlap
-    decomps: dict[int, list[tuple[int, int]]] = {}
-    for dd in code.dodecads:
-        pairs = []
-        for o1 in octads:
-            o2 = o1 ^ dd
-            if o1 < o2 and o2 in octad_set:
-                pairs.append((o1, o2))
-        decomps[dd] = pairs
-    # weight-16 words split into disjoint octads
-    sixteens: dict[int, list[tuple[int, int]]] = {}
-    all_ones = (1 << 24) - 1
-    for o in octads:
-        c = all_ones ^ o
-        parts = []
-        for o1 in octads:
-            o2 = o1 ^ c
-            if o1 < o2 and o1 & c == o1 and o2 in octad_set:
-                parts.append((o1, o2))
-        sixteens[c] = parts
-    return decomps, sixteens
+_REPLAY_SEED = 7
+_REPLAY_SAMPLES = 8
 
 
-def _signed_support_vector(support_bits: int, minus_bits: int) -> tuple[int, ...]:
-    return tuple(
-        (-2 if minus_bits >> i & 1 else 2) if support_bits >> i & 1 else 0
-        for i in range(24)
-    )
+def _first_one(rows: np.ndarray) -> np.ndarray:
+    """The first 1 of each 0/1 row, as a one-hot row (zero rows stay zero)."""
+    return rows & (np.cumsum(rows, axis=1) == 1)
 
 
-@lru_cache(maxsize=1)
-def _leech_octad_layer_verified() -> int:
-    """Every even-minus signed octad vector is a minimal vector: verified
-    exhaustively once (the per-axis certificates use the subset avoiding
-    their axis).  Returns the number of vectors checked."""
-    code = build_golay()
-    s_set = set(_leech_minimal_vectors().vectors)
-    count = 0
-    for o in code.octads:
-        support = [i for i in range(24) if o >> i & 1]
-        for signs in range(1 << 7):
-            minus = 0
-            parity = 0
-            for k in range(7):
-                if signs >> k & 1:
-                    minus |= 1 << support[k]
-                    parity ^= 1
-            if parity:
-                minus |= 1 << support[7]
-            if _signed_support_vector(o, minus) not in s_set:
-                raise AssertionError("signed octad vector missing from the minimal set")
-            count += 1
-    return count
+def _signed(support: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """2 on the support, -2 where minus is also set, 0 elsewhere."""
+    return (2 * support * (1 - 2 * minus)).astype(np.int8)
 
 
-def _leech_slice_certificate(S: GenSet, axis: int, rng_seed: int = 7) -> SliceCertificate:
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per int8 row, in the rows' lexicographic order (the
+    sign bit is flipped, so byte order is signed order)."""
+    flipped = np.ascontiguousarray(rows ^ np.int8(-128))
+    return flipped.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _sampled_minus_sets(supports: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
+    """_REPLAY_SAMPLES even minus sets per support word, as 0/1 rows within
+    the support rows given (support k's samples are rows k * _REPLAY_SAMPLES
+    onward): a uniform subset, its first point dropped when it is odd."""
+    states = stream_seeds([_REPLAY_SEED], f"leech-slice-{axis}", supports).ravel()
+    draws = np.stack([below_lanes(states, 1 << 24) for _ in range(_REPLAY_SAMPLES)], axis=1)
+    minus = _bit_rows(draws.ravel()) & rows
+    odd = minus.sum(axis=1) % 2 == 1
+    minus[odd] ^= _first_one(minus[odd])
+    return minus
+
+
+def _split_paths(meet: int, o1: np.ndarray, o2: np.ndarray, minus: np.ndarray):
+    """Generator walks from the origin to 2 * (-1)^minus on the support of
+    each octad pair (o1, o2), as [(paths, group)] pairs: (paths, steps, 24)
+    int8 walks for the input rows that group selects, one per step count.
+
+    Each octad step needs an even minus set.  A dodecad pair (meet 2) gives
+    o1 one overlap point when its share of minus is odd, and o2 the other
+    overlap signs, so the overlap cancels.  A 16-support pair (meet 0) with
+    odd shares flips the first point of each octad and steps back by a +-4
+    pair on those two points.
+    """
+    m1, m2 = minus & o1, minus & o2
+    odd = m1.sum(axis=1) % 2 == 1
+    if meet == 2:
+        ov = o1 & o2
+        m1[odd] |= _first_one(ov[odd])
+        m2 |= ov & (m1 ^ 1)
+        return [(np.stack([_signed(o1, m1), _signed(o2, m2)], axis=1), slice(None))]
+    j1, j2 = _first_one(o1[odd]), _first_one(o2[odd])
+    m1f, m2f = m1[odd] ^ j1, m2[odd] ^ j2
+    fix = (4 * (j1 * (2 * m1f - 1) + j2 * (2 * m2f - 1))).astype(np.int8)
+    even = ~odd
+    return [
+        (np.stack([_signed(o1[even], m1[even]), _signed(o2[even], m2[even])], axis=1),
+         even),
+        (np.stack([_signed(o1[odd], m1f), _signed(o2[odd], m2f), fix], axis=1), odd),
+    ]
+
+
+def _replay(paths: np.ndarray, targets: np.ndarray, axis: int) -> None:
+    """Walk (paths, steps, 24) steps from the origin; raise unless every step
+    is a minimal vector in the axis slice, every partial sum stays in the
+    radius-2 box and every walk ends on its target."""
+    keys = _row_keys(_leech_minimal_rows())
+    steps = _row_keys(paths.reshape(-1, 24))
+    at = np.minimum(np.searchsorted(keys, steps), len(keys) - 1)
+    if not (keys[at] == steps).all() or paths[:, :, axis].any():
+        raise AssertionError("path step is not a slice generator")
+    walk = np.cumsum(paths, axis=1)
+    if (np.abs(walk) > 2).any():
+        raise AssertionError("path leaves the certified box")
+    if not (walk[:, -1] == targets).all():
+        raise AssertionError("path misses its target")
+
+
+def _leech_slice_certificate(S: GenSet, axis: int) -> SliceCertificate:
     """Structured radius-2 connectivity certificate for a Leech slice.
 
-    Slice points of the [-2,2] box are exactly the even-signed codeword
-    vectors 2*sigma*chi_C with C avoiding the axis (no odd point fits the box
-    since all codeword weights are multiples of 4).  Octad supports are single
-    generator steps; dodecad supports split through two octads overlapping
-    outside the support; weight-16 supports split into two disjoint octads
-    with a final +-4 pair step fixing sign parity.  All decompositions are
-    verified exhaustively per support; explicit sample paths are replayed
-    point-by-point as an extra guard.
+    The slice points of the [-2,2] box are the origin and the vectors that
+    are 2 on a codeword support C avoiding the axis, negated on an even
+    subset of C (odd points do not fit the box, since every codeword weight
+    is a multiple of 4).  A signed octad is one generator step: the
+    minimal-vector construction checks every even-minus signed octad.  Every
+    dodecad avoiding the axis needs a split into two octads that avoid it
+    (they meet in 2 points outside the dodecad), and every 16-support
+    avoiding it a split into two disjoint octads; both come from the one
+    octad split table.  For each such support, _REPLAY_SAMPLES sign patterns
+    drawn from fixed substreams are walked as arrays and checked exactly:
+    each step a minimal vector with axis coordinate 0, each partial sum
+    inside the box, each endpoint its target.  A support without a split
+    fails the certificate; a walk that breaks a check raises.
     """
     code = build_golay()
     if S.vectors != _leech_minimal_vectors().vectors:
         raise DomainError("the structured certificate requires the minimal-vector set")
-    s_set = set(S.vectors)
-    rng = substream(rng_seed, "leech-slice", axis)
-
-    # digit sanity for the box characterization: codeword weights mod 4
     if any(w.bit_count() % 4 for w in code.codewords):
         raise AssertionError("codeword weight not a multiple of 4")
 
-    checked = 1  # origin
-    bit = 1 << axis
-
-    # octad supports avoiding the axis are single generator steps; the full
-    # signed family is membership-checked once, globally
-    _leech_octad_layer_verified()
-    oct_avoid = [o for o in code.octads if not o & bit]
-    checked += len(oct_avoid) << 7
-
-    decomps, sixteens = _leech_slice_tables()
-
-    # dodecad supports: need a decomposition with both octads avoiding the axis,
-    # whose overlap can absorb either sign parity (the overlap is outside the
-    # support, so each part's minus count is adjustable by the overlap signs)
-    dodecad_pairs: dict[int, tuple[int, int]] = {}
-    for dd in code.dodecads:
-        if dd & bit:
-            continue
-        for o1, o2 in decomps[dd]:
-            if not (o1 | o2) & bit:
-                if o1 ^ o2 != dd or (o1 & o2).bit_count() != 2:
-                    raise AssertionError("bad decomposition table")
-                dodecad_pairs[dd] = (o1, o2)
-                break
-        else:
-            return SliceCertificate(axis, 2, 2, False, "structured", checked,
-                                    detail=f"dodecad {dd:#x} has no axis-avoiding split")
-        checked += 1 << 11
-
-    # weight-16 supports: disjoint octad splits stay inside the support, so
-    # avoiding the axis is automatic; sign parity is repaired by a +-4 pair
-    sixteen_pairs: dict[int, tuple[int, int]] = {}
-    for c, parts in sixteens.items():
-        if c & bit:
-            continue
-        if not parts:
-            return SliceCertificate(axis, 2, 2, False, "structured", checked,
-                                    detail=f"16-support {c:#x} has no disjoint split")
-        sixteen_pairs[c] = parts[0]
-        checked += 1 << 15
-
-    # replay explicit sample paths point-by-point
-    def verify_path(target, steps):
-        pos = (0,) * 24
-        for step in steps:
-            if step not in s_set or step[axis] != 0:
-                raise AssertionError("path step is not a slice generator")
-            pos = tuple(p + q for p, q in zip(pos, step))
-            if max(abs(c) for c in pos) > 2:
-                raise AssertionError("path leaves the certified box")
-        if pos != target:
-            raise AssertionError("path misses its target")
-
-    for dd, (o1, o2) in dodecad_pairs.items():
-        support = [i for i in range(24) if dd >> i & 1]
-        overlap = [i for i in range(24) if (o1 & o2) >> i & 1]
-        for _ in range(8):
-            minus_positions = [p for p in support if rng.below(2)]
-            if len(minus_positions) % 2:
-                minus_positions = minus_positions[1:]
-            minus = 0
-            for p in minus_positions:
-                minus |= 1 << p
-            target = _signed_support_vector(dd, minus)
-            # choose overlap signs for the first octad to even out its count
-            m1_base = (minus & o1 & ~o2).bit_count()
-            t = overlap[0:1] if m1_base % 2 else []
-            m1 = (minus & o1 & ~o2)
-            for p in t:
-                m1 |= 1 << p
-            step1 = _signed_support_vector(o1, m1)
-            # second octad must cancel the overlap entries of step1
-            m2 = (minus & o2 & ~o1)
-            for p in overlap:
-                if not m1 >> p & 1:
-                    m2 |= 1 << p
-            step2 = _signed_support_vector(o2, m2)
-            verify_path(target, [step1, step2])
-
-    for c, (o1, o2) in sixteen_pairs.items():
-        support = [i for i in range(24) if c >> i & 1]
-        for _ in range(8):
-            minus_positions = [p for p in support if rng.below(2)]
-            if len(minus_positions) % 2:
-                minus_positions = minus_positions[1:]
-            minus = 0
-            for p in minus_positions:
-                minus |= 1 << p
-            target = _signed_support_vector(c, minus)
-            m1 = minus & o1
-            m2 = minus & o2
-            steps = []
-            if m1.bit_count() % 2 == 0:
-                steps = [_signed_support_vector(o1, m1), _signed_support_vector(o2, m2)]
-            else:
-                j1 = next(i for i in range(24) if o1 >> i & 1)
-                j2 = next(i for i in range(24) if o2 >> i & 1)
-                m1f = m1 ^ (1 << j1)
-                m2f = m2 ^ (1 << j2)
-                fix = [0] * 24
-                fix[j1] = 4 if m1f >> j1 & 1 else -4
-                fix[j2] = 4 if m2f >> j2 & 1 else -4
-                steps = [
-                    _signed_support_vector(o1, m1f),
-                    _signed_support_vector(o2, m2f),
-                    tuple(fix),
-                ]
-            verify_path(target, steps)
+    O, splits = _octad_splits()
+    avoids = O[:, axis] == 0
+    checked = 1 + (int(avoids.sum()) << 7)  # origin and the octad layer
+    families = (
+        (2, np.array(code.dodecads, dtype=np.int64), 12,
+         "dodecad {:#x} has no axis-avoiding split"),
+        (0, np.sort(((1 << 24) - 1) ^ np.array(code.octads, dtype=np.int64)), 16,
+         "16-support {:#x} has no disjoint split"),
+    )
+    for meet, supports, weight, missing in families:
+        supports = supports[supports >> axis & 1 == 0]
+        words, first, second = splits[meet]
+        usable = np.flatnonzero(avoids[first] & avoids[second])
+        words, pick = np.unique(words[usable], return_index=True)
+        found = np.isin(supports, words)
+        if not found.all():
+            miss = int(np.argmin(found))
+            return SliceCertificate(axis, 2, 2, False, "structured",
+                                    checked + (miss << (weight - 1)),
+                                    detail=missing.format(int(supports[miss])))
+        split = usable[pick[np.searchsorted(words, supports)]]
+        o1 = np.repeat(O[first[split]], _REPLAY_SAMPLES, axis=0)
+        o2 = np.repeat(O[second[split]], _REPLAY_SAMPLES, axis=0)
+        rows = np.repeat(_bit_rows(supports), _REPLAY_SAMPLES, axis=0)
+        minus = _sampled_minus_sets(supports, rows, axis)
+        targets = _signed(rows, minus)
+        for paths, group in _split_paths(meet, o1, o2, minus):
+            _replay(paths, targets[group], axis)
+        checked += len(supports) << (weight - 1)
 
     return SliceCertificate(
         axis, 2, 2, True, "structured", checked,

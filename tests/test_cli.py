@@ -228,6 +228,29 @@ def test_domain_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("lattice", "info", "--lattice", "Z33"),
+    ("lattice", "info", "--lattice", "D33"),
+    ("clusters", "--lattice", "Z70", "--extents", ",".join(["1"] * 70),
+     "--origin", ",".join(["0"] * 70), "--P", "5"),
+], ids=["Z33", "D33", "clusters-Z70"])
+def test_lattice_dimension_above_32_is_a_domain_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "exceeds the supported maximum 32" in err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported only once clusters are labelled, so start-up (paid
+    # by every command and every worker process) stays without it
+    probe = ("import sys, coprimelab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_rejected(capsys, workers):
     code, _, err = run(capsys, "crossing", "--n", "4", "--x", "4", "--trials",

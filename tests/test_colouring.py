@@ -7,6 +7,7 @@ in the oracle case.
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,15 @@ def test_lattice_registry():
     assert lattice_from_id("triangular").form == "hexagonal"
     with pytest.raises(DomainError):
         lattice_from_id("Q17")
+    assert lattice_from_id("Z32").dim == lattice_from_id("D32").dim == 32
+    # refused before any basis is built, however large the id
+    tracemalloc.start()
+    for lattice_id in ("Z33", "D33", "Z20000", "D" + "9" * 30):
+        with pytest.raises(DomainError, match="exceeds the supported maximum 32"):
+            lattice_from_id(lattice_id)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lattice_from_id_is_the_standard_spec_without_minimal_vectors(monkeypatch):
@@ -317,6 +327,8 @@ def test_config_round_trip_and_golden(tmp_path):
         (lambda t: t.replace("coprime-config v1", "coprime-config v2"), "header"),
         (lambda t: t + "11 0 0\n", "promises 4"),
         (lambda t: t.replace("5 2 4", "5 2"), "expected 2 residues"),
+        (lambda t: t.replace("lattice=Z2", "lattice=Z33"), "dimension 33 exceeds"),
+        (lambda t: t.replace("lattice=Z2", "lattice=D33"), "supported maximum 32"),
     ],
 )
 def test_config_parse_errors(tmp_path, mutation, message):

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from coprimelab import lattice
 from coprimelab.errors import DomainError
 from coprimelab.lattice import (
     GenSet,
@@ -219,6 +220,59 @@ def test_leech_membership_on_constructed_members_and_rejects():
     result = leech_contains_bulk(np.array(bumped, dtype=np.int64), code)
     assert not result.any()
     assert leech_contains_bulk(np.array(sample, dtype=np.int64), code).all()
+
+
+LEECH_SLICE_POINTS = 10992897
+
+
+@pytest.mark.parametrize("axis", [0, 11, 23])
+def test_leech_slice_certificate(axis):
+    spec, S = standard_lattice("Leech")
+    cert = check_slice_connectivity(spec, S, axis, 2)
+    assert cert.passed and cert.method == "structured"
+    assert cert.points_certified == LEECH_SLICE_POINTS
+    assert cert.certify_radius == cert.search_radius == 2
+
+
+def test_leech_slice_certificate_refuses_other_generating_sets():
+    spec, S = standard_lattice("Leech")
+    with pytest.raises(DomainError, match="minimal-vector set"):
+        check_slice_connectivity(spec, GenSet(S.vectors[:-1]), 0, 2)
+
+
+def test_octad_split_table(code):
+    _, splits = lattice._octad_splits()
+    octads = code.octads
+    for meet, supports, per_support in ((2, code.dodecads, 66), (0, None, 15)):
+        words, first, second = splits[meet]
+        found, counts = np.unique(words, return_counts=True)
+        if supports is not None:
+            assert found.tolist() == list(supports)
+        assert len(found) == (2576 if meet == 2 else 759)
+        assert set(counts.tolist()) == {per_support}
+        for k in random.Random(meet).sample(range(len(words)), 200):
+            o1, o2 = octads[first[k]], octads[second[k]]
+            assert o1 < o2 and bin(o1 & o2).count("1") == meet
+            assert o1 ^ o2 == words[k]
+
+
+@pytest.mark.parametrize("meet,name", [(2, "dodecad"), (0, "16-support")])
+def test_leech_slice_certificate_names_an_unsplit_support(monkeypatch, meet, name):
+    O, splits = lattice._octad_splits()
+    words, first, second = splits[meet]
+    target = int(next(w for w in words if not w & 1))  # avoids axis 0
+    keep = words != target
+    patched = dict(splits)
+    patched[meet] = (words[keep], first[keep], second[keep])
+    monkeypatch.setattr(lattice, "_octad_splits", lambda: (O, patched))
+    spec, S = standard_lattice("Leech")
+    cert = check_slice_connectivity(spec, S, 0, 2)
+    assert not cert.passed
+    assert cert.detail.startswith(f"{name} {target:#x} has no")
+    assert cert.points_certified < LEECH_SLICE_POINTS
+    # an axis inside the support does not need its splits
+    inside = (target & -target).bit_length() - 1
+    assert check_slice_connectivity(spec, S, inside, 2).passed
 
 
 def test_crossing_adjacency_truth_table():
