@@ -25,6 +25,8 @@ from .rng import RNG_ID, below_lanes, stream_seeds
 
 _U64 = (1 << 64) - 1
 _CHUNK_ENTRIES = 1 << 20
+# the most points of a window that colouring or labelling will allocate for
+_MAX_WINDOW_POINTS = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,13 @@ class Window:
 
     def contains_point(self, v) -> bool:
         return all(o <= c < o + e for c, o, e in zip(v, self.origin, self.extents))
+
+    def require_budget(self) -> None:
+        """Checked before arrays over the window are allocated; windows that
+        are only counted may be larger."""
+        if self.point_count > _MAX_WINDOW_POINTS:
+            raise DomainError(f"window of {self.point_count} points exceeds the budget "
+                              f"of {_MAX_WINDOW_POINTS}")
 
 
 def coset_slice(rep, p: int, window: Window) -> tuple[slice, ...]:
@@ -163,6 +172,7 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
     spec = lattice_from_id(config.lattice_id)
     if window.dim != spec.dim:
         raise DomainError(f"window dimension {window.dim} != lattice dimension {spec.dim}")
+    window.require_budget()
     provenance = (
         f"config lattice={config.lattice_id} P={config.P} "
         f"seed={config.seed} rng={config.rng_id}"
@@ -212,6 +222,7 @@ def oracle_from_origin(X, window: Window) -> Colouring:
     X = tuple(int(c) for c in X)
     if len(X) != window.dim:
         raise DomainError("base point dimension mismatch")
+    window.require_budget()
     axes = np.indices(window.array_shape(), dtype=np.int64)
     g = np.zeros(window.array_shape(), dtype=np.int64)
     for k in range(window.dim):

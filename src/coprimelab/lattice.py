@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -336,6 +336,12 @@ class GenSet:
         vs = sorted({tuple(int(c) for c in v) for v in vectors})
         return GenSet(tuple(vs))
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The vectors as one (n, dim) int64 array, in the same order."""
+        flat = itertools.chain.from_iterable(self.vectors)
+        return np.fromiter(flat, dtype=np.int64, count=len(self) * self.dim).reshape(len(self), -1)
+
     @property
     def dim(self) -> int:
         return len(self.vectors[0])
@@ -541,33 +547,33 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
 def minimal_vectors(spec: LatticeSpec) -> GenSet:
     """All nonzero lattice vectors of minimal norm.
 
-    Z_d and D_d are written down from their forced shapes; triangular and
-    E_8 are found by exhaustive search over a box that provably contains
-    every candidate; the Leech set is built from its three shape families and
-    verified by membership and norm (completeness of the three families is
-    classical).
+    Z_d, D_d and E_8 are written down from their forced shapes; the
+    triangular model is found by exhaustive search over a box that provably
+    contains every candidate; the Leech set is built from its three shape
+    families and verified by membership and norm (completeness of the three
+    families is classical).
     """
     if spec.name == "Leech":
         return _leech_minimal_vectors()
-    if spec.name.startswith(("Z", "D")):
+    if spec.name.startswith(("Z", "D")) or spec.name == "E8":
         # one entry +-1 for Z_d, two for D_d: an entry of size >= 2 already
-        # exceeds the norm of these
-        k = 1 if spec.name.startswith("Z") else 2
+        # exceeds the norm of these.  E_8 in doubled coordinates (norm 8):
+        # two entries +-2, or all eight +-1 with an even number of minus
+        # signs (SPLAG ch. 4 sec. 8.1)
+        k, scale = {"Z": (1, 1), "D": (2, 1), "E": (2, 2)}[spec.name[0]]
         vectors = []
         for support in itertools.combinations(range(spec.dim), k):
-            for signs in itertools.product((1, -1), repeat=k):
+            for signs in itertools.product((scale, -scale), repeat=k):
                 v = [0] * spec.dim
                 for i, s in zip(support, signs):
                     v[i] = s
                 vectors.append(v)
+        if spec.name == "E8":
+            vectors += [v for v in itertools.product((1, -1), repeat=8) if v.count(-1) % 2 == 0]
         return GenSet.from_iterable(vectors)
-    if spec.name == "triangular":
-        reach = 1
-    elif spec.name == "E8":
-        reach = 2
-    else:
+    if spec.name != "triangular":
         raise DomainError(f"no feasible enumeration for {spec.name!r}")
-    pts = _enumerate_box_points(spec, reach)
+    pts = _enumerate_box_points(spec, 1)
     pts = pts[pts.any(axis=1)]
     q = norm_sq(spec, pts)
     return GenSet.from_iterable(pts[q == q.min()])
@@ -612,7 +618,10 @@ def _leech_minimal_rows() -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _leech_minimal_vectors() -> GenSet:
-    return GenSet(tuple(map(tuple, _leech_minimal_rows().tolist())))
+    rows = _leech_minimal_rows()
+    S = GenSet(tuple(map(tuple, rows.tolist())))
+    S.__dict__["rows"] = rows.astype(np.int64)  # its cached array view, already built
+    return S
 
 
 # ---------------------------------------------------------------------------
@@ -758,35 +767,36 @@ def check_crossing_adjacency(spec: LatticeSpec, S: GenSet, axis: int,
     x_i = a < 0 < z_i, a neighbour of x (of z) in the slice exists iff -a
     (resp. -(a+s_i)) is an attainable i-th coordinate of a generator.  The
     weak mode instead demands no generator ever jumps the slice, i.e. every
-    |s_i| <= 1.
+    |s_i| <= 1.  Both read the axis column once, the strict mode through its
+    distinct values; the witness is the first failing generator in S order,
+    at its first failing b.
     """
     if mode not in ("strict", "weak"):
         raise DomainError(f"unknown mode {mode!r}")
     if not 0 <= axis < spec.dim:
         raise DomainError(f"axis {axis} out of range")
     _require_normalized(spec)
-    proj = {v[axis] for v in S}
+    col = S.rows[:, axis]
     if mode == "weak":
-        for v in S:
-            if abs(v[axis]) > 1:
-                s = v if v[axis] >= 2 else tuple(-c for c in v)
-                x = _point_with_coordinate(spec, axis, -1)
-                z = tuple(xi + si for xi, si in zip(x, s))
-                return CrossingAdjacency(axis, mode, False,
-                                         {"s": s, "a": -1, "x": x, "z": z})
+        fails = np.abs(col) > 1  # a jump over the slice, from a = -1
+    else:
+        # first_b[t]: the first b = -x_i that no slice neighbour repairs for s_i = t
+        attained = set(np.unique(col).tolist())
+        first_b = {}
+        for t in attained:
+            b = next((b for b in range(1, t) if b not in attained and t - b not in attained), None)
+            if b is not None:
+                first_b[t] = b
+        fails = np.isin(col, list(first_b))
+    if not fails.any():
         return CrossingAdjacency(axis, mode, True)
-    for s in S:
-        si = s[axis]
-        if si < 2:
-            continue
-        for b in range(1, si):  # b = -x_i for the crossing offsets
-            if b in proj or si - b in proj:
-                continue
-            x = _point_with_coordinate(spec, axis, -b)
-            z = tuple(xi + ci for xi, ci in zip(x, s))
-            return CrossingAdjacency(axis, mode, False,
-                                     {"s": s, "a": -b, "x": x, "z": z})
-    return CrossingAdjacency(axis, mode, True)
+    s = S.vectors[int(np.argmax(fails))]
+    b = 1 if mode == "weak" else first_b[s[axis]]
+    if s[axis] < 0:
+        s = tuple(-c for c in s)
+    x = _point_with_coordinate(spec, axis, -b)
+    z = tuple(xi + si for xi, si in zip(x, s))
+    return CrossingAdjacency(axis, mode, False, {"s": s, "a": -b, "x": x, "z": z})
 
 
 # ---------------------------------------------------------------------------
@@ -812,55 +822,59 @@ class SliceCertificate:
     unreached: tuple[int, ...] | None = None
 
 
-def _enumerate_box_points(spec: LatticeSpec, radius: int) -> np.ndarray:
-    """All lattice points with every coordinate in [-radius, radius]."""
+# cells of the largest grid a box search allocates: coordinates of the
+# enumerated candidates, or bytes of a slice certificate's visited map
+_MAX_BOX_CELLS = 1 << 26
+
+
+def _enumerate_box_points(spec: LatticeSpec, radius: int, axis: int | None = None) -> np.ndarray:
+    """All lattice points with every coordinate in [-radius, radius], in
+    lexicographic order; given an axis, only those whose axis coordinate is 0."""
+    free = spec.dim - (axis is not None)
     side = 2 * radius + 1
-    if spec.dim * math.log(side) > math.log(4e7):
+    if side ** free * spec.dim > _MAX_BOX_CELLS:
         raise DomainError("box too large to enumerate pointwise")
-    grids = np.meshgrid(*([np.arange(-radius, radius + 1)] * spec.dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    pts = np.indices((side,) * free).reshape(free, -1).T - radius
+    if axis is not None:
+        pts = np.insert(pts, axis, 0, axis=1)
     return pts[contains_bulk(spec, pts)]
 
 
 def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
                            certify_radius: int, search_radius: int) -> SliceCertificate:
-    gens = np.array([v for v in S if v[axis] == 0], dtype=np.int64)
-    pts = _enumerate_box_points(spec, certify_radius)
-    targets = pts[pts[:, axis] == 0]
+    """Breadth-first search from the origin over the slice points of the
+    search box.  Slice generators keep the axis coordinate 0, so the search
+    runs on the other coordinates, with one visited byte per point of the
+    slice's search box; codes put the last coordinate most significant."""
     R = search_radius
     base = 2 * R + 1
-    if spec.dim * math.log(base) > 62 * math.log(2):
-        raise DomainError("search box too large for integer point encoding")
-    weights = base ** np.arange(spec.dim, dtype=np.int64)
-
-    def encode(a: np.ndarray) -> np.ndarray:
-        return (a + R) @ weights
-
-    target_codes = np.sort(encode(targets))
-    origin = np.zeros((1, spec.dim), dtype=np.int64)
-    visited = encode(origin)
-    frontier = origin
-    remaining = target_codes[~np.isin(target_codes, visited)]
-    while len(frontier) and len(remaining):
-        nxt = (frontier[:, None, :] + gens[None, :, :]).reshape(-1, spec.dim)
-        inside = (np.abs(nxt) <= R).all(axis=1)
-        nxt = nxt[inside]
-        codes = encode(nxt)
-        codes, first = np.unique(codes, return_index=True)
-        new_mask = ~np.isin(codes, visited)
-        codes = codes[new_mask]
-        frontier = nxt[first[new_mask]]
-        visited = np.sort(np.concatenate([visited, codes]))
-        remaining = remaining[~np.isin(remaining, codes)]
-    if len(remaining):
-        missing_code = int(remaining[0])
-        digs = []
-        for _ in range(spec.dim):
-            digs.append(missing_code % base - R)
-            missing_code //= base
+    free = spec.dim - 1
+    if base ** free > _MAX_BOX_CELLS:
+        raise DomainError("search box too large for a visited map")
+    targets = _enumerate_box_points(spec, certify_radius, axis)
+    others = np.arange(spec.dim) != axis
+    gens = S.rows[S.rows[:, axis] == 0][:, others]
+    weights = base ** np.arange(free, dtype=np.int64)
+    target_codes = (targets[:, others] + R) @ weights
+    visited = np.zeros(base ** free, dtype=bool)
+    frontier = np.zeros((1, free), dtype=np.int64)
+    visited[(frontier + R) @ weights] = True
+    while len(frontier) and not visited[target_codes].all():
+        layer = []
+        for g in gens:
+            nxt = frontier + g
+            nxt = nxt[(np.abs(nxt) <= R).all(axis=1)]
+            codes = (nxt + R) @ weights
+            fresh = ~visited[codes]
+            visited[codes[fresh]] = True
+            layer.append(nxt[fresh])
+        frontier = np.concatenate(layer or [frontier[:0]])
+    reached = visited[target_codes]
+    if not reached.all():
+        missing = np.flatnonzero(~reached)
+        first = missing[np.argmin(target_codes[missing])]
         return SliceCertificate(axis, certify_radius, search_radius, False, "bfs",
-                                len(targets) - len(remaining),
-                                unreached=tuple(digs))
+                                int(reached.sum()), unreached=tuple(targets[first].tolist()))
     return SliceCertificate(axis, certify_radius, search_radius, True, "bfs",
                             len(targets))
 

@@ -126,15 +126,16 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     components become the next ids.  Each graph has at most one edge per
     point, so memory stays linear in the window whatever the size of S.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")
     if S.dim != colouring.window.dim:
         raise DomainError("generating set dimension mismatch")
     if not S.is_symmetric() or S.has_zero():
         raise DomainError("adjacency needs a symmetric generating set without 0")
+    colouring.window.require_budget()
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     mask = colouring.white if colour == "white" else ~colouring.white
     if colouring.in_lattice is not None:
         mask = mask & colouring.in_lattice

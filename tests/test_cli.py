@@ -1,5 +1,7 @@
 """Command line behaviour: outputs, manifests, config files, exit codes."""
 
+import hashlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -404,3 +406,55 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "minimal_vectors,24" in proc.stdout
+
+
+# SHA-256 of the `check` report (stdout, and check.txt alike) and its exit code
+CHECK_DIGESTS = {
+    ("square", "setup"): (0, "de59473f90a0270b70e197ab66d5e7ac6495d8faace4e3b9aba876432900b587"),
+    ("square", "setupblack"): (0, "38c644f0684a051712e9d64d927dbe2d0607cb983f5fc4ac4511d093581808fb"),
+    ("triangular", "setup"): (0, "bfcf7e7ae3d55896f2e88d4477f84b98443a245570f97e9dd8e429a99323b294"),
+    ("triangular", "setupblack"): (0, "8d08d67abe4a5dd3302923ebefbd455510f0978cfdb5015ff0d73b8d37c8bbc3"),
+    ("D3", "setup"): (0, "1940b88d57db23fb9c25edb062e264580e3af30288bb5c2e76cff8dd580d6e72"),
+    ("D3", "setupblack"): (0, "90084dbe07414067dd54a85e51663b42e6ca7a50e079cd63578319a9fd2d1b4f"),
+    ("D4", "setup"): (0, "55c52caba4b414c6237348bd0f1a7c145738a288fc92931262cce103c34a58d1"),
+    ("D4", "setupblack"): (0, "b1da4662aef6e88cea0608299ecf23535df2aacd2b8091f8136b2fc451567635"),
+    ("E8", "setup"): (0, "427e54dbbaa3f3b38b65f1775f7faea0f45977494e2d7d25e460965236fb9fae"),
+    ("E8", "setupblack"): (1, "d9598438938422aa66f4be879ae75aeee3f8175f745cb602f1358990b059d2a0"),
+    ("spread2", "setup"): (0, "4eb87eeeda9b0546a573241bf0a8b339a048c0cf56b7bafc98714d2cd10b11ae"),
+    ("spread2", "setupblack"): (1, "354fada15b6c2e6aa9d542993473673a763ce0c1811732ac9bbb52a385bf0a7b"),
+}
+
+
+@pytest.mark.parametrize("lattice,theorem", list(CHECK_DIGESTS))
+def test_check_report_digests(capsys, tmp_path, lattice, theorem):
+    code, out, _ = run(capsys, "check", "--lattice", lattice, "--theorem", theorem,
+                       "--out", str(tmp_path))
+    expected_code, digest = CHECK_DIGESTS[lattice, theorem]
+    assert code == expected_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / "check.txt").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("action,name,digest", [
+    ("dump", "vectors.txt", "2901a6eedf6870fe2100f499c754750e7a2cb94cb41e2ed05571208c133a23da"),
+    ("info", "lattice.csv", "718c588e81005c5fead898bdac42a612ae4538b7ac28db4cc4f4bf4e4f6eb241"),
+])
+def test_lattice_e8_outputs_frozen(capsys, tmp_path, action, name, digest):
+    code, out, _ = run(capsys, "lattice", action, "--lattice", "E8", "--out", str(tmp_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_window_over_budget_is_a_domain_error():
+    # a fresh process with its address space capped, so that a missing check
+    # fails on 10^10 points instead of allocating them
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "coprimelab.cli", "clusters", "--extents", "100000,100000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory)
+    assert proc.returncode == 2
+    assert "exceeds the budget" in proc.stderr
+    assert "Traceback" not in proc.stderr

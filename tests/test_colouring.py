@@ -464,3 +464,21 @@ def test_load_config_raises_only_parse_errors(data):
 def test_load_colouring_raises_only_parse_errors(data):
     col = _loads_or_parse_error(load_colouring, data)
     assert col is None or isinstance(col, Colouring)
+
+
+def test_window_budget_is_checked_before_allocation():
+    from fractions import Fraction
+
+    huge = Window((0, 0), (100_000, 100_000))
+    config = sample_coset_config(lattice_from_id("Z2"), 5, 1)
+    d2 = sample_coset_config(lattice_from_id("D2"), 5, 1)
+    tracemalloc.start()
+    for call in (lambda: colour_window(config, huge), lambda: colour_window(d2, huge),
+                 lambda: oracle_from_origin((0, 0), huge)):
+        with pytest.raises(DomainError, match="exceeds the budget"):
+            call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    # windows that are only counted, never allocated, stay unbounded
+    assert truncation_error_bound(huge, 7) == Fraction(10**10, 7)

@@ -5,7 +5,9 @@ membership) are recomputed here from first principles rather than read back
 from the module under test.
 """
 
+import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,3 +343,137 @@ def test_normalize_coordinates_scales():
     _, reduced, ks = normalize_coordinates(scaled, scaled_s)
     assert ks == (2, 2)
     assert reduced.vectors == square.vectors
+
+
+@pytest.mark.parametrize("case", ["square-skips-odd", "e8-subset"])
+def test_bfs_slice_certificate_failures(case):
+    if case == "square-skips-odd":
+        # (0, +-2) steps skip the odd points of the x0 = 0 line
+        spec = standard_lattice("square")[0]
+        S = GenSet.from_iterable([(1, 0), (-1, 0), (0, 2), (0, -2)])
+        radius, points, unreached = 3, 3, (0, -3)
+    else:
+        spec, s8 = standard_lattice("E8")
+        S = GenSet.from_iterable(v for v in s8 if abs(v[0]) != 2 and abs(v[1]) != 2)
+        assert len(S) == 188
+        radius, points, unreached = 2, 365, (0, -2, 0, -2, -2, -2, -2, -2)
+    cert = check_slice_connectivity(spec, S, 0, radius)
+    assert (cert.passed, cert.method, cert.points_certified) == (False, "bfs", points)
+    assert (cert.certify_radius, cert.search_radius) == (radius, 2 * radius)
+    assert cert.unreached == unreached
+
+
+def _reference_slice_certificate(spec, S, axis, radius, search):
+    """Scalar BFS over tuples: (points certified, smallest unreached point
+    with the last coordinate most significant, or None)."""
+    def box(r):
+        return itertools.product(range(-r, r + 1), repeat=spec.dim)
+
+    targets = [p for p in box(radius) if p[axis] == 0 and lattice.contains(spec, p)]
+    gens = [v for v in S if v[axis] == 0]
+    origin = (0,) * spec.dim
+    seen, frontier = {origin}, [origin]
+    while frontier:
+        layer = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(a + b for a, b in zip(p, g))
+                if max(map(abs, q)) <= search and q not in seen:
+                    seen.add(q)
+                    layer.append(q)
+        frontier = layer
+    missing = [p for p in targets if p not in seen]
+    return len(targets) - len(missing), min(missing, key=lambda p: p[::-1], default=None)
+
+
+@pytest.mark.parametrize("kind,d", [("square", None), ("D", 3), ("hypercubic", 3)])
+def test_bfs_slice_certificate_matches_a_scalar_search(kind, d):
+    spec = standard_lattice(kind, d)[0]
+    pool = [p for p in itertools.product(range(-3, 4), repeat=spec.dim)
+            if any(p) and lattice.contains(spec, p)]
+    rng = random.Random(11)
+    for _ in range(15):
+        picked = rng.sample(pool, rng.randrange(1, 4 * spec.dim))
+        S = GenSet.from_iterable(picked + [tuple(-c for c in v) for v in picked])
+        for axis in range(spec.dim):
+            radius = rng.randrange(1, 4)
+            search = radius + rng.randrange(0, 3)
+            cert = check_slice_connectivity(spec, S, axis, radius, search)
+            points, unreached = _reference_slice_certificate(spec, S, axis, radius, search)
+            assert (cert.points_certified, cert.unreached) == (points, unreached)
+            assert cert.passed == (unreached is None)
+
+
+def test_e8_minimal_vectors_match_a_box_search():
+    # norm 8 bounds every coordinate by 2 (3^2 > 8), so the [-2, 2]^8 box
+    # holds every minimal vector; rows come out in lexicographic order
+    e8 = standard_lattice("E8")[0]
+    box = np.indices((5,) * 8).reshape(8, -1).T - 2
+    same_parity = (box % 2 == box[:, :1] % 2).all(axis=1)
+    pts = box[same_parity & (box.sum(axis=1) % 4 == 0) & box.any(axis=1)]
+    q = (pts * pts).sum(axis=1)
+    expected = tuple(map(tuple, pts[q == q.min()].tolist()))
+    assert len(expected) == 240
+    assert minimal_vectors(e8).vectors == expected
+
+
+@pytest.mark.parametrize("S,mode,axis,witness", [
+    ("spread2", "weak", 0, {"s": (2, 2), "a": -1, "x": (-1, 0), "z": (1, 2)}),
+    ("spread2", "weak", 1, {"s": (2, 2), "a": -1, "x": (0, -1), "z": (2, 1)}),
+    ("3-step", "strict", 0, {"s": (3, 0), "a": -1, "x": (-1, 0), "z": (2, 0)}),
+    ("3-step", "strict", 1, None),
+])
+def test_crossing_adjacency_witnesses(S, mode, axis, witness):
+    spec, spread2 = standard_lattice("spread_out", 2, norm="inf", alpha=2)
+    sets = {"spread2": spread2,
+            "3-step": GenSet.from_iterable([(3, 0), (-3, 0), (0, 1), (0, -1)])}
+    res = check_crossing_adjacency(spec, sets[S], axis, mode)
+    assert res.passed == (witness is None)
+    assert res.witness == witness
+
+
+def _reference_crossing_witness(spec, S, axis, mode):
+    """The generator-by-generator scan: the first failing generator in S
+    order at its first failing b, or None."""
+    proj = {v[axis] for v in S}
+    for v in S:
+        if mode == "weak":
+            if abs(v[axis]) <= 1:
+                continue
+            s, b = (v if v[axis] >= 2 else tuple(-c for c in v)), 1
+        else:
+            fails = [b for b in range(1, v[axis]) if b not in proj and v[axis] - b not in proj]
+            if not fails:
+                continue
+            s, b = v, fails[0]
+        x = lattice._point_with_coordinate(spec, axis, -b)
+        return {"s": s, "a": -b, "x": x, "z": tuple(xi + si for xi, si in zip(x, s))}
+    return None
+
+
+def test_crossing_adjacency_matches_a_generator_scan():
+    spec = standard_lattice("square")[0]
+    pool = [p for p in itertools.product(range(-5, 6), repeat=2) if any(p)]
+    rng = random.Random(5)
+    for _ in range(60):
+        picked = rng.sample(pool, rng.randrange(1, 6))
+        S = GenSet.from_iterable(picked + [tuple(-c for c in v) for v in picked])
+        for axis, mode in itertools.product((0, 1), ("strict", "weak")):
+            res = check_crossing_adjacency(spec, S, axis, mode)
+            witness = _reference_crossing_witness(spec, S, axis, mode)
+            assert res.witness == witness
+            assert res.passed == (witness is None)
+
+
+@pytest.mark.parametrize("certify,search,what", [
+    (4, None, "visited map"),         # 17^7 visited bytes
+    (5, 5, "enumerate pointwise"),    # 11^7 slice candidates of 8 coordinates
+])
+def test_bfs_slice_certificate_refuses_oversized_grids(certify, search, what):
+    e8, s8 = standard_lattice("E8")
+    tracemalloc.start()
+    with pytest.raises(DomainError, match=what):
+        check_slice_connectivity(e8, s8, 0, certify, search)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,6 +6,7 @@ exactly computable truncated probability (adjacent rows cannot both be white
 because the p=2 coset always covers one parity class).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -390,3 +391,16 @@ def test_estimator_input_validation():
         estimate_staircase(-1, 10, 97, 1)
     with pytest.raises(DomainError):
         estimate_spanning(0, 10, 97, 1)
+
+
+def test_label_clusters_checks_the_window_budget():
+    huge = Window((0, 0), (100_000, 100_000))
+    # a broadcast view: the colouring's bits take no memory
+    col = Colouring(huge, np.broadcast_to(np.True_, huge.array_shape()), "Z2", "test", None)
+    tracemalloc.start()
+    for colour in ("white", "black"):
+        with pytest.raises(DomainError, match="exceeds the budget"):
+            label_clusters(col, SQUARE, colour)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
