@@ -781,7 +781,7 @@ def check_crossing_adjacency(spec: LatticeSpec, S: GenSet, axis: int,
         fails = np.abs(col) > 1  # a jump over the slice, from a = -1
     else:
         # first_b[t]: the first b = -x_i that no slice neighbour repairs for s_i = t
-        attained = set(np.unique(col).tolist())
+        attained = set(col.tolist())
         first_b = {}
         for t in attained:
             b = next((b for b in range(1, t) if b not in attained and t - b not in attained), None)

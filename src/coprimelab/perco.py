@@ -121,10 +121,12 @@ class ClusterLabels:
 def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> ClusterLabels:
     """Connected components of one colour; ids in raster first-visit order.
 
-    Edges are contracted one offset pair {s, -s} at a time: the points joined
-    by s give a graph on the current component ids, whose connected
-    components become the next ids.  Each graph has at most one edge per
-    point, so memory stays linear in the window whatever the size of S.
+    Edges are contracted one offset pair {s, -s} at a time, by root hooking
+    and pointer jumping (Shiloach-Vishkin): a component's root is the
+    smallest raster point id it holds, and each edge joining two roots hooks
+    the larger onto the smaller.  Roots ordered by id are then components in
+    first-visit order.  Each pair gives at most one edge per point, so
+    memory stays linear in the window whatever the size of S.
     """
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")
@@ -133,38 +135,41 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     if not S.is_symmetric() or S.has_zero():
         raise DomainError("adjacency needs a symmetric generating set without 0")
     colouring.window.require_budget()
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     mask = colouring.white if colour == "white" else ~colouring.white
     if colouring.in_lattice is not None:
         mask = mask & colouring.in_lattice
     shape = mask.shape
     on = np.flatnonzero(mask)
-    point = np.full(shape, -1, dtype=np.int64)
-    point.flat[on] = np.arange(len(on))
-    comp = np.arange(len(on))  # component id of each point, raster order
-    count = len(on)
+    points = len(on)
+    # root of each position's component; `points` marks the other positions
+    root = np.full(shape, points, dtype=np.int64)
+    root.flat[on] = np.arange(points)
+    parent = np.arange(points + 1)
     for s in S:
         if s < tuple(-c for c in s):
             continue
         offset = tuple(reversed(s))  # array-axis order
         src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
         dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
-        both = mask[src] & mask[dst]
-        a, b = comp[point[src][both]], comp[point[dst][both]]
-        joined = a != b
-        if not joined.any():
-            continue
+        a, b = root[src], root[dst]
+        joined = (a != b) & mask[src] & mask[dst]
         a, b = a[joined], b[joined]
-        graph = coo_matrix((np.ones(len(a), dtype=bool), (a, b)), shape=(count, count))
-        count, merged = connected_components(graph, directed=False)
-        comp = merged[comp]
-    _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
-    rank = np.empty(count, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(count)
-    labels = np.full(shape, -1, dtype=np.int64)
-    labels.flat[on] = rank[inverse]
+        while len(a):
+            high = np.maximum(a, b)
+            np.minimum.at(parent, high, np.minimum(a, b))
+            while len(high):  # jump the hooked roots up to their new roots
+                up = parent[high]
+                top = parent[up]
+                parent[high] = top
+                high = high[up != top]
+            root = parent[root]
+            a, b = parent[a], parent[b]
+            joined = a != b
+            a, b = a[joined], b[joined]
+    first = parent[:points] == np.arange(points)
+    count = int(first.sum())
+    rank = np.append(np.cumsum(first) - 1, -1)
+    labels = rank[root]
     sizes = np.bincount(labels[labels >= 0], minlength=count).astype(np.int64)
     d = colouring.window.dim
     touches = np.zeros((count, d, 2), dtype=bool)
@@ -172,8 +177,7 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
         ax = d - 1 - k  # array axis for coordinate k
         for side, index in ((0, 0), (1, -1)):
             face = np.take(labels, index, axis=ax)
-            ids = np.unique(face[face >= 0])
-            touches[ids, k, side] = True
+            touches[face[face >= 0], k, side] = True
     return ClusterLabels(colouring.window, colour, labels, count, sizes, touches)
 
 

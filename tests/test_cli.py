@@ -253,6 +253,32 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_labelling_and_checks_run_without_scipy():
+    # scipy is a test-only dependency: clusters and the E8 check run with
+    # every scipy import failing, and neither loads numpy.ma either
+    probe = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+from coprimelab.cli import main
+runs = [
+    "clusters --extents 48,40 --adjacency square --seed 3",
+    "clusters --extents 48,40 --adjacency spread2 --colour black",
+    "clusters --lattice triangular --adjacency triangular --extents 32,32",
+    "check --lattice E8 --theorem setup",
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+del sys.modules["scipy"]
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_rejected(capsys, workers):
     code, _, err = run(capsys, "crossing", "--n", "4", "--x", "4", "--trials",

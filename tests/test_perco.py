@@ -11,7 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coprimelab.arith import line_white_trunc, pair_line_trunc, primes_up_to
 from coprimelab.colouring import (
     Colouring,
     Window,
@@ -39,9 +42,11 @@ from coprimelab.perco import (
 )
 from coprimelab.perco import (
     _annulus_kernel,
+    _crossing_kernel,
     _crossing_trial,
     _spanning_kernel,
     _staircase_kernel,
+    _white_lines,
 )
 
 Z2 = standard_lattice("square")[0]
@@ -404,3 +409,132 @@ def test_label_clusters_checks_the_window_budget():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# labelling kernel: long paths, degenerate windows, random generating sets
+
+
+def mask_colouring(mask):
+    h, w = mask.shape
+    return Colouring(Window((0, 0), (w, h)), mask, "Z2", "test fixture", None)
+
+
+def serpentine_mask(n):
+    """Even rows full, joined at alternating ends: the path runs against the
+    raster order on every other row."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2] = True
+    for r in range(1, n, 2):
+        mask[r, -1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+def spiral_mask(n):
+    """A clockwise spiral path from the corner inwards: a step is taken only
+    onto a cell whose other neighbours are all off, so arms stay apart."""
+    mask = np.zeros((n, n), dtype=bool)
+    y = x = dy = 0
+    dx = 1
+    mask[0, 0] = True
+    turns = 0
+    while turns < 2:
+        ny, nx = y + dy, x + dx
+        near = [(ny + a, nx + b) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        if 0 <= ny < n and 0 <= nx < n and not any(
+                mask[c] for c in near if c != (y, x) and 0 <= c[0] < n and 0 <= c[1] < n):
+            y, x, turns = ny, nx, 0
+            mask[y, x] = True
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return mask
+
+
+@pytest.mark.parametrize("S", [SQUARE, SPREAD2], ids=["square", "spread2"])
+@pytest.mark.parametrize("make", [serpentine_mask, spiral_mask], ids=["serpentine", "spiral"])
+def test_labels_follow_paths_against_raster_order(make, S):
+    mask = make(64)
+    if S is SQUARE:  # a simple path: every point but the two ends has two neighbours
+        right = np.zeros_like(mask)
+        right[:, :-1] = mask[:, :-1] & mask[:, 1:]
+        up = np.zeros_like(mask)
+        up[:-1] = mask[:-1] & mask[1:]
+        degree = right.astype(int) + up
+        degree[:, 1:] += right[:, :-1]
+        degree[1:] += up[:-1]
+        assert np.bincount(degree[mask]).tolist() == [0, 2, mask.sum() - 2]
+    lab = label_clusters(mask_colouring(mask), S)
+    want, n = bfs_labels(mask, S)
+    assert n == 1 and lab.count == 1
+    assert np.array_equal(lab.labels, want)
+    assert lab.sizes.tolist() == [mask.sum()]
+    assert lab.touches.all()
+
+
+def test_labels_of_a_one_colour_window():
+    col = mask_colouring(np.ones((7, 9), dtype=bool))
+    black = label_clusters(col, SQUARE, "black")
+    assert black.count == 0
+    assert (black.labels == -1).all()
+    assert black.sizes.shape == (0,)
+    assert black.touches.shape == (0, 2, 2)
+    assert black.boundary_components().shape == (0,)
+    white = label_clusters(col, SPREAD2, "white")
+    assert white.count == 1
+    assert (white.labels == 0).all()
+    assert white.sizes.tolist() == [63]
+    assert white.touches.shape == (1, 2, 2) and white.touches.all()
+
+
+_HALF_OFFSETS = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) > (0, 0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    cells=st.lists(st.booleans(), min_size=81, max_size=81),
+    half=st.sets(st.sampled_from(_HALF_OFFSETS), min_size=1),
+)
+def test_labels_match_bfs_oracle_on_random_generating_sets(shape, cells, half):
+    mask = np.array(cells[: shape[0] * shape[1]]).reshape(shape)
+    S = GenSet.from_iterable([v for s in half for v in (s, (-s[0], -s[1]))])
+    col = mask_colouring(mask)
+    for colour, m in (("white", mask), ("black", ~mask)):
+        lab = label_clusters(col, S, colour)
+        want, n = bfs_labels(m, S)
+        assert lab.count == n
+        assert np.array_equal(lab.labels, want)
+        assert lab.sizes.tolist() == [int((want == c).sum()) for c in range(n)]
+        for c in range(n):
+            pts = np.argwhere(want == c)
+            for k, ax in ((0, 1), (1, 0)):
+                assert lab.touches[c, k, 0] == bool((pts[:, ax] == 0).any())
+                assert lab.touches[c, k, 1] == bool((pts[:, ax] == shape[ax] - 1).any())
+
+
+# ---------------------------------------------------------------------------
+# exhaustive small-P oracle: every residue configuration, exact fractions
+
+
+def all_residues(P, dim=2):
+    """(primes, residues) for every configuration of one coset per prime p <= P:
+    residues has shape (prod p^dim, primes, dim)."""
+    primes = np.array(primes_up_to(P).primes, dtype=np.int64)
+    picks = np.meshgrid(*[np.arange(p**dim) for p in primes.tolist()], indexing="ij")
+    flat = np.stack(picks, axis=-1).reshape(-1, len(primes))
+    return primes, np.stack([flat // primes**k % primes for k in range(dim)], axis=-1)
+
+
+@pytest.mark.parametrize("P", [2, 3, 5, 7])
+def test_line_kernels_match_exact_products_over_every_configuration(P):
+    primes, residues = all_residues(P)
+    configs = int(np.prod(primes**2))
+    assert len(residues) == configs  # 44,100 at P = 7
+    assert len(np.unique(residues.reshape(configs, -1), axis=0)) == configs
+    for x in (1, 2, 3, 4, 6, 9):
+        one_row = _crossing_kernel(primes, residues, 1, x)
+        assert Fraction(int(one_row.sum()), configs) == line_white_trunc(x, P)
+        for d in range(1, x + 1):
+            rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, d + 1, 1, x)
+            both = rows[:, 0] & rows[:, d]
+            assert Fraction(int(both.sum()), configs) == pair_line_trunc(d, x, P)
