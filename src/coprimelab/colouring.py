@@ -403,7 +403,7 @@ def save_colouring(colouring: Colouring, path) -> None:
         + f"# provenance={colouring.provenance}\n".encode()
         + f"{window.extents[0]} {window.extents[1]}\n255\n".encode()
     )
-    raster = np.where(colouring.white, 255, 0).astype(np.uint8)
+    raster = np.where(colouring.white, np.uint8(255), np.uint8(0))
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(raster.tobytes())

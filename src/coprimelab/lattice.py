@@ -845,7 +845,9 @@ def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
     """Breadth-first search from the origin over the slice points of the
     search box.  Slice generators keep the axis coordinate 0, so the search
     runs on the other coordinates, with one visited byte per point of the
-    slice's search box; codes put the last coordinate most significant."""
+    slice's search box; codes put the last coordinate most significant.
+    A step adds a generator's code to the frontier codes that its nonzero
+    coordinates keep in the box; each layer is decoded to coordinates once."""
     R = search_radius
     base = 2 * R + 1
     free = spec.dim - 1
@@ -856,19 +858,20 @@ def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
     gens = S.rows[S.rows[:, axis] == 0][:, others]
     weights = base ** np.arange(free, dtype=np.int64)
     target_codes = (targets[:, others] + R) @ weights
+    steps = [(g != 0, g[g != 0], int(g @ weights)) for g in gens]
     visited = np.zeros(base ** free, dtype=bool)
     frontier = np.zeros((1, free), dtype=np.int64)
-    visited[(frontier + R) @ weights] = True
-    while len(frontier) and not visited[target_codes].all():
+    codes = (frontier + R) @ weights
+    visited[codes] = True
+    while len(codes) and not visited[target_codes].all():
         layer = []
-        for g in gens:
-            nxt = frontier + g
-            nxt = nxt[(np.abs(nxt) <= R).all(axis=1)]
-            codes = (nxt + R) @ weights
-            fresh = ~visited[codes]
-            visited[codes[fresh]] = True
-            layer.append(nxt[fresh])
-        frontier = np.concatenate(layer or [frontier[:0]])
+        for nz, g, step in steps:
+            nxt = codes[(np.abs(frontier[:, nz] + g) <= R).all(axis=1)] + step
+            nxt = nxt[~visited[nxt]]
+            visited[nxt] = True
+            layer.append(nxt)
+        codes = np.concatenate(layer or [codes[:0]])
+        frontier = codes[:, None] // weights % base - R
     reached = visited[target_codes]
     if not reached.all():
         missing = np.flatnonzero(~reached)
@@ -994,13 +997,14 @@ def _leech_slice_certificate(S: GenSet, axis: int) -> SliceCertificate:
         words, first, second = splits[meet]
         usable = np.flatnonzero(avoids[first] & avoids[second])
         words, pick = np.unique(words[usable], return_index=True)
-        found = np.isin(supports, words)
+        at = np.searchsorted(words, supports)
+        found = np.searchsorted(words, supports, "right") > at
         if not found.all():
             miss = int(np.argmin(found))
             return SliceCertificate(axis, 2, 2, False, "structured",
                                     checked + (miss << (weight - 1)),
                                     detail=missing.format(int(supports[miss])))
-        split = usable[pick[np.searchsorted(words, supports)]]
+        split = usable[pick[at]]
         o1 = np.repeat(O[first[split]], _REPLAY_SAMPLES, axis=0)
         o2 = np.repeat(O[second[split]], _REPLAY_SAMPLES, axis=0)
         rows = np.repeat(_bit_rows(supports), _REPLAY_SAMPLES, axis=0)

@@ -12,7 +12,6 @@ probabilities on the safe side of the second-moment upper bounds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -498,6 +497,7 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
     if processes <= 1:
         results = [_trial_chunk(c) for c in chunks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial_chunk, chunks))
     firsts = [first for _, first in results if first is not None]

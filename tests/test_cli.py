@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, manifests, config files, exit codes."""
 
 import hashlib
+import os
 import resource
 import subprocess
 import sys
@@ -277,6 +278,44 @@ print(sorted(m for m in sys.modules
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def fresh_stdout(probe, **env):
+    """Stdout of probe run in a fresh interpreter whose environment lacks
+    OPENBLAS_NUM_THREADS (importing coprimelab here has set it) unless given."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, env={**full, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_import_pins_openblas_to_one_thread():
+    probe = "import os, coprimelab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_stdout(probe) == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_cli_import_starts_no_blas_thread():
+    # numpy is loaded by the import; an OpenBLAS pool would add threads
+    probe = "import os, coprimelab.cli; print(len(os.listdir('/proc/self/task')))"
+    assert fresh_stdout(probe) == "1"
+
+
+def test_preset_openblas_threads_survive_import():
+    probe = "import os, coprimelab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh_stdout(probe, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_serial_check_does_not_import_process_pools():
+    probe = """
+import contextlib, io, sys
+from coprimelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check", "--lattice", "D4", "--theorem", "setupblack"]) == 0
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+    assert fresh_stdout(probe) == "[]"
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -7,6 +7,8 @@ from the module under test.
 
 import itertools
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -234,6 +236,22 @@ def test_leech_slice_certificate(axis):
     assert cert.passed and cert.method == "structured"
     assert cert.points_certified == LEECH_SLICE_POINTS
     assert cert.certify_radius == cert.search_radius == 2
+
+
+def test_leech_slice_certificate_does_not_import_numpy_ma():
+    # membership in the split table's sorted words is a searchsorted, not
+    # np.isin, whose np.unique call imports numpy.ma on first use
+    probe = """
+import sys
+from coprimelab.lattice import check_slice_connectivity, standard_lattice
+spec, S = standard_lattice("Leech")
+assert check_slice_connectivity(spec, S, 0, 2).passed
+print("numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_leech_slice_certificate_refuses_other_generating_sets():
