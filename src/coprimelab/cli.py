@@ -395,7 +395,7 @@ def cmd_lattice(args) -> int:
     spec = lattice_from_id(args.lattice)
     vectors = minimal_vectors(spec)
     if args.action == "dump":
-        text = "".join(" ".join(str(c) for c in v) + "\n" for v in vectors)
+        text = "".join(" ".join(str(c) for c in v) + "\n" for v in vectors.rows.tolist())
         name = "vectors.txt"
     else:
         rows = [
@@ -403,8 +403,8 @@ def cmd_lattice(args) -> int:
             ("dim", spec.dim),
             ("determinant", spec.determinant),
             ("minimal_vectors", len(vectors)),
-            ("minimal_norm_sq", norm_sq(spec, vectors.vectors[0])),
-            ("span_index", span_index(vectors.vectors, spec)),
+            ("minimal_norm_sq", norm_sq(spec, vectors.rows[0].tolist())),
+            ("span_index", span_index(vectors.rows, spec)),
         ]
         text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
         name = "lattice.csv"

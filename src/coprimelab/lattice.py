@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -157,59 +156,33 @@ def dodecad_decomposition(code: GolayCode, dodecad: int) -> tuple[int, int]:
 # exact integer linear algebra
 
 
-def _det_bareiss(matrix: list[list[int]]) -> int:
-    """Fraction-free determinant."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _bareiss(matrix) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate of a square integer matrix, adj @ M = det * I.
 
-
-def _adjugate(matrix: list[list[int]]) -> list[list[int]]:
-    """Integer adjugate, so adj(M) @ M = det(M) * I.
-
-    Computed through an exact rational inverse: adj = det * M^-1, and every
-    entry of that product is an integer.
+    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp.
+    22, 1968): after pivot k every entry is a minor of order k + 1 of the
+    row-swapped augmented matrix, so each division by the previous pivot is
+    exact.  It ends at [d I | d M^-1], d the determinant up to the sign of
+    the swaps.  A singular matrix gives (0, None).
     """
     n = len(matrix)
-    det = _det_bareiss(matrix)
-    if det == 0:
-        raise DomainError("singular matrix has no adjugate inverse")
-    aug = [[Fraction(matrix[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot_row = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [e * inv_p for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entry = aug[i][n + j] * det
-            if entry.denominator != 1:
-                raise AssertionError("adjugate entry not integral")
-            adj[i][j] = entry.numerator
-    return adj
+    a = [[int(e) for e in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
 class _HnfAccumulator:
@@ -319,45 +292,58 @@ class LatticeSpec:
     @property
     def determinant(self) -> int:
         # covolume of the lattice; basis column order must not leak a sign
-        return abs(_det_bareiss(self.matrix_rows()))
+        return abs(_bareiss(self.matrix_rows())[0])
 
     def matrix_rows(self) -> list[list[int]]:
         return [[self.columns[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
 
-@dataclass(frozen=True)
 class GenSet:
-    """A finite symmetric generating set, vectors sorted lexicographically."""
+    """A finite generating set: one lexicographically sorted, duplicate-free
+    (n, dim) int64 array, rows.
 
-    vectors: tuple[tuple[int, ...], ...]
+    Integer arrays are sorted in their own dtype, which is cheaper for
+    narrow ones, and widened after.
+    """
+
+    def __init__(self, vectors):
+        arr = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
+        if arr.ndim != 2 or not len(arr):
+            raise DomainError("a generating set is a non-empty list of vectors")
+        if arr.dtype.kind not in "iu":
+            arr = arr.astype(np.int64)
+        arr = arr[np.lexsort(arr.T[::-1])]
+        distinct = np.ones(len(arr), dtype=bool)
+        distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+        self.rows = arr[distinct].astype(np.int64)
 
     @staticmethod
     def from_iterable(vectors) -> "GenSet":
-        vs = sorted({tuple(int(c) for c in v) for v in vectors})
-        return GenSet(tuple(vs))
+        return GenSet(vectors)
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The vectors as one (n, dim) int64 array, in the same order."""
-        flat = itertools.chain.from_iterable(self.vectors)
-        return np.fromiter(flat, dtype=np.int64, count=len(self) * self.dim).reshape(len(self), -1)
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints, built on first request."""
+        return tuple(map(tuple, self.rows.tolist()))
 
     @property
     def dim(self) -> int:
-        return len(self.vectors[0])
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.vectors)
 
     def is_symmetric(self) -> bool:
-        s = set(self.vectors)
-        return all(tuple(-c for c in v) in s for v in s)
+        # negation reverses lexicographic order, so -S sorted is -rows[::-1];
+        # row i's condition is row n-1-i's, so the first half decides
+        half = (len(self.rows) + 1) // 2
+        return bool(np.array_equal(self.rows[:half], -self.rows[::-1][:half]))
 
     def has_zero(self) -> bool:
-        return any(all(c == 0 for c in v) for v in self.vectors)
+        return bool((~self.rows.any(axis=1)).any())
 
 
 def norm_sq(spec: LatticeSpec, v):
@@ -448,11 +434,10 @@ def contains_bulk(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _adjugate_and_det(spec: LatticeSpec):
-    rows = spec.matrix_rows()
-    det = _det_bareiss(rows)
+    det, adj = _bareiss(spec.matrix_rows())
     if det == 0:
         raise DomainError("singular basis")
-    return _adjugate(rows), det
+    return adj, det
 
 
 def basis_numerators(spec: LatticeSpec, pts: np.ndarray) -> tuple[np.ndarray, int]:
@@ -472,6 +457,7 @@ def basis_numerators(spec: LatticeSpec, pts: np.ndarray) -> tuple[np.ndarray, in
 def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
     """Integer coordinates of v in the spec's basis, or None if v is outside."""
     adj, det = _adjugate_and_det(spec)
+    v = [int(c) for c in v]
     coords = []
     for i in range(spec.dim):
         s = sum(adj[i][j] * v[j] for j in range(spec.dim))
@@ -527,21 +513,20 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
     if d is None or d < 1 or alpha < 1:
         raise DomainError("spread_out needs dimension and alpha >= 1")
     spec = lattice_spec("hypercubic", d)
-    vectors = []
-    for v in itertools.product(range(-alpha, alpha + 1), repeat=d):
-        if all(c == 0 for c in v):
-            continue
-        if norm in ("inf", "linf"):
-            inside = max(abs(c) for c in v) <= alpha
-        elif norm in ("1", "l1"):
-            inside = sum(abs(c) for c in v) <= alpha
-        elif norm in ("2", "l2"):
-            inside = sum(c * c for c in v) <= alpha * alpha
-        else:
-            raise DomainError(f"unknown norm {norm!r}")
-        if inside:
-            vectors.append(v)
-    return spec, GenSet.from_iterable(vectors)
+    if norm not in ("inf", "linf", "1", "l1", "2", "l2"):
+        raise DomainError(f"unknown norm {norm!r}")
+    side = 2 * alpha + 1
+    if side ** d * d > _MAX_BOX_CELLS:
+        raise DomainError("box too large to enumerate pointwise")
+    pts = np.indices((side,) * d).reshape(d, -1).T - alpha
+    a = np.abs(pts)
+    if norm.endswith("inf"):
+        inside = a.max(axis=1) <= alpha
+    elif norm.endswith("1"):
+        inside = a.sum(axis=1) <= alpha
+    else:
+        inside = (a * a).sum(axis=1) <= alpha * alpha
+    return spec, GenSet(pts[inside & pts.any(axis=1)])
 
 
 def minimal_vectors(spec: LatticeSpec) -> GenSet:
@@ -554,7 +539,7 @@ def minimal_vectors(spec: LatticeSpec) -> GenSet:
     families is classical).
     """
     if spec.name == "Leech":
-        return _leech_minimal_vectors()
+        return _leech_minimal_set()
     if spec.name.startswith(("Z", "D")) or spec.name == "E8":
         # one entry +-1 for Z_d, two for D_d: an entry of size >= 2 already
         # exceeds the norm of these.  E_8 in doubled coordinates (norm 8):
@@ -580,10 +565,10 @@ def minimal_vectors(spec: LatticeSpec) -> GenSet:
 
 
 @lru_cache(maxsize=1)
-def _leech_minimal_rows() -> np.ndarray:
-    """The 196,560 minimal Leech vectors as a lexicographically sorted
-    (n, 24) int8 array: (+-4)^2 0^22, the even-minus signed octads
-    (+-2)^8 0^16, and (-+3) (+-1)^23 with the sign pattern of a codeword."""
+def _leech_minimal_set() -> GenSet:
+    """The 196,560 minimal Leech vectors: (+-4)^2 0^22, the even-minus
+    signed octads (+-2)^8 0^16, and (-+3) (+-1)^23 with the sign pattern of
+    a codeword, built and checked as one int8 array."""
     code = build_golay()
 
     i, j = np.triu_indices(24, 1)
@@ -605,23 +590,20 @@ def _leech_minimal_rows() -> np.ndarray:
     threes[:, np.arange(24), np.arange(24)] *= -3  # +-1 -> -+3
 
     arr = np.concatenate([f.reshape(-1, 24) for f in (fours, octads, threes)])
-    arr = arr[np.lexsort(arr.T[::-1])]
-    distinct = 1 + int((arr[1:] != arr[:-1]).any(axis=1).sum())
-    if distinct != 196_560:
-        raise AssertionError(f"built {distinct} Leech vectors, wanted 196560")
     if not bool(leech_contains_bulk(arr, code).all()):
         raise AssertionError("constructed vector fails the digit conditions")
     if not bool(((arr * arr).sum(axis=1) == 32).all()):
         raise AssertionError("constructed vector has wrong norm")
-    return arr
+    S = GenSet(arr)
+    if len(S) != 196_560:
+        raise AssertionError(f"built {len(S)} Leech vectors, wanted 196560")
+    return S
 
 
 @lru_cache(maxsize=1)
-def _leech_minimal_vectors() -> GenSet:
-    rows = _leech_minimal_rows()
-    S = GenSet(tuple(map(tuple, rows.tolist())))
-    S.__dict__["rows"] = rows.astype(np.int64)  # its cached array view, already built
-    return S
+def _leech_minimal_keys() -> np.ndarray:
+    """_row_keys of the minimal Leech vectors, in their sorted order."""
+    return _row_keys(_leech_minimal_set().rows.astype(np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +632,7 @@ def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
     ok = (arr & 1 == b0).all(axis=1)
     bit1 = (arr >> 1) & 1
     words = (bit1 << np.arange(24, dtype=np.int64)).sum(axis=1)
-    word_table = np.array(sorted(_golay_word_set()), dtype=np.int64)
+    word_table = np.array(code.codewords, dtype=np.int64)
     pos = np.searchsorted(word_table, words)
     pos = np.clip(pos, 0, len(word_table) - 1)
     ok &= word_table[pos] == words
@@ -674,7 +656,7 @@ def span_index(vectors, spec: LatticeSpec) -> int:
     for v in vectors:
         coords = basis_coordinates(spec, v)
         if coords is None:
-            raise DomainError(f"vector {tuple(v)} is not in the lattice")
+            raise DomainError(f"vector {tuple(int(c) for c in v)} is not in the lattice")
         acc.add(coords)
         if acc.full_rank and acc.index() == 1:
             return 1
@@ -703,8 +685,7 @@ def normalize_coordinates(spec: LatticeSpec, S: GenSet):
         tuple(c // k for c, k in zip(col, ks)) for col in spec.columns
     )
     new_spec = LatticeSpec(spec.name + "/normalized", spec.dim, columns, "basis", spec.form)
-    new_vectors = [tuple(c // k for c, k in zip(v, ks)) for v in S]
-    return new_spec, GenSet.from_iterable(new_vectors), ks
+    return new_spec, GenSet(S.rows // np.array(ks, dtype=np.int64)), ks
 
 
 def _require_normalized(spec: LatticeSpec) -> None:
@@ -790,7 +771,7 @@ def check_crossing_adjacency(spec: LatticeSpec, S: GenSet, axis: int,
         fails = np.isin(col, list(first_b))
     if not fails.any():
         return CrossingAdjacency(axis, mode, True)
-    s = S.vectors[int(np.argmax(fails))]
+    s = tuple(S.rows[int(np.argmax(fails))].tolist())
     b = 1 if mode == "weak" else first_b[s[axis]]
     if s[axis] < 0:
         s = tuple(-c for c in s)
@@ -834,7 +815,7 @@ def _enumerate_box_points(spec: LatticeSpec, radius: int, axis: int | None = Non
     side = 2 * radius + 1
     if side ** free * spec.dim > _MAX_BOX_CELLS:
         raise DomainError("box too large to enumerate pointwise")
-    pts = np.indices((side,) * free).reshape(free, -1).T - radius
+    pts = np.indices((side,) * free).reshape(free, side ** free).T - radius
     if axis is not None:
         pts = np.insert(pts, axis, 0, axis=1)
     return pts[contains_bulk(spec, pts)]
@@ -948,7 +929,7 @@ def _replay(paths: np.ndarray, targets: np.ndarray, axis: int) -> None:
     """Walk (paths, steps, 24) steps from the origin; raise unless every step
     is a minimal vector in the axis slice, every partial sum stays in the
     radius-2 box and every walk ends on its target."""
-    keys = _row_keys(_leech_minimal_rows())
+    keys = _leech_minimal_keys()
     steps = _row_keys(paths.reshape(-1, 24))
     at = np.minimum(np.searchsorted(keys, steps), len(keys) - 1)
     if not (keys[at] == steps).all() or paths[:, :, axis].any():
@@ -978,7 +959,8 @@ def _leech_slice_certificate(S: GenSet, axis: int) -> SliceCertificate:
     fails the certificate; a walk that breaks a check raises.
     """
     code = build_golay()
-    if S.vectors != _leech_minimal_vectors().vectors:
+    minimal = _leech_minimal_set()
+    if S is not minimal and not np.array_equal(S.rows, minimal.rows):
         raise DomainError("the structured certificate requires the minimal-vector set")
     if any(w.bit_count() % 4 for w in code.codewords):
         raise AssertionError("codeword weight not a multiple of 4")
@@ -1080,7 +1062,7 @@ def hypothesis_report(spec: LatticeSpec, S: GenSet, theorem: str,
         raise DomainError("generating set contains 0")
     if not S.is_symmetric():
         raise DomainError("generating set is not symmetric")
-    idx = span_index(S.vectors, spec)
+    idx = span_index(S.rows, spec)
     if idx != 1:
         raise DomainError(f"generating set spans a sublattice of index {idx}")
     mode = "strict" if theorem == "setup" else "weak"

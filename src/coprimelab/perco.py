@@ -144,9 +144,8 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     root = np.full(shape, points, dtype=np.int64)
     root.flat[on] = np.arange(points)
     parent = np.arange(points + 1)
-    for s in S:
-        if s < tuple(-c for c in s):
-            continue
+    # the lexicographically positive half of a symmetric set, one per pair
+    for s in S.rows[len(S) // 2:].tolist():
         offset = tuple(reversed(s))  # array-axis order
         src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
         dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))

@@ -24,6 +24,7 @@ from coprimelab.colouring import (
     lattice_from_id,
 )
 from coprimelab.errors import ParseError
+from coprimelab.lattice import GenSet, hypothesis_report, standard_lattice
 
 CROSSING_GOLDEN = "crossing,4,4,11,200,165,0.825,0.766355688518,0.871394849337,5"
 
@@ -365,6 +366,22 @@ def test_check_square_passes(capsys, tmp_path):
                for ln in lines)
     assert lines[-1] == "verdict pass-bounded"
     assert (tmp_path / "check.txt").read_text() == out
+
+
+def test_checks_and_labelling_never_build_the_tuple_view(capsys, monkeypatch):
+    # GenSet.vectors (and iteration, which reads it) is for callers outside
+    # the package; every command reads the int64 rows
+    def refuse(self):
+        raise AssertionError("GenSet tuple view built")
+
+    monkeypatch.setattr(GenSet, "vectors", property(refuse))
+    for kind, d in (("D", 4), ("E8", None)):
+        spec, S = standard_lattice(kind, d)
+        assert hypothesis_report(spec, S, "setup", 2).verdict == "pass-bounded"
+    for argv, want in (("clusters --extents 48,40 --adjacency spread2 --seed 3", 0),
+                       ("lattice info --lattice E8", 0),
+                       ("check --lattice spread2 --theorem setupblack", 1)):
+        assert run(capsys, *argv.split())[0] == want, argv
 
 
 def test_check_spread2_fails(capsys):

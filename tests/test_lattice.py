@@ -13,6 +13,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprimelab import lattice
 from coprimelab.errors import DomainError
@@ -495,3 +498,91 @@ def test_bfs_slice_certificate_refuses_oversized_grids(certify, search, what):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# exact elimination and the array-backed generating set
+
+
+def test_bareiss_det_and_adjugate_match_sympy():
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(400):
+        n = rng.randrange(1, 7)
+        M = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            M[-1] = [3 * a for a in M[0]]
+        det, adj = lattice._bareiss(M)
+        assert det == sympy.Matrix(M).det()
+        if det == 0:
+            singular += 1
+            assert adj is None
+            continue
+        product = [[sum(adj[i][k] * M[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+    assert singular > 40
+
+
+def test_singular_basis_is_a_domain_error():
+    flat = lattice.LatticeSpec("flat", 2, ((1, 2), (2, 4)), "basis")
+    assert flat.determinant == 0
+    with pytest.raises(DomainError, match="singular"):
+        basis_coordinates(flat, (1, 2))
+    with pytest.raises(DomainError, match="singular"):
+        lattice.contains(flat, (1, 2))
+
+
+def test_one_dimensional_slice_is_the_origin():
+    spec, S = standard_lattice("hypercubic", 1)
+    cert = check_slice_connectivity(spec, S, 0, 1)
+    assert (cert.passed, cert.points_certified) == (True, 1)
+    assert hypothesis_report(spec, S, "setup", 1).verdict == "pass-bounded"
+
+
+@pytest.mark.parametrize("norm", ["inf", "linf", "1", "l1", "2", "l2"])
+def test_spread_out_matches_a_norm_loop(norm):
+    measure = {"f": lambda v: max(map(abs, v)), "1": lambda v: sum(map(abs, v)),
+               "2": lambda v: sum(c * c for c in v)}[norm[-1]]
+    for d, alpha in itertools.product((1, 2, 3), (1, 2, 3)):
+        bound = alpha * alpha if norm[-1] == "2" else alpha
+        expect = tuple(v for v in itertools.product(range(-alpha, alpha + 1), repeat=d)
+                       if any(v) and measure(v) <= bound)
+        assert standard_lattice("spread_out", d, norm=norm, alpha=alpha)[1].vectors == expect
+    with pytest.raises(DomainError, match="unknown norm"):
+        standard_lattice("spread_out", 2, norm="l3", alpha=1)
+
+
+def test_genset_refuses_an_empty_or_flat_list():
+    for bad in ([], (), [1, 0, -1]):
+        with pytest.raises(DomainError, match="non-empty list of vectors"):
+            GenSet(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vectors=st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=10)),
+    symmetrize=st.booleans(),
+    zero=st.booleans(),
+)
+def test_genset_array_matches_the_tuple_definitions(vectors, symmetrize, zero):
+    if symmetrize:
+        vectors = vectors + [tuple(-c for c in v) for v in vectors]
+    if zero:
+        vectors = vectors + [(0,) * len(vectors[0])]
+    ref = sorted(set(vectors))
+
+    def neg(v):
+        return tuple(-c for c in v)
+
+    S = GenSet.from_iterable(vectors)
+    assert S.rows.dtype == np.int64 and S.vectors == tuple(ref)
+    assert GenSet(np.array(vectors[::-1], dtype=np.int8)).vectors == tuple(ref)
+    assert (len(S), S.dim) == (len(ref), len(ref[0]))
+    symmetric = all(neg(v) in set(ref) for v in ref)
+    assert S.is_symmetric() == symmetric
+    assert S.has_zero() == any(not any(v) for v in ref)
+    if symmetric and not S.has_zero():
+        # label_clusters contracts the upper half of rows: one of each {s, -s}
+        assert S.rows[len(S) // 2:].tolist() == [list(v) for v in ref if v > neg(v)]

@@ -538,3 +538,16 @@ def test_line_kernels_match_exact_products_over_every_configuration(P):
             rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, d + 1, 1, x)
             both = rows[:, 0] & rows[:, d]
             assert Fraction(int(both.sum()), configs) == pair_line_trunc(d, x, P)
+
+
+@pytest.mark.parametrize("P", [5, 7])
+@pytest.mark.parametrize("n,x", [(6, 8), (4, 3)])
+def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
+    # the finite identity behind second_moment_bound: N counts the white rows
+    # 1..n across columns 1..x, and E[N^2] splits into single rows and pairs
+    primes, residues = all_residues(P)
+    rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x)
+    N = rows.sum(axis=1, dtype=np.int64)
+    moment = Fraction(int((N * N).sum()), len(rows))
+    assert moment == n * line_white_trunc(x, P) + sum(
+        2 * (n - d) * pair_line_trunc(d, x, P) for d in range(1, n))
