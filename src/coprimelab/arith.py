@@ -126,6 +126,11 @@ class PrimeTable:
         return iter(self.primes)
 
 
+# the sieve takes limit + 1 bytes, and cutoffs arrive from the command line;
+# this is the same budget as a window's point count
+_MAX_SIEVE_LIMIT = 1 << 26
+
+
 def _sieve_bools(limit: int) -> np.ndarray:
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
@@ -138,6 +143,8 @@ def _sieve_bools(limit: int) -> np.ndarray:
 def primes_up_to(limit: int) -> PrimeTable:
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
+    if limit > _MAX_SIEVE_LIMIT:
+        raise DomainError(f"prime table limit {limit} exceeds the budget of {_MAX_SIEVE_LIMIT}")
     values = np.nonzero(_sieve_bools(limit))[0]
     return PrimeTable(limit, tuple(int(p) for p in values))
 
@@ -556,7 +563,8 @@ def second_moment_bound(n: int, x: int, P: int | None = None) -> SecondMomentRep
     diag = f_enc.reciprocal() * Fraction(1, n)
     total = offdiag + diag - 1
     r_upper = total.hi if total.hi > 0 else Fraction(0)
-    mode = ARITHMETIC_EXACT if P <= EXACT_PRODUCT_LIMIT else ARITHMETIC_FIXED
+    # the products run to max(P, x), as in line_white_prob and pair_ratio_base
+    mode = _accumulator_for(max(P, x)).mode
     return SecondMomentReport(n, x, P, f_enc, offdiag, diag, r_upper, mode)
 
 

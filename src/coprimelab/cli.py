@@ -2,9 +2,10 @@
 
 Every parameter can come from a `key = value` config file (--config) with
 `#` comments; explicit flags win over file values and file values win over
-built-in defaults.  Commands that write files require --out and leave a
-manifest.txt there echoing all effective parameters, in the same key = value
-grammar, so the manifest itself reproduces the run.
+built-in defaults.  With --out, a command writes its files there (the
+directory is created on first write) and main() adds a manifest.txt echoing
+every parameter the run used, in the same key = value grammar, so the
+manifest itself reproduces the run.
 
 Exit codes: 0 success, 1 failing check verdict, 2 domain error, 3 parse
 error (bad flags, bad config file, missing required values).
@@ -71,24 +72,17 @@ LAYER_PALETTE = {
     0b111: (255, 255, 255),
 }
 
-_CHECK_TARGETS = {
-    "square": ("square", None, {}),
-    "triangular": ("triangular", None, {}),
-    "D3": ("D", 3, {}),
-    "D4": ("D", 4, {}),
-    "E8": ("E8", None, {}),
-    "Leech": ("Leech", None, {}),
-    "spread2": ("spread_out", 2, {"norm": "inf", "alpha": 2}),
+# model id -> (standard_lattice kind, d, kwargs, default check radius);
+# `check` takes every model, `clusters --adjacency` the 2-D ones
+_MODELS = {
+    "square": ("square", None, {}, 3),
+    "triangular": ("triangular", None, {}, 3),
+    "D3": ("D", 3, {}, 3),
+    "D4": ("D", 4, {}, 3),
+    "E8": ("E8", None, {}, 2),
+    "Leech": ("Leech", None, {}, 2),
+    "spread2": ("spread_out", 2, {"norm": "inf", "alpha": 2}, 3),
 }
-
-_CHECK_RADIUS = {
-    "square": 3, "triangular": 3, "D3": 3, "D4": 3,
-    "E8": 2, "Leech": 2, "spread2": 3,
-}
-
-
-def _int(raw: str) -> int:
-    return int(raw)
 
 
 def _seed(raw: str) -> int:
@@ -101,10 +95,6 @@ def _seed(raw: str) -> int:
 def _ints(raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",")]
     return tuple(int(p) for p in parts)
-
-
-def _text(raw: str) -> str:
-    return raw
 
 
 def _serialize(value) -> str:
@@ -173,11 +163,10 @@ def _read_config(path: str, cmd: str, spec: dict) -> dict[str, str]:
     return values
 
 
-def _finalize(args) -> dict:
+def _finalize(args) -> None:
     """Merge flags over config-file values over defaults; convert types."""
     spec = _SPECS[args.command]
     file_vals = _read_config(args.config, args.command, spec) if args.config else {}
-    effective = {}
     for dest, (convert, default) in spec.items():
         raw = getattr(args, dest)
         if raw is None:
@@ -191,31 +180,32 @@ def _finalize(args) -> dict:
                 value = convert(raw)
             except ValueError as exc:
                 raise ParseError(f"bad value for {dest}: {raw!r} ({exc})")
-        effective[dest] = value
         setattr(args, dest, value)
-    return effective
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
+def _out_path(args, name: str) -> Path:
+    """Path of file `name` in --out, creating the directory on first use."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create output directory: {exc}") from None
+    return out / name
 
 
-def _write_manifest(out: Path, command: str, effective: dict) -> None:
-    lines = [f"command = {command}"]
-    for key in sorted(effective):
-        if effective[key] is not None:
-            lines.append(f"{key} = {_serialize(effective[key])}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_manifest(args) -> None:
+    lines = [f"command = {args.command}"]
+    for key in sorted(_SPECS[args.command]):
+        value = getattr(args, key)
+        if value is not None:
+            lines.append(f"{key} = {_serialize(value)}")
+    _out_path(args, "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _emit(out: Path | None, name: str, text: str) -> None:
+def _emit(args, name: str, text: str) -> None:
     sys.stdout.write(text)
-    if out is not None:
-        (out / name).write_text(text, encoding="utf-8")
+    if args.out is not None:
+        _out_path(args, name).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +213,13 @@ def _emit(out: Path | None, name: str, text: str) -> None:
 
 
 def cmd_sample(args) -> int:
-    effective = _finalize(args)
     if args.oracle is not None and args.lattice != "Z2":
         raise DomainError("the gcd oracle is defined on the Z2 grid")
     spec = lattice_from_id(args.lattice)
     if spec.columns != ((1, 0), (0, 1)):
         # refused before any work, so no partial output is left behind
         raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
-    out = _out_dir(args)
-    if out is None:
+    if args.out is None:
         raise ParseError("sample writes files; --out is required")
     window = Window(args.origin, args.extents)
     if args.oracle is not None:
@@ -239,9 +227,8 @@ def cmd_sample(args) -> int:
     else:
         config = sample_coset_config(spec, args.P, args.seed)
         col = colour_window(config, window)
-        save_config(config, out / "config.txt")
-    save_colouring(col, out / "colouring.pgm")
-    _write_manifest(out, "sample", effective)
+        save_config(config, _out_path(args, "config.txt"))
+    save_colouring(col, _out_path(args, "colouring.pgm"))
     print(f"white fraction {col.white_fraction():.6f}")
     if args.oracle is None:
         bound = truncation_error_bound(window, args.P)
@@ -250,9 +237,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
-    if out is None:
+    if args.out is None:
         raise ParseError("layers writes files; --out is required")
     if args.lattice != "Z2":
         raise DomainError("layer rendering is defined on the Z2 grid")
@@ -282,96 +267,66 @@ def cmd_layers(args) -> int:
         + f"# primes={' '.join(str(p) for p in primes)}\n".encode()
         + f"{window.extents[0]} {window.extents[1]}\n255\n".encode()
     )
-    with open(out / "layers.ppm", "wb") as fh:
+    with open(_out_path(args, "layers.ppm"), "wb") as fh:
         fh.write(header)
         fh.write(rgb.tobytes())
-    save_config(config, out / "config.txt")
-    _write_manifest(out, "layers", effective)
+    save_config(config, _out_path(args, "config.txt"))
     print(f"layers.ppm written, {len(primes)} highlighted primes")
     return 0
 
 
 def cmd_crossing(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     if args.P is None:
-        args.P = effective["P"] = max(5, 2 * args.x)
+        args.P = max(5, 2 * args.x)
     stats = estimate_crossing(args.n, args.x, args.trials, args.P, args.seed,
                               workers=args.workers)
-    _emit(out, "crossing.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    if out is not None:
-        _write_manifest(out, "crossing", effective)
+    _emit(args, "crossing.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
     return 0
 
 
 def cmd_bounds(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     report = second_moment_bound(args.n, args.x, args.P)
-    effective["P"] = report.P
-    _emit(out, "bounds.csv", SECOND_MOMENT_CSV_HEADER + "\n" + report.csv_row() + "\n")
-    if out is not None:
-        _write_manifest(out, "bounds", effective)
+    args.P = report.P
+    _emit(args, "bounds.csv", SECOND_MOMENT_CSV_HEADER + "\n" + report.csv_row() + "\n")
     return 0
 
 
 def cmd_annulus(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     stats = estimate_annulus(args.k, args.trials, args.P, args.seed,
                              workers=args.workers)
-    _emit(out, "annulus.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
+    _emit(args, "annulus.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
     if stats.witness is not None:
         t, event = stats.witness
-        _emit(out, "witness.txt", "\n".join([f"trial {t}"] + event.witness_lines()) + "\n")
-    if out is not None:
-        _write_manifest(out, "annulus", effective)
+        _emit(args, "witness.txt", "\n".join([f"trial {t}"] + event.witness_lines()) + "\n")
     return 0
 
 
 def cmd_staircase(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     stats = estimate_staircase(args.n_max, args.trials, args.P, args.seed,
                                workers=args.workers)
-    _emit(out, "staircase.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
+    _emit(args, "staircase.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
     if stats.witness is not None:
         t, result = stats.witness
         lines = [f"trial {t}"]
         lines += [f"stage {n} {kind} line={c}" for n, kind, c in result.witnesses]
         lines += [f"{x} {y}" for x, y in result.path]
-        _emit(out, "witness.txt", "\n".join(lines) + "\n")
-    if out is not None:
-        _write_manifest(out, "staircase", effective)
+        _emit(args, "witness.txt", "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_spanning(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     stats = estimate_spanning(args.length, args.trials, args.P, args.seed,
                               workers=args.workers)
-    _emit(out, "spanning.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    if out is not None:
-        _write_manifest(out, "spanning", effective)
+    _emit(args, "spanning.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
     return 0
 
 
-_ADJACENCIES = {
-    "square": lambda: standard_lattice("square")[1],
-    "triangular": lambda: standard_lattice("triangular")[1],
-    "spread2": lambda: standard_lattice("spread_out", 2, norm="inf", alpha=2)[1],
-}
-
-
 def cmd_clusters(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     spec = lattice_from_id(args.lattice)
     config = sample_coset_config(spec, args.P, args.seed)
     col = colour_window(config, Window(args.origin, args.extents))
-    S = _ADJACENCIES[args.adjacency]()
-    labels = label_clusters(col, S, args.colour)
+    kind, d, kw, _ = _MODELS[args.adjacency]
+    labels = label_clusters(col, standard_lattice(kind, d, **kw)[1], args.colour)
     coloured = int((labels.labels >= 0).sum())
     rows = [
         ("colour", args.colour),
@@ -382,16 +337,11 @@ def cmd_clusters(args) -> int:
         ("largest", int(labels.sizes.max()) if labels.count else 0),
         ("boundary_components", len(labels.boundary_components())),
     ]
-    text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
-    _emit(out, "clusters.csv", text)
-    if out is not None:
-        _write_manifest(out, "clusters", effective)
+    _emit(args, "clusters.csv", "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows))
     return 0
 
 
 def cmd_lattice(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     spec = lattice_from_id(args.lattice)
     vectors = minimal_vectors(spec)
     if args.action == "dump":
@@ -408,15 +358,11 @@ def cmd_lattice(args) -> int:
         ]
         text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
         name = "lattice.csv"
-    _emit(out, name, text)
-    if out is not None:
-        _write_manifest(out, "lattice", effective)
+    _emit(args, name, text)
     return 0
 
 
 def cmd_golay(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     code = build_golay()
     if args.dump is not None:
         words = {
@@ -435,20 +381,16 @@ def cmd_golay(args) -> int:
         rows += [(f"weight_{k}", weights[k]) for k in sorted(weights)]
         text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
         name = "golay.csv"
-    _emit(out, name, text)
-    if out is not None:
-        _write_manifest(out, "golay", effective)
+    _emit(args, name, text)
     return 0
 
 
 def cmd_check(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
-    kind, d, kw = _CHECK_TARGETS[args.lattice]
+    kind, d, kw, default_radius = _MODELS[args.lattice]
     spec, S = standard_lattice(kind, d, **kw)
-    radius = args.radius if args.radius is not None else _CHECK_RADIUS[args.lattice]
-    effective["radius"] = radius
-    report = hypothesis_report(spec, S, args.theorem, radius, args.search_radius)
+    if args.radius is None:
+        args.radius = default_radius
+    report = hypothesis_report(spec, S, args.theorem, args.radius, args.search_radius)
     lines = [f"target={args.lattice} lattice={report.lattice} theorem={report.theorem}"]
     for adj in report.adjacency:
         status = "pass (exact)" if adj.passed else f"FAIL witness={adj.witness}"
@@ -462,15 +404,11 @@ def cmd_check(args) -> int:
         if not cert.passed and cert.unreached:
             lines.append(f"  unreached example: {cert.unreached}")
     lines.append(f"verdict {report.verdict}")
-    _emit(out, "check.txt", "\n".join(lines) + "\n")
-    if out is not None:
-        _write_manifest(out, "check", effective)
+    _emit(args, "check.txt", "\n".join(lines) + "\n")
     return 0 if report.passed else 1
 
 
 def cmd_infer(args) -> int:
-    effective = _finalize(args)
-    out = _out_dir(args)
     col = load_colouring(args.pgm)
     result = infer_cosets(col, args.p_max)
     lines = []
@@ -480,9 +418,7 @@ def cmd_infer(args) -> int:
     if result.truncation_warning:
         lines.append("warning: window may owe black points to primes beyond the"
                      " config cutoff; candidates above its P are unreliable")
-    _emit(out, "infer.txt", "\n".join(lines) + "\n")
-    if out is not None:
-        _write_manifest(out, "infer", effective)
+    _emit(args, "infer.txt", "\n".join(lines) + "\n")
     return 0
 
 
@@ -505,8 +441,8 @@ def build_parser() -> _Parser:
         return p
 
     p = sub("sample", cmd_sample, "sample a colouring and write config + PGM")
-    _opt(p, "sample", "--lattice", _text, "Z2", "lattice id")
-    _opt(p, "sample", "--P", _int, 997, "prime truncation cutoff")
+    _opt(p, "sample", "--lattice", str, "Z2", "lattice id")
+    _opt(p, "sample", "--P", int, 997, "prime truncation cutoff")
     _opt(p, "sample", "--seed", _seed, 0, "master seed")
     _opt(p, "sample", "--origin", _ints, (0, 0), "window origin a,b")
     _opt(p, "sample", "--extents", _ints, (512, 512), "window extents e1,e2")
@@ -514,83 +450,83 @@ def build_parser() -> _Parser:
          "render the gcd oracle around point a,b instead of sampling")
 
     p = sub("layers", cmd_layers, "render per-prime coset layers as PPM")
-    _opt(p, "layers", "--lattice", _text, "Z2", "lattice id")
-    _opt(p, "layers", "--P", _int, 997, "prime truncation cutoff")
+    _opt(p, "layers", "--lattice", str, "Z2", "lattice id")
+    _opt(p, "layers", "--P", int, 997, "prime truncation cutoff")
     _opt(p, "layers", "--seed", _seed, 0, "master seed")
     _opt(p, "layers", "--origin", _ints, (0, 0), "window origin a,b")
     _opt(p, "layers", "--extents", _ints, (256, 256), "window extents e1,e2")
     _opt(p, "layers", "--primes", _ints, (2, 3, 5), "up to 3 highlighted primes")
 
     p = sub("crossing", cmd_crossing, "Monte Carlo crossing probability")
-    _opt(p, "crossing", "--n", _int, _REQUIRED, "window height (rows)")
-    _opt(p, "crossing", "--x", _int, _REQUIRED, "window width (columns)")
-    _opt(p, "crossing", "--trials", _int, 10000, "Monte Carlo trials")
-    _opt(p, "crossing", "--P", _int, None,
+    _opt(p, "crossing", "--n", int, _REQUIRED, "window height (rows)")
+    _opt(p, "crossing", "--x", int, _REQUIRED, "window width (columns)")
+    _opt(p, "crossing", "--trials", int, 10000, "Monte Carlo trials")
+    _opt(p, "crossing", "--P", int, None,
          "prime truncation cutoff (default: 2x; truncation only raises the estimate)")
     _opt(p, "crossing", "--seed", _seed, 0, "master seed")
-    _opt(p, "crossing", "--workers", _int, 1, "worker processes")
+    _opt(p, "crossing", "--workers", int, 1, "worker processes")
 
     p = sub("bounds", cmd_bounds, "second-moment crossing bound as CSV")
-    _opt(p, "bounds", "--n", _int, _REQUIRED, "window height (rows)")
-    _opt(p, "bounds", "--x", _int, _REQUIRED, "window width (columns)")
-    _opt(p, "bounds", "--P", _int, None, "prime cutoff (default: 32x)")
+    _opt(p, "bounds", "--n", int, _REQUIRED, "window height (rows)")
+    _opt(p, "bounds", "--x", int, _REQUIRED, "window width (columns)")
+    _opt(p, "bounds", "--P", int, None, "prime cutoff (default: 32x)")
 
     p = sub("annulus", cmd_annulus, "white-circuit frequency at scale k")
-    _opt(p, "annulus", "--k", _int, _REQUIRED, "annulus scale, multiple of 3")
-    _opt(p, "annulus", "--trials", _int, 200, "Monte Carlo trials")
-    _opt(p, "annulus", "--P", _int, 997, "prime truncation cutoff")
+    _opt(p, "annulus", "--k", int, _REQUIRED, "annulus scale, multiple of 3")
+    _opt(p, "annulus", "--trials", int, 200, "Monte Carlo trials")
+    _opt(p, "annulus", "--P", int, 997, "prime truncation cutoff")
     _opt(p, "annulus", "--seed", _seed, 0, "master seed")
-    _opt(p, "annulus", "--workers", _int, 1, "worker processes")
+    _opt(p, "annulus", "--workers", int, 1, "worker processes")
 
     p = sub("staircase", cmd_staircase, "dyadic staircase frequency and path")
-    _opt(p, "staircase", "--n-max", _int, 5, "last staircase stage")
-    _opt(p, "staircase", "--trials", _int, 200, "Monte Carlo trials")
-    _opt(p, "staircase", "--P", _int, 997, "prime truncation cutoff")
+    _opt(p, "staircase", "--n-max", int, 5, "last staircase stage")
+    _opt(p, "staircase", "--trials", int, 200, "Monte Carlo trials")
+    _opt(p, "staircase", "--P", int, 997, "prime truncation cutoff")
     _opt(p, "staircase", "--seed", _seed, 0, "master seed")
-    _opt(p, "staircase", "--workers", _int, 1, "worker processes")
+    _opt(p, "staircase", "--workers", int, 1, "worker processes")
 
     p = sub("spanning", cmd_spanning, "all-white column frequency in dimension 3")
-    _opt(p, "spanning", "--length", _int, 1000, "column length L")
-    _opt(p, "spanning", "--trials", _int, 1000, "Monte Carlo trials")
-    _opt(p, "spanning", "--P", _int, 997, "prime truncation cutoff")
+    _opt(p, "spanning", "--length", int, 1000, "column length L")
+    _opt(p, "spanning", "--trials", int, 1000, "Monte Carlo trials")
+    _opt(p, "spanning", "--P", int, 997, "prime truncation cutoff")
     _opt(p, "spanning", "--seed", _seed, 0, "master seed")
-    _opt(p, "spanning", "--workers", _int, 1, "worker processes")
+    _opt(p, "spanning", "--workers", int, 1, "worker processes")
 
     p = sub("clusters", cmd_clusters, "cluster statistics of one sample")
-    _opt(p, "clusters", "--lattice", _text, "Z2", "lattice id")
-    _opt(p, "clusters", "--P", _int, 997, "prime truncation cutoff")
+    _opt(p, "clusters", "--lattice", str, "Z2", "lattice id")
+    _opt(p, "clusters", "--P", int, 997, "prime truncation cutoff")
     _opt(p, "clusters", "--seed", _seed, 0, "master seed")
     _opt(p, "clusters", "--origin", _ints, (0, 0), "window origin a,b")
     _opt(p, "clusters", "--extents", _ints, (256, 256), "window extents e1,e2")
-    _opt(p, "clusters", "--adjacency", _text, "square", "generating set",
-         choices=sorted(_ADJACENCIES))
-    _opt(p, "clusters", "--colour", _text, "white", "which colour to label",
+    _opt(p, "clusters", "--adjacency", str, "square", "generating set",
+         choices=["spread2", "square", "triangular"])
+    _opt(p, "clusters", "--colour", str, "white", "which colour to label",
          choices=["white", "black"])
 
     p = sub("lattice", cmd_lattice, "minimal vectors and lattice facts")
     p.add_argument("action", choices=["dump", "info"],
                    help="dump sorted minimal vectors, or print summary facts")
-    _SPECS.setdefault("lattice", {})["action"] = (_text, _REQUIRED)
-    _opt(p, "lattice", "--lattice", _text, _REQUIRED, "lattice id")
+    _SPECS.setdefault("lattice", {})["action"] = (str, _REQUIRED)
+    _opt(p, "lattice", "--lattice", str, _REQUIRED, "lattice id")
 
     p = sub("golay", cmd_golay, "Golay code facts and word dumps")
-    _opt(p, "golay", "--dump", _text, None,
+    _opt(p, "golay", "--dump", str, None,
          "word class to dump, one 24-bit word per line",
          choices=["generators", "codewords", "octads", "dodecads"])
 
     p = sub("check", cmd_check, "verify structural hypotheses for a model")
-    _opt(p, "check", "--lattice", _text, _REQUIRED, "model to check",
-         choices=sorted(_CHECK_TARGETS))
-    _opt(p, "check", "--theorem", _text, _REQUIRED, "which condition set",
+    _opt(p, "check", "--lattice", str, _REQUIRED, "model to check",
+         choices=sorted(_MODELS))
+    _opt(p, "check", "--theorem", str, _REQUIRED, "which condition set",
          choices=["setup", "setupblack"])
-    _opt(p, "check", "--radius", _int, None,
+    _opt(p, "check", "--radius", int, None,
          "slice certification radius (default: per lattice)")
-    _opt(p, "check", "--search-radius", _int, None,
+    _opt(p, "check", "--search-radius", int, None,
          "path search radius (default: twice the certification radius)")
 
     p = sub("infer", cmd_infer, "recover coset candidates from a PGM window")
-    _opt(p, "infer", "--pgm", _text, _REQUIRED, "PGM colouring to analyse")
-    _opt(p, "infer", "--p-max", _int, 13, "largest prime to solve for")
+    _opt(p, "infer", "--pgm", str, _REQUIRED, "PGM colouring to analyse")
+    _opt(p, "infer", "--p-max", int, 13, "largest prime to solve for")
 
     return parser
 
@@ -598,7 +534,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _finalize(args)
+        code = args.func(args)
+        if args.out is not None:
+            _write_manifest(args)
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3

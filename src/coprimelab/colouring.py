@@ -233,16 +233,13 @@ def oracle_from_origin(X, window: Window) -> Colouring:
     return Colouring(window, white, f"Z{window.dim}", provenance)
 
 
-def truncation_error_bound(window: Window, P: int, d: int | None = None) -> Fraction:
+def truncation_error_bound(window: Window, P: int) -> Fraction:
     """Upper bound on the chance any window point is wrongly white at cutoff P.
 
     Union bound: |window| * sum over p > P of p^-d, enclosed by the integral
-    bound |window| * P^(1-d) / (d-1).
+    bound |window| * P^(1-d) / (d-1), where d is the window's dimension.
     """
-    if d is None:
-        d = window.dim
-    if d != window.dim:
-        raise DomainError("dimension argument disagrees with the window")
+    d = window.dim
     if d < 2:
         raise DomainError("need dimension >= 2")
     if P < 2:

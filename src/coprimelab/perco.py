@@ -12,6 +12,7 @@ probabilities on the safe side of the second-moment upper bounds.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -492,7 +493,7 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
         raise DomainError(f"need workers >= 1, got {workers}")
     chunks = [(kernel, event_args, P, dim, lines, master_seed, lo, hi)
               for lo, hi in _chunk_ranges(trials, workers * 4)]
-    processes = min(workers, len(chunks))
+    processes = min(workers, len(chunks), os.cpu_count() or 1)
     if processes <= 1:
         results = [_trial_chunk(c) for c in chunks]
     else:

@@ -69,6 +69,13 @@ def test_prime_table_counts():
         primes_up_to(1)
 
 
+def test_prime_table_refuses_limits_beyond_budget():
+    # refused before the sieve allocates limit + 1 bytes
+    for limit in (2**26 + 1, 2**40):
+        with pytest.raises(DomainError, match="exceeds the budget"):
+            primes_up_to(limit)
+
+
 def test_smallest_prime_factors():
     spf = smallest_prime_factors(20)
     assert spf[2] == 2 and spf[15] == 3 and spf[17] == 17 and spf[9] == 3
@@ -191,6 +198,13 @@ def test_arithmetic_mode_switches_at_limit():
     assert acc.mode == ARITHMETIC_FIXED
     big = line_white_prob(2, 2 * EXACT_PRODUCT_LIMIT)
     assert big.contains(F_TARGETS[2]) and small.contains(F_TARGETS[2])
+
+
+def test_second_moment_mode_follows_the_products_cutoff():
+    # the products run to max(P, x), so x alone can cross the exact limit
+    assert second_moment_bound(2, EXACT_PRODUCT_LIMIT - 1, 2).arithmetic == ARITHMETIC_EXACT
+    assert second_moment_bound(2, EXACT_PRODUCT_LIMIT + 1, 2).arithmetic == ARITHMETIC_FIXED
+    assert second_moment_bound(2, 2, EXACT_PRODUCT_LIMIT + 1).arithmetic == ARITHMETIC_FIXED
 
 
 def test_pair_over_line_sq_consistent_with_quotient():

@@ -172,6 +172,65 @@ def test_sample_requires_out(capsys):
     assert "--out" in err
 
 
+def test_out_naming_a_file_is_a_parse_error(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for argv in (["bounds", "--n", "4", "--x", "8"],
+                 ["sample", "--extents", "8,8", "--P", "5"]):
+        code, _, err = run(capsys, *argv, "--out", str(afile))
+        assert code == 3
+        assert err.startswith("parse error") and "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
+def test_domain_error_leaves_no_output_directory(capsys, tmp_path):
+    d = tmp_path / "d"
+    code, _, err = run(capsys, "crossing", "--n", "0", "--x", "8", "--out", str(d))
+    assert code == 2 and "domain error" in err
+    assert not d.exists()
+
+
+def test_cutoff_beyond_the_sieve_budget_is_a_domain_error(capsys):
+    code, _, err = run(capsys, "crossing", "--n", "2", "--x", "2", "--trials", "1",
+                       "--P", str(2**40))
+    assert code == 2 and "exceeds the budget" in err
+
+
+# one tiny run per command; infer reads the PGM of the sample run
+ROUND_TRIPS = {
+    "sample": "sample --extents 12,10 --P 13 --seed 3",
+    "layers": "layers --extents 12,10 --P 13 --seed 3",
+    "crossing": "crossing --n 3 --x 4 --trials 20 --seed 2",
+    "bounds": "bounds --n 4 --x 8",
+    "annulus": "annulus --k 3 --trials 20 --P 31",
+    "staircase": "staircase --n-max 1 --trials 20 --P 31",
+    "spanning": "spanning --length 4 --trials 20 --P 31",
+    "clusters": "clusters --extents 12,10 --P 13 --adjacency triangular",
+    "lattice": "lattice info --lattice D4",
+    "golay": "golay --dump generators",
+    "check": "check --lattice square --theorem setup",
+    "infer": "infer --p-max 5 --pgm {pgm}",
+}
+
+
+@pytest.mark.parametrize("command", list(ROUND_TRIPS))
+def test_manifest_reproduces_every_command(capsys, tmp_path, command):
+    a, b, s = tmp_path / "a", tmp_path / "b", tmp_path / "s"
+    if command == "infer":
+        assert main(ROUND_TRIPS["sample"].split() + ["--out", str(s)]) == 0
+    argv = ROUND_TRIPS[command].format(pgm=s / "colouring.pgm").split()
+    assert main(argv + ["--out", str(a)]) == 0
+    positional = ["info"] if command == "lattice" else []
+    assert main([command, *positional, "--config", str(a / "manifest.txt"),
+                 "--out", str(b)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.txt" in names and len(names) > 1
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_config_errors(capsys, tmp_path):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("command = crossing\nn = 4\nx = 4\nbogus = 1\n")

@@ -315,6 +315,33 @@ def test_worker_count_does_not_change_counts():
     assert a1.successes == a3.successes
 
 
+def test_worker_processes_never_exceed_cores(monkeypatch):
+    # a stand-in pool that records its size and maps serially, so no
+    # process starts whatever the requested count
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    many = estimate_crossing(8, 8, 40, 23, 99, workers=10**6)
+    assert all(n <= (os.cpu_count() or 1) for n in sizes)
+    assert many == estimate_crossing(8, 8, 40, 23, 99, workers=1)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_estimators_return_first_success_as_witness(workers):
     # reference: a serial scan over the trials for the first success
