@@ -5,7 +5,7 @@ All infinite Euler products are split into an exactly evaluated truncated part
 guaranteed to contain the true real value.  Elementary inequalities only:
 
     -2t <= log(1 - t) <= -t            for 0 <= t <= 1/2          (log bounds)
-    -t - t^2 <= log(1 - t) <= -t       for 0 <= t <= 1/2          (sharper lower)
+    |log((1 - 2u)/(1 - u)^2)| <= 4u^2  for 0 <= u <= 1/4          (pair ratio)
     sum over odd k >= m of k^-s <= (m-1)^(1-s) / (2(s-1))         (midpoint rule)
 
 The last line uses convexity of t^-s; every prime beyond any truncation point
@@ -15,6 +15,7 @@ bound comes from.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
@@ -65,9 +66,6 @@ class Interval:
     def contains(self, value) -> bool:
         q = Fraction(value)
         return self.lo <= q <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __add__(self, other):
         other = _as_interval(other)
@@ -131,21 +129,17 @@ class PrimeTable:
 _MAX_SIEVE_LIMIT = 1 << 26
 
 
-def _sieve_bools(limit: int) -> np.ndarray:
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = False
-    return is_prime
-
-
 def primes_up_to(limit: int) -> PrimeTable:
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
     if limit > _MAX_SIEVE_LIMIT:
         raise DomainError(f"prime table limit {limit} exceeds the budget of {_MAX_SIEVE_LIMIT}")
-    values = np.nonzero(_sieve_bools(limit))[0]
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    values = np.nonzero(is_prime)[0]
     return PrimeTable(limit, tuple(int(p) for p in values))
 
 
@@ -178,7 +172,7 @@ def _odd_prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# directed product accumulation
+# Euler products: directed accumulation and tail enclosures
 
 
 class ProductAccumulator:
@@ -218,8 +212,21 @@ class ProductAccumulator:
         return ARITHMETIC_EXACT if self.exact else ARITHMETIC_FIXED
 
 
-def _accumulator_for(P: int) -> ProductAccumulator:
-    return ProductAccumulator(exact=P <= EXACT_PRODUCT_LIMIT)
+def _accumulator_for(Q: int, exact: bool = False) -> ProductAccumulator:
+    return ProductAccumulator(exact=exact or Q <= EXACT_PRODUCT_LIMIT)
+
+
+def _euler_product(factor, Q: int, exact: bool = False) -> Interval:
+    """Enclosure of the product over primes p <= Q, ascending, of factor(p) = (num, den)."""
+    acc = _accumulator_for(Q, exact)
+    for p in primes_up_to(Q):
+        acc.multiply(*factor(p))
+    return acc.result()
+
+
+def _first_odd_above(P: int) -> int:
+    # every prime beyond P >= 2 is odd, so none is smaller than this
+    return P + 1 if P % 2 == 0 else P + 2
 
 
 def prime_power_tail_sum(P: int, s: int) -> Fraction:
@@ -230,56 +237,59 @@ def prime_power_tail_sum(P: int, s: int) -> Fraction:
     """
     if P < 2 or s < 2:
         raise DomainError("tail sum defined for P >= 2, s >= 2")
-    m = P + 1 if P % 2 == 0 else P + 2
+    m = _first_odd_above(P)
     return Fraction(1, 2 * (s - 1) * (m - 1) ** (s - 1))
 
 
-def _tail_interval_one_minus(a: int, P: int, s: int = 2) -> Interval:
-    """Enclosure of the tail product over primes p > P of (1 - a/p^s).
+def _tail_one_minus(a: int, P: int, s: int = 2, total: Fraction | None = None) -> Interval:
+    """Enclosure [1 - 2 total, 1] of the product over primes p > P of (1 - t_p).
 
-    Valid whenever a/p^s <= 1/2 for every prime p > P; the caller must ensure
-    that.  Uses exp(-2t) >= 1 - 2t on the lower side and 1 as the upper.
+    Needs 0 <= t_p <= a/p^s <= 1/2, checked at the first odd m > P; total
+    bounds the sum of the t_p and defaults to a * prime_power_tail_sum(P, s).
     """
-    tail_sum = prime_power_tail_sum(P, s)
-    lo = 1 - 2 * a * tail_sum
-    if lo < 0:
-        lo = Fraction(0)
-    return Interval(Fraction(lo), Fraction(1))
-
-
-def _check_tail_validity(a: int, P: int, s: int = 2) -> None:
-    # smallest possible prime in the tail is the first odd integer > P
-    m = P + 1 if P % 2 == 0 else P + 2
+    m = _first_odd_above(P)
     if 2 * a > m**s:
         raise DomainError(
             f"tail bound invalid: factor {a}/p^{s} exceeds 1/2 at p={m}; raise P"
         )
+    if total is None:
+        total = a * prime_power_tail_sum(P, s)
+    return Interval(max(Fraction(0), 1 - 2 * total), Fraction(1))
+
+
+def zeta_inverse(d: int, P: int) -> Interval:
+    """Enclosure of the product over all primes of (1 - p^-d)."""
+    if d < 2:
+        raise DomainError(f"need d >= 2, got {d}")
+    if P < 2:
+        raise DomainError(f"need P >= 2, got {P}")
+    tail = _tail_one_minus(1, P, d)
+    return _euler_product(lambda p: (p**d - 1, p**d), P) * tail
 
 
 # ---------------------------------------------------------------------------
 # single-line and pair-line probabilities
 
 
-def _line_product(x: int, P: int, acc: ProductAccumulator) -> Interval:
-    """Product over p <= P of (1 - min(p,x)/p^2), accumulated in acc."""
-    for p in primes_up_to(P):
-        acc.multiply(p * p - min(p, x), p * p)
-    return acc.result()
+def _white_factor(d: int, x: int):
+    """p -> 1 - a/p^2, a = min(p,x) if p | d else 2 min(p,x).
 
+    The chance that the mod-p class misses both lines at distance d; d = 0
+    puts them on one line, so every p divides d and the factor is that line's.
+    """
 
-def _pair_product(d: int, x: int, P: int, acc: ProductAccumulator) -> Interval:
-    """Product over p <= P of (1 - a/p^2), a = min(p,x) if p | d else 2 min(p,x)."""
-    for p in primes_up_to(P):
+    def factor(p):
         m = min(p, x)
-        acc.multiply(p * p - (m if d % p == 0 else 2 * m), p * p)
-    return acc.result()
+        return p * p - (m if d % p == 0 else 2 * m), p * p
+
+    return factor
 
 
 def line_white_trunc(x: int, P: int) -> Fraction:
     """Exact truncated product over p <= P of (1 - min(p,x)/p^2)."""
     if x < 1 or P < 2:
         raise DomainError(f"need x >= 1 and P >= 2, got x={x}, P={P}")
-    return _line_product(x, P, ProductAccumulator(exact=True)).lo
+    return _euler_product(_white_factor(0, x), P, exact=True).lo
 
 
 def line_white_prob(x: int, P: int) -> Interval:
@@ -291,19 +301,23 @@ def line_white_prob(x: int, P: int) -> Interval:
     if x < 1 or P < 2:
         raise DomainError(f"need x >= 1 and P >= 2, got x={x}, P={P}")
     Q = max(P, x)
-    _check_tail_validity(x, Q)
-    return _line_product(x, Q, _accumulator_for(Q)) * _tail_interval_one_minus(x, Q)
+    tail = _tail_one_minus(x, Q)
+    return _euler_product(_white_factor(0, x), Q) * tail
 
 
-def pair_line_trunc(d: int, x: int, P: int) -> Fraction:
-    """Exact truncated product for the two-line joint probability."""
+def _check_pair(d: int, x: int) -> None:
     if d < 1:
         raise DomainError("pair separation must be >= 1")
     if d > x:
         raise DomainError(f"separation d={d} exceeds x={x}")
+
+
+def pair_line_trunc(d: int, x: int, P: int) -> Fraction:
+    """Exact truncated product for the two-line joint probability."""
+    _check_pair(d, x)
     if P < 2:
         raise DomainError("P >= 2 required")
-    return _pair_product(d, x, P, ProductAccumulator(exact=True)).lo
+    return _euler_product(_white_factor(d, x), P, exact=True).lo
 
 
 def pair_line_prob(d: int, x: int, P: int) -> Interval:
@@ -312,10 +326,7 @@ def pair_line_prob(d: int, x: int, P: int) -> Interval:
     Odd separations give the exact zero interval (the residue classes mod 2 of
     the two lines differ, so one of them always meets the mod-2 coset).
     """
-    if d < 1:
-        raise DomainError("pair separation must be >= 1")
-    if d > x:
-        raise DomainError(f"separation d={d} exceeds x={x}")
+    _check_pair(d, x)
     if d % 2 == 1:
         if x >= 2:
             return Interval.point(0)
@@ -323,8 +334,8 @@ def pair_line_prob(d: int, x: int, P: int) -> Interval:
     if P < 2:
         raise DomainError("P >= 2 required")
     Q = max(P, x)
-    _check_tail_validity(2 * x, Q)
-    return _pair_product(d, x, Q, _accumulator_for(Q)) * _tail_interval_one_minus(2 * x, Q)
+    tail = _tail_one_minus(2 * x, Q)
+    return _euler_product(_white_factor(d, x), Q) * tail
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +356,13 @@ def phi_sqf(k: int) -> Fraction:
     """Product over primes p dividing k of 1/(p-2), for odd squarefree k >= 1."""
     if k < 1 or k % 2 == 0:
         raise DomainError(f"phi_sqf defined for odd k >= 1, got {k}")
+    primes = _odd_prime_factors(k)
+    if math.prod(primes) != k:
+        f = next(p for p in primes if k % (p * p) == 0)
+        raise DomainError(f"{k} is not squarefree (repeated factor {f})")
     value = Fraction(1)
-    n = k
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                raise DomainError(f"{k} is not squarefree (repeated factor {f})")
-            value *= Fraction(1, f - 2)
-        f += 2
-    if n > 1:
-        value *= Fraction(1, n - 2)
+    for p in primes:
+        value *= Fraction(1, p - 2)
     return value
 
 
@@ -365,14 +371,9 @@ def theta_divisor_identity_check(d: int) -> bool:
     if d < 2 or d % 2 == 1:
         raise DomainError(f"identity stated for even d >= 2, got {d}")
     odd_primes = _odd_prime_factors(d)
-    total = Fraction(0)
-    for mask in range(1 << len(odd_primes)):
-        term = Fraction(1)
-        for i, p in enumerate(odd_primes):
-            if mask >> i & 1:
-                term *= Fraction(1, p - 2)
-        total += term
-    return total == theta(d)
+    sizes = range(len(odd_primes) + 1)
+    divisors = [math.prod(c) for r in sizes for c in itertools.combinations(odd_primes, r)]
+    return sum(phi_sqf(k) for k in divisors) == theta(d)
 
 
 def twin_prime_tail_sum(P: int) -> Fraction:
@@ -383,7 +384,7 @@ def twin_prime_tail_sum(P: int) -> Fraction:
     """
     if P < 3:
         raise DomainError("twin tail needs P >= 3")
-    m = P + 1 if P % 2 == 0 else P + 2
+    m = _first_odd_above(P)
     return Fraction(1, 2 * (m - 2))
 
 
@@ -391,15 +392,14 @@ def twin_prime_constant(P: int) -> Interval:
     """Enclosure of the product over odd primes of (1 - (p-1)^-2)."""
     if P < 3:
         raise DomainError(f"need P >= 3, got {P}")
-    acc = _accumulator_for(P)
-    for p in primes_up_to(P):
-        if p == 2:
-            continue
+
+    def factor(p):
         q = p - 1
-        acc.multiply(q * q - 1, q * q)
-    tail_sum = twin_prime_tail_sum(P)
-    tail = Interval(max(Fraction(0), 1 - 2 * tail_sum), Fraction(1))
-    return acc.result() * tail
+        return (1, 1) if p == 2 else (q * q - 1, q * q)
+
+    # every tail prime p >= 5 has (p-1)^-2 <= 2/p^2
+    tail = _tail_one_minus(2, P, total=twin_prime_tail_sum(P))
+    return _euler_product(factor, P) * tail
 
 
 def _phi_terms(N: int):
@@ -413,15 +413,13 @@ def _phi_terms(N: int):
     for k in range(3, N + 1, 2):
         n = k
         unit = 1
-        squarefree = True
         while n > 1:
             p = int(spf[n])
             n //= p
             if n % p == 0:
-                squarefree = False
-                break
+                break  # not squarefree
             unit *= p - 2
-        if squarefree:
+        else:
             yield k, unit
 
 
@@ -446,25 +444,6 @@ def phi_partial_sum_interval(N: int, weighted: bool) -> Interval:
         lo += _FIXED_ONE // den
         hi += -((-_FIXED_ONE) // den)
     return Interval(Fraction(lo, _FIXED_ONE), Fraction(hi, _FIXED_ONE))
-
-
-# ---------------------------------------------------------------------------
-# zeta
-
-
-def zeta_inverse(d: int, P: int) -> Interval:
-    """Enclosure of the product over all primes of (1 - p^-d)."""
-    if d < 2:
-        raise DomainError(f"need d >= 2, got {d}")
-    if P < 2:
-        raise DomainError(f"need P >= 2, got {P}")
-    acc = _accumulator_for(P)
-    for p in primes_up_to(P):
-        pd = p**d
-        acc.multiply(pd - 1, pd)
-    tail_sum = prime_power_tail_sum(P, d)
-    tail = Interval(max(Fraction(0), 1 - 2 * tail_sum), Fraction(1))
-    return acc.result() * tail
 
 
 # ---------------------------------------------------------------------------
@@ -519,28 +498,26 @@ def pair_ratio_base(x: int, P: int) -> Interval:
     if P < 2:
         raise DomainError("P >= 2 required")
     Q = max(P, x)
-    _check_tail_validity(2 * x, Q)
-    acc = _accumulator_for(Q)
-    for p in primes_up_to(Q):
-        if p == 2:
-            continue
+
+    def factor(p):
         m = min(p, x)
-        acc.multiply((p * p - 2 * m) * p * p, (p * p - m) ** 2)
-    # |log factor| <= 4 (x/p^2)^2 once x/p^2 <= 1/4, which the validity check
-    # above guarantees for every tail prime
+        return (1, 1) if p == 2 else ((p * p - 2 * m) * p * p, (p * p - m) ** 2)
+
+    # |log factor| <= 4 (x/p^2)^2 once x/p^2 <= 1/4, the condition the
+    # pair-line tail (factors 1 - 2x/p^2) checks for every tail prime
+    _tail_one_minus(2 * x, Q)
     eps = 4 * x * x * prime_power_tail_sum(Q, 4)
     if eps >= 1:
         raise DomainError("tail too wide; raise P")
     tail = Interval(1 - eps, 1 / (1 - eps))
-    return acc.result() * tail
+    return _euler_product(factor, Q) * tail
 
 
 def pair_over_line_sq(d: int, x: int, P: int) -> Interval:
     """Enclosure of pair(d,x)/line(x)^2 for even separation d."""
     if d < 2 or d % 2 == 1:
         raise DomainError("ratio defined for even d >= 2")
-    if d > x:
-        raise DomainError(f"separation d={d} exceeds x={x}")
+    _check_pair(d, x)
     return pair_ratio_base(x, P) * (2 * theta(d))
 
 
@@ -555,10 +532,11 @@ def second_moment_bound(n: int, x: int, P: int | None = None) -> SecondMomentRep
         P = 32 * x
 
     f_enc = line_white_prob(x, P)
+    if f_enc.lo <= 0:
+        # the tail beyond an even x = max(P, x) is enclosed only by [0, 1]
+        raise DomainError(f"line density enclosure reaches 0 at P={P}; raise P above x={x}")
     base = pair_ratio_base(x, P)
-    weight = Fraction(0)
-    for d in range(2, n + 1, 2):
-        weight += (n - d) * theta(d)
+    weight = sum((n - d) * theta(d) for d in range(2, n + 1, 2))
     offdiag = base * (Fraction(4 * weight, n * n))
     diag = f_enc.reciprocal() * Fraction(1, n)
     total = offdiag + diag - 1
@@ -584,7 +562,6 @@ def check_inverse_f_log_bound(x_max: int = 10_000, factor: int = 12) -> dict:
     while g < x_max:
         g = min(x_max, max(g + 1, int(g * 1.3)))
         grid.append(g)
-    ok = True
     worst = None
     fitted = Fraction(0)
     prev = 2
@@ -598,11 +575,10 @@ def check_inverse_f_log_bound(x_max: int = 10_000, factor: int = 12) -> dict:
         if fitted < ratio:
             fitted = ratio
             worst = (prev, xg, float(bound), float(factor * log_lo))
-        if bound > factor * log_lo:
-            ok = False
         prev = xg
     return {
-        "ok": ok,
+        # bound <= factor * log_lo at every grid point iff every ratio <= factor
+        "ok": fitted <= factor,
         "factor": factor,
         "fitted_constant": float(fitted),
         "worst": worst,

@@ -183,14 +183,25 @@ def _finalize(args) -> None:
         setattr(args, dest, value)
 
 
-def _out_path(args, name: str) -> Path:
-    """Path of file `name` in --out, creating the directory on first use."""
+def _write(args, name: str, write) -> None:
+    """Write file `name` in --out by calling write(path).
+
+    Every file the CLI writes goes through here.  --out is created on first
+    use, and an OSError from either step is a parse error naming the path.
+    """
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"cannot create output directory: {exc}") from None
-    return out / name
+    try:
+        write(out / name)
+    except OSError as exc:
+        raise ParseError(f"cannot write output file: {exc}") from None
+
+
+def _write_text(args, name: str, text: str) -> None:
+    _write(args, name, lambda path: path.write_text(text, encoding="utf-8"))
 
 
 def _write_manifest(args) -> None:
@@ -199,13 +210,13 @@ def _write_manifest(args) -> None:
         value = getattr(args, key)
         if value is not None:
             lines.append(f"{key} = {_serialize(value)}")
-    _out_path(args, "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(args, "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _emit(args, name: str, text: str) -> None:
     sys.stdout.write(text)
     if args.out is not None:
-        _out_path(args, name).write_text(text, encoding="utf-8")
+        _write_text(args, name, text)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +238,8 @@ def cmd_sample(args) -> int:
     else:
         config = sample_coset_config(spec, args.P, args.seed)
         col = colour_window(config, window)
-        save_config(config, _out_path(args, "config.txt"))
-    save_colouring(col, _out_path(args, "colouring.pgm"))
+        _write(args, "config.txt", lambda path: save_config(config, path))
+    _write(args, "colouring.pgm", lambda path: save_colouring(col, path))
     print(f"white fraction {col.white_fraction():.6f}")
     if args.oracle is None:
         bound = truncation_error_bound(window, args.P)
@@ -267,10 +278,8 @@ def cmd_layers(args) -> int:
         + f"# primes={' '.join(str(p) for p in primes)}\n".encode()
         + f"{window.extents[0]} {window.extents[1]}\n255\n".encode()
     )
-    with open(_out_path(args, "layers.ppm"), "wb") as fh:
-        fh.write(header)
-        fh.write(rgb.tobytes())
-    save_config(config, _out_path(args, "config.txt"))
+    _write(args, "layers.ppm", lambda path: path.write_bytes(header + rgb.tobytes()))
+    _write(args, "config.txt", lambda path: save_config(config, path))
     print(f"layers.ppm written, {len(primes)} highlighted primes")
     return 0
 

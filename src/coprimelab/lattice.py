@@ -456,15 +456,10 @@ def basis_numerators(spec: LatticeSpec, pts: np.ndarray) -> tuple[np.ndarray, in
 
 def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
     """Integer coordinates of v in the spec's basis, or None if v is outside."""
-    adj, det = _adjugate_and_det(spec)
-    v = [int(c) for c in v]
-    coords = []
-    for i in range(spec.dim):
-        s = sum(adj[i][j] * v[j] for j in range(spec.dim))
-        if s % det:
-            return None
-        coords.append(s // det)
-    return tuple(coords)
+    numerators, det = basis_numerators(spec, np.array([[int(c) for c in v]], dtype=object))
+    if (numerators % det).any():
+        return None
+    return tuple(int(n) // det for n in numerators[0])
 
 
 # a window on a d-dimensional lattice is a rank-d array, and numpy 1.x caps
@@ -625,13 +620,14 @@ def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
     (x >> k) & 1 with arithmetic shift): every entry shares bit 0; the bit-1
     pattern is a codeword; the bit-2 sum has the parity of the entries.  Only
     bits 0-2 are read, so they are taken first, which keeps Python ints of
-    any size exact.
+    any size exact; the ufunc casts them to int8 block by block, and the
+    bit-1 words are packed from bytes, so no (n, 24) int64 array is made.
     """
-    arr = (np.asarray(arr) & 7).astype(np.int8)
+    arr = np.bitwise_and(arr, 7, out=np.empty(np.shape(arr), dtype=np.int8), casting="unsafe")
     b0 = arr[:, :1] & 1
     ok = (arr & 1 == b0).all(axis=1)
-    bit1 = (arr >> 1) & 1
-    words = (bit1 << np.arange(24, dtype=np.int64)).sum(axis=1)
+    packed = np.packbits((arr & 2) != 0, axis=1, bitorder="little").astype(np.int64)
+    words = packed[:, 0] | packed[:, 1] << 8 | packed[:, 2] << 16
     word_table = np.array(code.codewords, dtype=np.int64)
     pos = np.searchsorted(word_table, words)
     pos = np.clip(pos, 0, len(word_table) - 1)
@@ -649,15 +645,19 @@ def span_index(vectors, spec: LatticeSpec) -> int:
     """Index inside the lattice of the subgroup the vectors generate.
 
     Exact HNF arithmetic on basis coordinates; stops early once the index
-    reaches 1.  Raises if some vector is outside the lattice or the span
-    never reaches full rank (infinite index).
+    reaches 1, after every vector has passed the membership test.  Raises,
+    naming the first vector outside the lattice, or if the span never
+    reaches full rank (infinite index).
     """
-    acc = _HnfAccumulator(spec.dim)
-    for v in vectors:
-        coords = basis_coordinates(spec, v)
-        if coords is None:
+    rows = np.asarray(vectors)
+    if len(rows):
+        outside = np.flatnonzero(~contains_bulk(spec, rows))
+        if len(outside):
+            v = rows[outside[0]]
             raise DomainError(f"vector {tuple(int(c) for c in v)} is not in the lattice")
-        acc.add(coords)
+    acc = _HnfAccumulator(spec.dim)
+    for v in rows:
+        acc.add(basis_coordinates(spec, v))
         if acc.full_rank and acc.index() == 1:
             return 1
     idx = acc.index()

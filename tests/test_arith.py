@@ -207,6 +207,17 @@ def test_second_moment_mode_follows_the_products_cutoff():
     assert second_moment_bound(2, 2, EXACT_PRODUCT_LIMIT + 1).arithmetic == ARITHMETIC_FIXED
 
 
+def test_second_moment_at_an_even_width_below_the_cutoff_names_the_cutoff():
+    # with P <= x the tail starts at x, and at even x its lower end is 0
+    for n, x, P in ((8, 100, 50), (8, 100, 100), (2, 10000, 2)):
+        with pytest.raises(DomainError, match=f"P={P}; raise P above x={x}"):
+            second_moment_bound(n, x, P)
+    # the enclosures themselves stay valid, and an odd x or P > x is fine
+    assert line_white_prob(100, 50).lo == 0
+    assert second_moment_bound(8, 101, 50).r_upper >= 0
+    assert second_moment_bound(8, 100, 101).r_upper >= 0
+
+
 def test_pair_over_line_sq_consistent_with_quotient():
     for d, x in ((2, 16), (4, 16), (6, 32)):
         ratio = pair_over_line_sq(d, x, 4000)

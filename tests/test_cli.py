@@ -196,6 +196,30 @@ def test_cutoff_beyond_the_sieve_budget_is_a_domain_error(capsys):
     assert code == 2 and "exceeds the budget" in err
 
 
+def test_unwritable_file_inside_out_is_a_parse_error(capsys, tmp_path):
+    # --out exists, but the file a command writes there is a directory
+    cases = (
+        (["bounds", "--n", "4", "--x", "8"], "bounds.csv"),
+        (["bounds", "--n", "4", "--x", "8"], "manifest.txt"),
+        (["sample", "--extents", "8,8", "--P", "5"], "config.txt"),
+        (["sample", "--extents", "8,8", "--P", "5"], "colouring.pgm"),
+        (["layers", "--extents", "8,8", "--primes", "2,3"], "layers.ppm"),
+    )
+    for k, (argv, name) in enumerate(cases):
+        d = tmp_path / f"d{k}"
+        (d / name).mkdir(parents=True)
+        code, _, err = run(capsys, *argv, "--out", str(d))
+        assert code == 3
+        assert err.startswith("parse error: cannot write output file") and name in err
+        assert "Traceback" not in err
+
+
+def test_bounds_with_cutoff_at_an_even_width_names_the_cutoff(capsys):
+    code, out, err = run(capsys, "bounds", "--n", "2", "--x", "10000", "--P", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("domain error") and "raise P above x=10000" in err
+
+
 # one tiny run per command; infer reads the PGM of the sample run
 ROUND_TRIPS = {
     "sample": "sample --extents 12,10 --P 13 --seed 3",

@@ -183,6 +183,35 @@ def test_span_index_values():
     assert span_index([(2, 1), (1, 1), (-2, -1), (-1, -1)], spec) == 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("D", 3), ("D", 4), ("E8", None)]),
+       st.lists(st.integers(-7, 7), min_size=8, max_size=8))
+def test_basis_coordinates_rebuild_the_vector(kind, entries):
+    # coordinates share basis_numerators with the bulk rules, so check them by
+    # rebuilding v from the basis columns, and membership by the direct rule
+    spec = lattice.lattice_spec(*kind)
+    v = entries[: spec.dim]
+    coords = basis_coordinates(spec, v)
+    assert (coords is not None) == lattice.contains(spec, v)
+    if coords is not None:
+        rebuilt = [sum(c * col[i] for c, col in zip(coords, spec.columns)) for i in range(spec.dim)]
+        assert rebuilt == v
+
+
+def test_span_index_checks_every_vector_before_the_early_stop():
+    # (1,-1) and (1,1) already span D2, so (1,0) used to go unchecked
+    with pytest.raises(DomainError, match=r"vector \(1, 0\) is not in the lattice"):
+        span_index([(1, -1), (1, 1), (1, 0)], lattice.lattice_spec("D", 2))
+    spec, vectors = standard_lattice("E8")
+    rows = vectors.rows.tolist()
+    assert span_index(rows[:16], spec) == 1
+    outsiders = [[2] + [0] * 7, [0] * 7 + [2]]
+    with pytest.raises(DomainError, match=r"vector \(2, 0, 0, 0, 0, 0, 0, 0\) is not"):
+        span_index(rows + outsiders, spec)
+    with pytest.raises(DomainError, match=r"vector \(0, 0, 0, 0, 0, 0, 0, 2\) is not"):
+        span_index(np.array(rows + outsiders[::-1]), spec)
+
+
 def test_leech_minimal_vectors_against_coordinate_oracle():
     spec, vectors = standard_lattice("Leech")
     assert len(vectors) == 196560
