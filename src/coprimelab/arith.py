@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import SIZE_BUDGET, DomainError
 
 # Truncated products with P at most this bound are accumulated as exact
 # rationals; larger ones switch to 128-bit fixed-point with directed rounding.
@@ -124,16 +124,11 @@ class PrimeTable:
         return iter(self.primes)
 
 
-# the sieve takes limit + 1 bytes, and cutoffs arrive from the command line;
-# this is the same budget as a window's point count
-_MAX_SIEVE_LIMIT = 1 << 26
-
-
 def primes_up_to(limit: int) -> PrimeTable:
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
-    if limit > _MAX_SIEVE_LIMIT:
-        raise DomainError(f"prime table limit {limit} exceeds the budget of {_MAX_SIEVE_LIMIT}")
+    if limit > SIZE_BUDGET:  # the sieve takes limit + 1 bytes
+        raise DomainError(f"prime table limit {limit} exceeds the budget of {SIZE_BUDGET}")
     is_prime = np.ones(limit + 1, dtype=bool)
     is_prime[:2] = False
     for i in range(2, math.isqrt(limit) + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .colouring import (
     lattice_from_id,
     load_colouring,
     oracle_from_origin,
+    pnm_header,
     sample_coset_config,
     save_colouring,
     save_config,
@@ -45,6 +47,7 @@ from .lattice import (
     norm_sq,
     span_index,
     standard_lattice,
+    word_line,
 )
 from .perco import (
     MC_CSV_HEADER,
@@ -227,7 +230,7 @@ def cmd_sample(args) -> int:
     if args.oracle is not None and args.lattice != "Z2":
         raise DomainError("the gcd oracle is defined on the Z2 grid")
     spec = lattice_from_id(args.lattice)
-    if spec.columns != ((1, 0), (0, 1)):
+    if not spec.full_grid or spec.dim != 2:
         # refused before any work, so no partial output is left behind
         raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
     if args.out is None:
@@ -270,14 +273,7 @@ def cmd_layers(args) -> int:
     for bits, colour in LAYER_PALETTE.items():
         if bits < 1 << len(primes):
             rgb[subset == bits] = colour
-    header = (
-        b"P6\n"
-        + f"# origin={window.origin[0]} {window.origin[1]}\n".encode()
-        + f"# extents={window.extents[0]} {window.extents[1]}\n".encode()
-        + f"# provenance={col.provenance}\n".encode()
-        + f"# primes={' '.join(str(p) for p in primes)}\n".encode()
-        + f"{window.extents[0]} {window.extents[1]}\n255\n".encode()
-    )
+    header = pnm_header("P6", col, "primes=" + " ".join(str(p) for p in primes))
     _write(args, "layers.ppm", lambda path: path.write_bytes(header + rgb.tobytes()))
     _write(args, "config.txt", lambda path: save_config(config, path))
     print(f"layers.ppm written, {len(primes)} highlighted primes")
@@ -300,13 +296,18 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _emit_witness(args, stats) -> None:
+    """witness.txt: the first successful trial and its event's witness lines."""
+    if stats.witness is not None:
+        t, result = stats.witness
+        _emit(args, "witness.txt", "\n".join([f"trial {t}", *result.witness_lines()]) + "\n")
+
+
 def cmd_annulus(args) -> int:
     stats = estimate_annulus(args.k, args.trials, args.P, args.seed,
                              workers=args.workers)
     _emit(args, "annulus.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    if stats.witness is not None:
-        t, event = stats.witness
-        _emit(args, "witness.txt", "\n".join([f"trial {t}"] + event.witness_lines()) + "\n")
+    _emit_witness(args, stats)
     return 0
 
 
@@ -314,12 +315,7 @@ def cmd_staircase(args) -> int:
     stats = estimate_staircase(args.n_max, args.trials, args.P, args.seed,
                                workers=args.workers)
     _emit(args, "staircase.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    if stats.witness is not None:
-        t, result = stats.witness
-        lines = [f"trial {t}"]
-        lines += [f"stage {n} {kind} line={c}" for n, kind, c in result.witnesses]
-        lines += [f"{x} {y}" for x, y in result.path]
-        _emit(args, "witness.txt", "\n".join(lines) + "\n")
+    _emit_witness(args, stats)
     return 0
 
 
@@ -380,12 +376,10 @@ def cmd_golay(args) -> int:
             "octads": code.octads,
             "dodecads": code.dodecads,
         }[args.dump]
-        text = "".join(format(w, "024b")[::-1] + "\n" for w in words)
+        text = "".join(word_line(w) + "\n" for w in words)
         name = f"{args.dump}.txt"
     else:
-        weights = {}
-        for w in code.codewords:
-            weights[bin(w).count("1")] = weights.get(bin(w).count("1"), 0) + 1
+        weights = Counter(w.bit_count() for w in code.codewords)
         rows = [("codewords", len(code.codewords)), ("dimension", len(code.generators))]
         rows += [(f"weight_{k}", weights[k]) for k in sorted(weights)]
         text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)

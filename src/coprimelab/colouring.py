@@ -10,6 +10,7 @@ point, which is what the truncated sampler converges to.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -19,14 +20,12 @@ from functools import reduce
 import numpy as np
 
 from .arith import primes_up_to
-from .errors import DomainError, ParseError
+from .errors import SIZE_BUDGET, DomainError, ParseError
 from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_spec
 from .rng import RNG_ID, below_lanes, stream_seeds
 
 _U64 = (1 << 64) - 1
 _CHUNK_ENTRIES = 1 << 20
-# the most points of a window that colouring or labelling will allocate for
-_MAX_WINDOW_POINTS = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +62,10 @@ class CosetConfig:
     def rep(self, p: int) -> tuple[int, ...]:
         return self.reps[p]
 
+    def fields(self) -> str:
+        """The `lattice=... P=... seed=... rng=...` of headers and provenance."""
+        return f"lattice={self.lattice_id} P={self.P} seed={self.seed} rng={self.rng_id}"
+
 
 @dataclass(frozen=True)
 class Window:
@@ -94,9 +97,9 @@ class Window:
     def require_budget(self) -> None:
         """Checked before arrays over the window are allocated; windows that
         are only counted may be larger."""
-        if self.point_count > _MAX_WINDOW_POINTS:
+        if self.point_count > SIZE_BUDGET:
             raise DomainError(f"window of {self.point_count} points exceeds the budget "
-                              f"of {_MAX_WINDOW_POINTS}")
+                              f"of {SIZE_BUDGET}")
 
 
 def coset_slice(rep, p: int, window: Window) -> tuple[slice, ...]:
@@ -165,19 +168,16 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
     """Evaluate the truncated colouring on a window.
 
     A point is black when its basis-coefficient vector matches some prime's
-    representative mod p.  Lattices whose basis is the identity (Z_d and the
-    triangular model) take the dense slicing path; others test every grid
+    representative mod p.  Full-grid lattices (Z_d and the triangular model)
+    take the dense slicing path; others test every grid
     point of the window for membership and solve for its coefficients.
     """
     spec = lattice_from_id(config.lattice_id)
     if window.dim != spec.dim:
         raise DomainError(f"window dimension {window.dim} != lattice dimension {spec.dim}")
     window.require_budget()
-    provenance = (
-        f"config lattice={config.lattice_id} P={config.P} "
-        f"seed={config.seed} rng={config.rng_id}"
-    )
-    if np.array_equal(spec.columns, np.eye(spec.dim, dtype=np.int64)):
+    provenance = "config " + config.fields()
+    if spec.full_grid:
         white = np.ones(window.array_shape(), dtype=bool)
         for p, rep in config.reps.items():
             white[coset_slice(rep, p, window)] = False
@@ -268,8 +268,6 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
     """
     if colouring.in_lattice is not None:
         raise DomainError("inference implemented for full-grid windows")
-    import itertools
-
     window = colouring.window
     d = window.dim
     candidates: dict[int, list[tuple[int, ...]]] = {}
@@ -297,8 +295,6 @@ def has_full_white_block(colouring: Colouring, side: int = 2) -> bool:
         W = W & colouring.in_lattice
     if any(n < side for n in W.shape):
         return False
-    import itertools
-
     views = []
     for offsets in itertools.product(range(side), repeat=W.ndim):
         views.append(W[tuple(slice(o, n - side + 1 + o) for o, n in zip(offsets, W.shape))])
@@ -310,10 +306,7 @@ def has_full_white_block(colouring: Colouring, side: int = 2) -> bool:
 
 
 def save_config(config: CosetConfig, path) -> None:
-    lines = [
-        f"coprime-config v1 lattice={config.lattice_id} P={config.P} "
-        f"seed={config.seed} rng={config.rng_id}"
-    ]
+    lines = ["coprime-config v1 " + config.fields()]
     for p in sorted(config.reps):
         lines.append(f"{p} " + " ".join(str(r) for r in config.reps[p]))
     with open(path, "w", encoding="utf-8") as fh:
@@ -383,6 +376,19 @@ def load_config(path) -> CosetConfig:
 # colouring files (binary PGM)
 
 
+def pnm_header(magic: str, colouring: Colouring, *comments: str) -> bytes:
+    """Binary PNM header for a raster over a 2-D colouring's window.
+
+    Origin, extents and provenance comments, then `# comment` lines as
+    given, then the size and maxval 255; load_colouring reads it back.
+    """
+    (o1, o2), (e1, e2) = colouring.window.origin, colouring.window.extents
+    lines = [magic, f"# origin={o1} {o2}", f"# extents={e1} {e2}",
+             f"# provenance={colouring.provenance}", *(f"# {c}" for c in comments),
+             f"{e1} {e2}", "255"]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def save_colouring(colouring: Colouring, path) -> None:
     """Write a 2-D full-grid colouring as binary PGM, white = 255.
 
@@ -392,17 +398,9 @@ def save_colouring(colouring: Colouring, path) -> None:
         raise DomainError("PGM export is two-dimensional")
     if colouring.in_lattice is not None:
         raise DomainError("PGM export covers full-grid windows only")
-    window = colouring.window
-    header = (
-        b"P5\n"
-        + f"# origin={window.origin[0]} {window.origin[1]}\n".encode()
-        + f"# extents={window.extents[0]} {window.extents[1]}\n".encode()
-        + f"# provenance={colouring.provenance}\n".encode()
-        + f"{window.extents[0]} {window.extents[1]}\n255\n".encode()
-    )
     raster = np.where(colouring.white, np.uint8(255), np.uint8(0))
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(pnm_header("P5", colouring))
         fh.write(raster.tobytes())
 
 

@@ -1,4 +1,8 @@
-"""Error types shared across the package."""
+"""Error types and the size budget shared across the package."""
+
+# The most cells one array may take (sieve bytes, window points, box
+# coordinates, visited bytes, lines per trial), checked before allocating.
+SIZE_BUDGET = 1 << 26
 
 
 class DomainError(ValueError):

@@ -10,6 +10,7 @@ connectivity of coordinate slices of the Cayley graph.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import SIZE_BUDGET, DomainError
 from .rng import below_lanes, stream_seeds
 
 # ---------------------------------------------------------------------------
@@ -56,14 +57,16 @@ class GolayCode:
     dodecads: tuple[int, ...]
 
     def __contains__(self, word: int) -> bool:
-        return word in self._word_set
-
-    @property
-    def _word_set(self) -> frozenset[int]:
-        return _golay_word_set()
+        k = bisect.bisect_left(self.codewords, word)
+        return k < len(self.codewords) and self.codewords[k] == word
 
     def generator_lines(self) -> list[str]:
-        return [format(g, "024b")[::-1] for g in self.generators]
+        return [word_line(g) for g in self.generators]
+
+
+def word_line(word: int) -> str:
+    """The 24 bits of a word as 0/1 characters, bit 0 first."""
+    return format(word, "024b")[::-1]
 
 
 @lru_cache(maxsize=1)
@@ -100,11 +103,6 @@ def build_golay() -> GolayCode:
         octads=tuple(sorted(by_weight[8])),
         dodecads=tuple(sorted(by_weight[12])),
     )
-
-
-@lru_cache(maxsize=1)
-def _golay_word_set() -> frozenset[int]:
-    return frozenset(build_golay().codewords)
 
 
 _BIT_WEIGHTS = 1 << np.arange(24, dtype=np.int64)
@@ -215,12 +213,8 @@ class _HnfAccumulator:
             self.pivots[j] = new_r
         # w reduced to zero: already in the span
 
-    @property
-    def full_rank(self) -> bool:
-        return len(self.pivots) == self.dim
-
     def index(self) -> int | None:
-        if not self.full_rank:
+        if len(self.pivots) < self.dim:
             return None
         out = 1
         for j, row in self.pivots.items():
@@ -254,23 +248,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _basis_from_generators(generators, dim: int, expected_det: int):
-    """Square basis for the integer span of the generators.
-
-    The returned tuple lists the basis vectors (the HNF rows); the absolute
-    determinant is asserted against the expected lattice covolume.
-    """
-    acc = _HnfAccumulator(dim)
-    for g in generators:
-        acc.add(g)
-    if not acc.full_rank:
-        raise AssertionError("generators do not span full rank")
-    det = acc.index()
-    if det != expected_det:
-        raise AssertionError(f"lattice determinant {det}, expected {expected_det}")
-    return tuple(tuple(row) for row in acc.rows())
-
-
 # ---------------------------------------------------------------------------
 # lattice specifications
 
@@ -296,6 +273,12 @@ class LatticeSpec:
 
     def matrix_rows(self) -> list[list[int]]:
         return [[self.columns[j][i] for j in range(self.dim)] for i in range(self.dim)]
+
+    @property
+    def full_grid(self) -> bool:
+        """Whether every integer point is a lattice point (the basis is the
+        identity), so a window's colours fill a dense array."""
+        return self.columns == _identity_columns(self.dim)
 
 
 class GenSet:
@@ -373,33 +356,35 @@ def _d_lattice_columns(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(cols)
 
 
+def _spec_from_generators(name: str, gens: list, det: int, rule: str) -> LatticeSpec:
+    """The lattice spanned by integer vectors, with its HNF rows as basis.
+
+    Asserts full rank, the expected covolume det, and that every basis
+    vector passes the membership rule.
+    """
+    acc = _HnfAccumulator(len(gens[0]))
+    for g in gens:
+        acc.add(g)
+    if acc.index() != det:
+        raise AssertionError(f"{name} generators span index {acc.index()}, expected {det}")
+    columns = tuple(tuple(row) for row in acc.rows())
+    spec = LatticeSpec(name, len(columns), columns, rule)
+    if not contains_bulk(spec, np.array(columns)).all():
+        raise AssertionError(f"{name} basis column fails its membership rule")
+    return spec
+
+
 @lru_cache(maxsize=1)
 def _e8_spec() -> LatticeSpec:
-    gens = []
-    for col in _d_lattice_columns(8):
-        gens.append([2 * c for c in col])
-    gens.append([1] * 7 + [-3])
-    columns = _basis_from_generators(gens, 8, 256)
-    spec = LatticeSpec("E8", 8, columns, "e8")
-    if not contains_bulk(spec, np.array(columns)).all():
-        raise AssertionError("E8 basis column fails the direct membership rule")
-    return spec
+    gens = [[2 * c for c in col] for col in _d_lattice_columns(8)]
+    return _spec_from_generators("E8", gens + [[1] * 7 + [-3]], 256, "e8")
 
 
 @lru_cache(maxsize=1)
 def _leech_spec() -> LatticeSpec:
-    code = build_golay()
-    gens = []
-    for g in code.generators:
-        gens.append([2 * (g >> i & 1) for i in range(24)])
-    for col in _d_lattice_columns(24):
-        gens.append([4 * c for c in col])
-    gens.append([-3] + [1] * 23)
-    columns = _basis_from_generators(gens, 24, 8**12)
-    spec = LatticeSpec("Leech", 24, columns, "leech")
-    if not contains_bulk(spec, np.array(columns)).all():
-        raise AssertionError("Leech basis column fails the digit conditions")
-    return spec
+    gens = (2 * _bit_rows(build_golay().generators)).tolist()
+    gens += [[4 * c for c in col] for col in _d_lattice_columns(24)]
+    return _spec_from_generators("Leech", gens + [[-3] + [1] * 23], 8**12, "leech")
 
 
 def contains(spec: LatticeSpec, v) -> bool:
@@ -510,10 +495,7 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
     spec = lattice_spec("hypercubic", d)
     if norm not in ("inf", "linf", "1", "l1", "2", "l2"):
         raise DomainError(f"unknown norm {norm!r}")
-    side = 2 * alpha + 1
-    if side ** d * d > _MAX_BOX_CELLS:
-        raise DomainError("box too large to enumerate pointwise")
-    pts = np.indices((side,) * d).reshape(d, -1).T - alpha
+    pts = _enumerate_box_points(spec, alpha)
     a = np.abs(pts)
     if norm.endswith("inf"):
         inside = a.max(axis=1) <= alpha
@@ -658,7 +640,7 @@ def span_index(vectors, spec: LatticeSpec) -> int:
     acc = _HnfAccumulator(spec.dim)
     for v in rows:
         acc.add(basis_coordinates(spec, v))
-        if acc.full_rank and acc.index() == 1:
+        if acc.index() == 1:
             return 1
     idx = acc.index()
     if idx is None:
@@ -803,17 +785,12 @@ class SliceCertificate:
     unreached: tuple[int, ...] | None = None
 
 
-# cells of the largest grid a box search allocates: coordinates of the
-# enumerated candidates, or bytes of a slice certificate's visited map
-_MAX_BOX_CELLS = 1 << 26
-
-
 def _enumerate_box_points(spec: LatticeSpec, radius: int, axis: int | None = None) -> np.ndarray:
     """All lattice points with every coordinate in [-radius, radius], in
     lexicographic order; given an axis, only those whose axis coordinate is 0."""
     free = spec.dim - (axis is not None)
     side = 2 * radius + 1
-    if side ** free * spec.dim > _MAX_BOX_CELLS:
+    if side ** free * spec.dim > SIZE_BUDGET:
         raise DomainError("box too large to enumerate pointwise")
     pts = np.indices((side,) * free).reshape(free, side ** free).T - radius
     if axis is not None:
@@ -832,7 +809,7 @@ def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
     R = search_radius
     base = 2 * R + 1
     free = spec.dim - 1
-    if base ** free > _MAX_BOX_CELLS:
+    if base ** free > SIZE_BUDGET:
         raise DomainError("search box too large for a visited map")
     targets = _enumerate_box_points(spec, certify_radius, axis)
     others = np.arange(spec.dim) != axis

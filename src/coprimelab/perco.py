@@ -20,7 +20,7 @@ import numpy as np
 
 from .arith import decimal_str, primes_up_to
 from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
-from .errors import DomainError
+from .errors import SIZE_BUDGET, DomainError
 from .lattice import GenSet, lattice_spec
 from .rng import stream_seed, stream_seeds
 
@@ -310,6 +310,11 @@ class StaircaseResult:
     def succeeded(self) -> bool:
         return self.path is not None
 
+    def witness_lines(self) -> list[str]:
+        """One line per crossed stage, then the path, one point per line."""
+        lines = [f"stage {n} {kind} line={c}" for n, kind, c in self.witnesses]
+        return lines + [f"{x} {y}" for x, y in self.path or ()]
+
 
 def _segment(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:
     """Unit-step walk from a to b along the one axis where they differ."""
@@ -491,6 +496,8 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
+    if lines > SIZE_BUDGET:
+        raise DomainError(f"a trial of {lines} lines exceeds the budget of {SIZE_BUDGET}")
     chunks = [(kernel, event_args, P, dim, lines, master_seed, lo, hi)
               for lo, hi in _chunk_ranges(trials, workers * 4)]
     processes = min(workers, len(chunks), os.cpu_count() or 1)
@@ -538,9 +545,11 @@ def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
     first successful trial's (index, AnnulusResult)."""
     if k < 3 or k % 3:
         raise DomainError("annulus scale must be a positive multiple of 3")
+    window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
+    # checked before any trial, so a refusal does not depend on a success
+    window.require_budget()
     successes, first = _run_trials(_annulus_kernel, (k,), P, 2, k - k // 3 + 1, trials,
                                    master_seed, workers)
-    window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
     witness = _witness(first, master_seed, P, window, lambda col: annulus_event(col, k),
                        lambda result: result.occurred)
     return McStats("annulus", k, k, P, trials, successes, master_seed, witness)
@@ -553,9 +562,10 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     if n_max < 0:
         raise DomainError("n_max >= 0 required")
     side = 2 ** (n_max + 1)
+    window = Window((0, 0), (side + 1, side + 1))
+    window.require_budget()
     successes, first = _run_trials(_staircase_kernel, (n_max,), P, 2, 2**n_max + 1, trials,
                                    master_seed, workers)
-    window = Window((0, 0), (side + 1, side + 1))
     witness = _witness(first, master_seed, P, window, lambda col: staircase(col, 0, n_max),
                        lambda result: result.succeeded)
     return McStats("staircase", side, side, P, trials, successes, master_seed, witness)

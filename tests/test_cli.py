@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coprimelab import perco
 from coprimelab.cli import _SPECS, _read_config, build_parser, main
 from coprimelab.colouring import (
     Window,
@@ -623,3 +624,20 @@ def test_window_over_budget_is_a_domain_error():
     assert proc.returncode == 2
     assert "exceeds the budget" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["annulus", "--k", "4800", "--trials", "20", "--P", "5"],
+    ["staircase", "--n-max", "40", "--trials", "1"],
+    ["crossing", "--n", "1000000000", "--x", "5", "--trials", "1", "--P", "11"],
+], ids=["annulus-window", "staircase-window", "crossing-lines"])
+def test_oversized_event_is_refused_before_any_trial(capsys, monkeypatch, argv):
+    # the witness window and the lines per trial are checked up front, so the
+    # refusal cannot depend on whether some trial succeeds
+    def no_trials(chunk):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(perco, "_trial_chunk", no_trials)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "exceeds the budget" in err and "Traceback" not in err

@@ -5,6 +5,7 @@ membership) are recomputed here from first principles rather than read back
 from the module under test.
 """
 
+import hashlib
 import itertools
 import random
 import subprocess
@@ -99,6 +100,28 @@ def test_generator_lines_format(code):
         assert line.count("1") == bin(g).count("1")
         # coordinate 0 is printed first
         assert (line[0] == "1") == bool(g & 1)
+
+
+def test_golay_lookup_separates_codewords_from_near_words(code):
+    # the minimum distance is 8, so no word 1 to 3 bits from a codeword is one
+    assert all(w in code for w in code.codewords)
+    flips = {1: [1 << i for i in range(24)]}
+    for k in (2, 3):
+        flips[k] = [sum(1 << i for i in c) for c in itertools.combinations(range(24), k)]
+    assert not any(w ^ e in code for w in code.codewords for e in flips[1])
+    centres = [0, (1 << 24) - 1] + random.Random(13).sample(code.codewords, 64)
+    assert not any(w ^ e in code for w in centres for e in flips[2] + flips[3])
+    assert (1 << 24) not in code and -1 not in code
+
+
+# SHA-256 of "first second" (6 hex digits each) over every dodecad, in order
+DODECAD_SPLITS_DIGEST = "572cf66f4952aee0edfaa178830ec374d408a36aca9f05e0c9b19371a1e884de"
+
+
+def test_dodecad_decompositions_frozen(code):
+    text = "".join(f"{o1:06x} {o2:06x}\n" for o1, o2 in
+                   (dodecad_decomposition(code, d) for d in code.dodecads))
+    assert hashlib.sha256(text.encode()).hexdigest() == DODECAD_SPLITS_DIGEST
 
 
 def test_dodecad_decomposition(code):
