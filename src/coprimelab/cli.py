@@ -106,9 +106,6 @@ def _serialize(value) -> str:
     return str(value)
 
 
-_SPECS: dict[str, dict[str, tuple] ] = {}
-
-
 class _Parser(argparse.ArgumentParser):
     # let negative coordinate tuples like "-10,-10" through as values
     _COORDS = re.compile(r"^-\d+(,-?\d+)*$")
@@ -120,22 +117,6 @@ class _Parser(argparse.ArgumentParser):
         if self._COORDS.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
-
-
-def _opt(sub, cmd: str, flag: str, convert, default, help_text: str,
-         choices=None) -> None:
-    dest = flag.lstrip("-").replace("-", "_")
-    _SPECS.setdefault(cmd, {})[dest] = (convert, default)
-    if default not in (None, _REQUIRED):
-        help_text = f"{help_text} (default: {_serialize(default)})"
-    elif default is _REQUIRED:
-        help_text = f"{help_text} (required)"
-    kwargs = dict(dest=dest, default=None, help=help_text)
-    if choices is not None:
-        kwargs["choices"] = choices
-    else:
-        kwargs["metavar"] = dest.upper()
-    sub.add_argument(flag, **kwargs)
 
 
 def _read_config(path: str, cmd: str, spec: dict) -> dict[str, str]:
@@ -183,6 +164,9 @@ def _finalize(args) -> None:
                 value = convert(raw)
             except ValueError as exc:
                 raise ParseError(f"bad value for {dest}: {raw!r} ({exc})")
+            choices = _CHOICES.get((args.command, dest))
+            if choices and value not in choices:  # argparse checks only flag values
+                raise ParseError(f"bad value for {dest}: {raw!r} (choices: {', '.join(choices)})")
         setattr(args, dest, value)
 
 
@@ -426,111 +410,102 @@ def cmd_infer(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# the command table: command -> (function, help, options).  An option is
+# (flag, convert, default, help[, choices]); a flag without dashes is a
+# positional.  Options shared by several commands are written once here.
+
+_P = ("--P", int, 997, "prime truncation cutoff")
+_SEED = ("--seed", _seed, 0, "master seed")
+_WORKERS = ("--workers", int, 1, "worker processes")
+_NX = (("--n", int, _REQUIRED, "window height (rows)"),
+       ("--x", int, _REQUIRED, "window width (columns)"))
+
+
+def _trials(default: int) -> tuple:
+    return ("--trials", int, default, "Monte Carlo trials")
+
+
+def _sampled(extents: tuple[int, int]) -> tuple:
+    """Options of the commands that colour one window of a sample."""
+    return (("--lattice", str, "Z2", "lattice id"), _P, _SEED,
+            ("--origin", _ints, (0, 0), "window origin a,b"),
+            ("--extents", _ints, extents, "window extents e1,e2"))
+
+
+_COMMANDS = {
+    "sample": (cmd_sample, "sample a colouring and write config + PGM", (
+        *_sampled((512, 512)),
+        ("--oracle", _ints, None, "render the gcd oracle around point a,b instead of sampling"))),
+    "layers": (cmd_layers, "render per-prime coset layers as PPM", (
+        *_sampled((256, 256)), ("--primes", _ints, (2, 3, 5), "up to 3 highlighted primes"))),
+    "crossing": (cmd_crossing, "Monte Carlo crossing probability", (
+        *_NX, _trials(10000), ("--P", int, None,
+         "prime truncation cutoff (default: 2x; truncation only raises the estimate)"),
+        _SEED, _WORKERS)),
+    "bounds": (cmd_bounds, "second-moment crossing bound as CSV", (
+        *_NX, ("--P", int, None, "prime cutoff (default: 32x)"))),
+    "annulus": (cmd_annulus, "white-circuit frequency at scale k", (
+        ("--k", int, _REQUIRED, "annulus scale, multiple of 3"),
+        _trials(200), _P, _SEED, _WORKERS)),
+    "staircase": (cmd_staircase, "dyadic staircase frequency and path", (
+        ("--n-max", int, 5, "last staircase stage"), _trials(200), _P, _SEED, _WORKERS)),
+    "spanning": (cmd_spanning, "all-white column frequency in dimension 3", (
+        ("--length", int, 1000, "column length L"), _trials(1000), _P, _SEED, _WORKERS)),
+    "clusters": (cmd_clusters, "cluster statistics of one sample", (
+        *_sampled((256, 256)),
+        ("--adjacency", str, "square", "generating set", ["spread2", "square", "triangular"]),
+        ("--colour", str, "white", "which colour to label", ["white", "black"]))),
+    "lattice": (cmd_lattice, "minimal vectors and lattice facts", (
+        ("action", str, _REQUIRED, "dump sorted minimal vectors, or print summary facts",
+         ["dump", "info"]),
+        ("--lattice", str, _REQUIRED, "lattice id"))),
+    "golay": (cmd_golay, "Golay code facts and word dumps", (
+        ("--dump", str, None, "word class to dump, one 24-bit word per line",
+         ["generators", "codewords", "octads", "dodecads"]),)),
+    "check": (cmd_check, "verify structural hypotheses for a model", (
+        ("--lattice", str, _REQUIRED, "model to check", sorted(_MODELS)),
+        ("--theorem", str, _REQUIRED, "which condition set", ["setup", "setupblack"]),
+        ("--radius", int, None, "slice certification radius (default: per lattice)"),
+        ("--search-radius", int, None,
+         "path search radius (default: twice the certification radius)"))),
+    "infer": (cmd_infer, "recover coset candidates from a PGM window", (
+        ("--pgm", str, _REQUIRED, "PGM colouring to analyse"),
+        ("--p-max", int, 13, "largest prime to solve for"))),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+# command -> {config key: (convert, default)}, read by _finalize and the manifest
+_SPECS: dict[str, dict[str, tuple]] = {
+    cmd: {_dest(flag): (convert, default) for flag, convert, default, *_ in options}
+    for cmd, (_, _, options) in _COMMANDS.items()
+}
+_CHOICES = {(cmd, _dest(option[0])): option[4] for cmd, (_, _, options) in _COMMANDS.items()
+            for option in options if len(option) > 4}
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="coprimelab",
-                     description="coprime colouring laboratory")
+    parser = _Parser(prog="coprimelab", description="coprime colouring laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    def sub(name, fn, help_text):
+    for name, (fn, help_text, options) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text, description=help_text)
         p.set_defaults(func=fn)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key = value file; flags override its values")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="output directory (writes files and manifest.txt)")
-        return p
-
-    p = sub("sample", cmd_sample, "sample a colouring and write config + PGM")
-    _opt(p, "sample", "--lattice", str, "Z2", "lattice id")
-    _opt(p, "sample", "--P", int, 997, "prime truncation cutoff")
-    _opt(p, "sample", "--seed", _seed, 0, "master seed")
-    _opt(p, "sample", "--origin", _ints, (0, 0), "window origin a,b")
-    _opt(p, "sample", "--extents", _ints, (512, 512), "window extents e1,e2")
-    _opt(p, "sample", "--oracle", _ints, None,
-         "render the gcd oracle around point a,b instead of sampling")
-
-    p = sub("layers", cmd_layers, "render per-prime coset layers as PPM")
-    _opt(p, "layers", "--lattice", str, "Z2", "lattice id")
-    _opt(p, "layers", "--P", int, 997, "prime truncation cutoff")
-    _opt(p, "layers", "--seed", _seed, 0, "master seed")
-    _opt(p, "layers", "--origin", _ints, (0, 0), "window origin a,b")
-    _opt(p, "layers", "--extents", _ints, (256, 256), "window extents e1,e2")
-    _opt(p, "layers", "--primes", _ints, (2, 3, 5), "up to 3 highlighted primes")
-
-    p = sub("crossing", cmd_crossing, "Monte Carlo crossing probability")
-    _opt(p, "crossing", "--n", int, _REQUIRED, "window height (rows)")
-    _opt(p, "crossing", "--x", int, _REQUIRED, "window width (columns)")
-    _opt(p, "crossing", "--trials", int, 10000, "Monte Carlo trials")
-    _opt(p, "crossing", "--P", int, None,
-         "prime truncation cutoff (default: 2x; truncation only raises the estimate)")
-    _opt(p, "crossing", "--seed", _seed, 0, "master seed")
-    _opt(p, "crossing", "--workers", int, 1, "worker processes")
-
-    p = sub("bounds", cmd_bounds, "second-moment crossing bound as CSV")
-    _opt(p, "bounds", "--n", int, _REQUIRED, "window height (rows)")
-    _opt(p, "bounds", "--x", int, _REQUIRED, "window width (columns)")
-    _opt(p, "bounds", "--P", int, None, "prime cutoff (default: 32x)")
-
-    p = sub("annulus", cmd_annulus, "white-circuit frequency at scale k")
-    _opt(p, "annulus", "--k", int, _REQUIRED, "annulus scale, multiple of 3")
-    _opt(p, "annulus", "--trials", int, 200, "Monte Carlo trials")
-    _opt(p, "annulus", "--P", int, 997, "prime truncation cutoff")
-    _opt(p, "annulus", "--seed", _seed, 0, "master seed")
-    _opt(p, "annulus", "--workers", int, 1, "worker processes")
-
-    p = sub("staircase", cmd_staircase, "dyadic staircase frequency and path")
-    _opt(p, "staircase", "--n-max", int, 5, "last staircase stage")
-    _opt(p, "staircase", "--trials", int, 200, "Monte Carlo trials")
-    _opt(p, "staircase", "--P", int, 997, "prime truncation cutoff")
-    _opt(p, "staircase", "--seed", _seed, 0, "master seed")
-    _opt(p, "staircase", "--workers", int, 1, "worker processes")
-
-    p = sub("spanning", cmd_spanning, "all-white column frequency in dimension 3")
-    _opt(p, "spanning", "--length", int, 1000, "column length L")
-    _opt(p, "spanning", "--trials", int, 1000, "Monte Carlo trials")
-    _opt(p, "spanning", "--P", int, 997, "prime truncation cutoff")
-    _opt(p, "spanning", "--seed", _seed, 0, "master seed")
-    _opt(p, "spanning", "--workers", int, 1, "worker processes")
-
-    p = sub("clusters", cmd_clusters, "cluster statistics of one sample")
-    _opt(p, "clusters", "--lattice", str, "Z2", "lattice id")
-    _opt(p, "clusters", "--P", int, 997, "prime truncation cutoff")
-    _opt(p, "clusters", "--seed", _seed, 0, "master seed")
-    _opt(p, "clusters", "--origin", _ints, (0, 0), "window origin a,b")
-    _opt(p, "clusters", "--extents", _ints, (256, 256), "window extents e1,e2")
-    _opt(p, "clusters", "--adjacency", str, "square", "generating set",
-         choices=["spread2", "square", "triangular"])
-    _opt(p, "clusters", "--colour", str, "white", "which colour to label",
-         choices=["white", "black"])
-
-    p = sub("lattice", cmd_lattice, "minimal vectors and lattice facts")
-    p.add_argument("action", choices=["dump", "info"],
-                   help="dump sorted minimal vectors, or print summary facts")
-    _SPECS.setdefault("lattice", {})["action"] = (str, _REQUIRED)
-    _opt(p, "lattice", "--lattice", str, _REQUIRED, "lattice id")
-
-    p = sub("golay", cmd_golay, "Golay code facts and word dumps")
-    _opt(p, "golay", "--dump", str, None,
-         "word class to dump, one 24-bit word per line",
-         choices=["generators", "codewords", "octads", "dodecads"])
-
-    p = sub("check", cmd_check, "verify structural hypotheses for a model")
-    _opt(p, "check", "--lattice", str, _REQUIRED, "model to check",
-         choices=sorted(_MODELS))
-    _opt(p, "check", "--theorem", str, _REQUIRED, "which condition set",
-         choices=["setup", "setupblack"])
-    _opt(p, "check", "--radius", int, None,
-         "slice certification radius (default: per lattice)")
-    _opt(p, "check", "--search-radius", int, None,
-         "path search radius (default: twice the certification radius)")
-
-    p = sub("infer", cmd_infer, "recover coset candidates from a PGM window")
-    _opt(p, "infer", "--pgm", str, _REQUIRED, "PGM colouring to analyse")
-    _opt(p, "infer", "--p-max", int, 13, "largest prime to solve for")
-
+        for flag, _, default, text, *choices in options:
+            kwargs = {"choices": choices[0]} if choices else {"metavar": _dest(flag).upper()}
+            if flag.startswith("-"):  # argparse itself requires positionals
+                kwargs.update(dest=_dest(flag), default=None)
+                if default is _REQUIRED:
+                    text += " (required)"
+                elif default is not None:
+                    text += f" (default: {_serialize(default)})"
+            p.add_argument(flag, help=text, **kwargs)
     return parser
 
 

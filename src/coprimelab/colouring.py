@@ -21,24 +21,11 @@ import numpy as np
 
 from .arith import primes_up_to
 from .errors import SIZE_BUDGET, DomainError, ParseError
-from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_spec
+from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_from_id
 from .rng import RNG_ID, below_lanes, stream_seeds
 
 _U64 = (1 << 64) - 1
 _CHUNK_ENTRIES = 1 << 20
-
-
-# ---------------------------------------------------------------------------
-# lattice registry for serialized ids
-
-
-def lattice_from_id(lattice_id: str) -> LatticeSpec:
-    m = re.fullmatch(r"([ZD])(\d+)", lattice_id)
-    if m:
-        return lattice_spec("hypercubic" if m.group(1) == "Z" else "D", int(m.group(2)))
-    if lattice_id in ("E8", "Leech", "triangular"):
-        return lattice_spec(lattice_id)
-    raise DomainError(f"unknown lattice id {lattice_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +172,17 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
     return _colour_sublattice_window(spec, config, window, provenance)
 
 
+def _box_dtype(origin, extents):
+    """int64 while every coordinate of the box is below 2^62 in size, Python
+    ints (dtype=object) beyond that."""
+    reach = max(max(abs(o), abs(o + e - 1)) for o, e in zip(origin, extents))
+    return np.int64 if reach < 1 << 62 else object
+
+
 def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
     shape = window.array_shape()
     d = window.dim
-    reach = max(max(abs(o), abs(o + e - 1)) for o, e in zip(window.origin, window.extents))
-    dtype = np.int64 if reach < 1 << 62 else object
+    dtype = _box_dtype(window.origin, window.extents)
     origin = np.array(window.origin, dtype=dtype)
     reps = [(p, np.array(rep)) for p, rep in config.reps.items()]
     n = window.point_count
@@ -223,11 +216,12 @@ def oracle_from_origin(X, window: Window) -> Colouring:
     if len(X) != window.dim:
         raise DomainError("base point dimension mismatch")
     window.require_budget()
-    axes = np.indices(window.array_shape(), dtype=np.int64)
-    g = np.zeros(window.array_shape(), dtype=np.int64)
+    shift = [o - x for o, x in zip(window.origin, X)]
+    dtype = _box_dtype(shift, window.extents)
+    axes = np.indices(window.array_shape(), dtype=np.int64).astype(dtype, copy=False)
+    g = np.zeros(window.array_shape(), dtype=dtype)
     for k in range(window.dim):
-        coord = axes[window.dim - 1 - k] + (window.origin[k] - X[k])
-        g = np.gcd(g, coord)
+        g = np.gcd(g, axes[window.dim - 1 - k] + shift[k])
     white = g == 1
     provenance = "oracle X=" + ",".join(str(c) for c in X)
     return Colouring(window, white, f"Z{window.dim}", provenance)
@@ -268,15 +262,21 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
     """
     if colouring.in_lattice is not None:
         raise DomainError("inference implemented for full-grid windows")
-    window = colouring.window
-    d = window.dim
+    white, origin = colouring.white, colouring.window.origin
     candidates: dict[int, list[tuple[int, ...]]] = {}
     for p in primes_up_to(p_max):
-        found = []
-        for r in itertools.product(range(p), repeat=d):
-            if not colouring.white[coset_slice(r, p, window)].any():
-                found.append(r)
-        candidates[p] = found
+        # fold each axis mod p (padded with black): hit[j] says whether a white
+        # point sits at an array index congruent to j
+        hit = white
+        for axis in range(white.ndim):
+            pad = [(0, 0)] * white.ndim
+            pad[axis] = (0, -hit.shape[axis] % p)
+            hit = np.pad(hit, pad)
+            hit = hit.reshape(hit.shape[:axis] + (-1, p) + hit.shape[axis + 1:]).any(axis=axis)
+        # index j of coordinate k is residue j + origin[k]; the transpose puts
+        # coordinate 0 first, so argwhere lists residues lexicographically
+        hit = np.roll(hit, [o % p for o in origin[::-1]], axis=tuple(range(white.ndim)))
+        candidates[p] = [tuple(r) for r in np.argwhere(~hit.T).tolist()]
     warning = False
     m = re.search(r"\bP=(\d+)", colouring.provenance)
     if m and p_max > int(m.group(1)):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -478,6 +479,16 @@ def lattice_spec(kind: str, d: int | None = None) -> LatticeSpec:
     if kind_l == "leech":
         return _leech_spec()
     raise DomainError(f"unknown lattice kind {kind!r}")
+
+
+def lattice_from_id(lattice_id: str) -> LatticeSpec:
+    """The spec whose name is lattice_id: Z{d}, D{d}, E8, Leech or triangular."""
+    m = re.fullmatch(r"([ZD])(\d+)", lattice_id)
+    if m:
+        return lattice_spec("hypercubic" if m.group(1) == "Z" else "D", int(m.group(2)))
+    if lattice_id in ("E8", "Leech", "triangular"):
+        return lattice_spec(lattice_id)
+    raise DomainError(f"unknown lattice id {lattice_id!r}")
 
 
 def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",

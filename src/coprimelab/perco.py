@@ -496,6 +496,10 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
+    if trials < 1:
+        raise DomainError(f"need trials >= 1, got {trials}")
+    if P < 2:
+        raise DomainError(f"need P >= 2, got {P}")
     if lines > SIZE_BUDGET:
         raise DomainError(f"a trial of {lines} lines exceeds the budget of {SIZE_BUDGET}")
     chunks = [(kernel, event_args, P, dim, lines, master_seed, lo, hi)
@@ -531,8 +535,8 @@ def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
     seed trial_seed(master_seed, t); successes only depend on trial indices,
     so any worker count gives the identical count.
     """
-    if n < 1 or x < 1 or trials < 1 or P < 2:
-        raise DomainError("need n,x >= 1, trials >= 1, P >= 2")
+    if n < 1 or x < 1:
+        raise DomainError("need n,x >= 1")
     successes, first = _run_trials(_crossing_kernel, (n, x), P, 2, n, trials,
                                    master_seed, workers)
     witness = None if first is None else (first, True)
@@ -561,6 +565,9 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     witness is the first successful trial's (index, StaircaseResult)."""
     if n_max < 0:
         raise DomainError("n_max >= 0 required")
+    # refused before 2^(n_max+1) is computed, which for a huge n_max never ends
+    if n_max >= SIZE_BUDGET.bit_length():
+        raise DomainError(f"a staircase to stage {n_max} exceeds the budget of {SIZE_BUDGET}")
     side = 2 ** (n_max + 1)
     window = Window((0, 0), (side + 1, side + 1))
     window.require_budget()

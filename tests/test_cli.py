@@ -641,3 +641,68 @@ def test_oversized_event_is_refused_before_any_trial(capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "exceeds the budget" in err and "Traceback" not in err
+
+
+def test_oracle_beyond_int64_is_sampled(capsys, tmp_path):
+    code, out, err = run(capsys, "sample", "--oracle", "100000000000000000000,0",
+                         "--extents", "4,4", "--out", str(tmp_path))
+    assert code == 0 and err == ""
+    assert out.startswith("white fraction ")
+    assert "oracle = 100000000000000000000,0" in (tmp_path / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["crossing", "--n", "2", "--x", "2", "--trials", "0"], "need trials >= 1, got 0"),
+    (["annulus", "--k", "3", "--trials", "0"], "need trials >= 1, got 0"),
+    (["staircase", "--n-max", "1", "--trials", "0"], "need trials >= 1, got 0"),
+    (["spanning", "--length", "3", "--trials", "0"], "need trials >= 1, got 0"),
+    (["annulus", "--k", "3", "--P", "1", "--workers", "2"], "need P >= 2, got 1"),
+    (["staircase", "--n-max", "1", "--P", "1", "--workers", "2"], "need P >= 2, got 1"),
+    (["spanning", "--length", "3", "--P", "1", "--workers", "2"], "need P >= 2, got 1"),
+])
+def test_monte_carlo_arguments_are_refused_before_any_trial(capsys, monkeypatch, argv,
+                                                            message):
+    import concurrent.futures
+
+    def no_trials(chunk):
+        raise AssertionError("a trial ran")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(perco, "_trial_chunk", no_trials)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"domain error: {message}\n"
+
+
+def test_huge_staircase_is_refused_without_computing_its_side():
+    # a fresh process with capped memory and time: 2^(n_max+1) for a 20-digit
+    # n_max would never finish
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "coprimelab.cli", "staircase",
+         "--n-max", "100000000000000000000", "--trials", "1"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 2
+    assert proc.stderr == ("domain error: a staircase to stage 100000000000000000000 exceeds"
+                           " the budget of 67108864\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["golay"], "dump = 0"),
+    (["clusters", "--extents", "8,8"], "adjacency = D3"),
+    (["clusters", "--extents", "8,8"], "colour = grey"),
+    (["check", "--theorem", "setup"], "lattice = Z2"),
+    (["check", "--lattice", "square"], "theorem = 1"),
+])
+def test_config_values_outside_the_choices_are_parse_errors(capsys, tmp_path, argv, line):
+    # argparse checks the choices of flags only; config-file values get the same check
+    (tmp_path / "run.cfg").write_text(line + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(tmp_path / "run.cfg"))
+    assert code == 3 and out == ""
+    key, _, value = line.partition(" = ")
+    assert err.startswith(f"parse error: bad value for {key}: {value!r} (choices: ")

@@ -5,7 +5,9 @@ the expected colour point by point from the residue definition, or from gcd
 in the oracle case.
 """
 
+import itertools
 import math
+import random
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -23,6 +25,7 @@ from coprimelab.colouring import (
     Window,
     colour_window,
     coset_residues,
+    coset_slice,
     has_full_white_block,
     infer_cosets,
     lattice_from_id,
@@ -182,6 +185,16 @@ def test_oracle_matches_gcd_loop():
     assert not col.white_at(X)  # gcd 0 counts as black
 
 
+@pytest.mark.parametrize("X", [(10**20, 0), (0, -(10**20)), (3, 2**62)])
+def test_oracle_far_from_the_window(X):
+    # coordinates beyond int64 are taken as Python ints, not wrapped or refused
+    window = Window((-2, 1), (5, 4))
+    col = oracle_from_origin(X, window)
+    for idx in np.ndindex(*window.array_shape()):
+        point = (window.origin[0] + idx[1], window.origin[1] + idx[0])
+        assert col.white_at(point) == (math.gcd(point[0] - X[0], point[1] - X[1]) == 1)
+
+
 def test_sublattice_window_membership():
     d2 = lattice_from_id("D2")
     config = sample_coset_config(d2, 5, 11)
@@ -288,6 +301,30 @@ def test_infer_warns_beyond_cutoff():
     config = sample_coset_config(Z2, 13, 1)
     col = colour_window(config, Window((0, 0), (60, 60)))
     assert infer_cosets(col, 31).truncation_warning
+
+
+def _infer_by_product(col, p_max):
+    """The candidate lists by one slice test per residue, in product order."""
+    window = col.window
+    return {
+        p: [r for r in itertools.product(range(p), repeat=window.dim)
+            if not col.white[coset_slice(r, p, window)].any()]
+        for p in primes_up_to(p_max)
+    }
+
+
+def test_infer_folds_agree_with_the_product_loop():
+    # random 1-3-D windows with negative origins, and primes above the extents
+    rng = random.Random(11)
+    for trial in range(300):
+        d = rng.randint(1, 3)
+        window = Window(tuple(rng.randint(-40, 40) for _ in range(d)),
+                        tuple(rng.randint(1, 8 if d == 3 else 20) for _ in range(d)))
+        density = rng.choice([0.05, 0.3, 0.8])
+        white = np.random.default_rng(trial).random(window.array_shape()) < density
+        col = Colouring(window, white, f"Z{d}", "test")
+        p_max = rng.randint(2, 13 if d == 3 else 29)
+        assert infer_cosets(col, p_max).candidates == _infer_by_product(col, p_max), trial
 
 
 def test_truncation_error_bound_values():

@@ -638,3 +638,13 @@ def test_genset_array_matches_the_tuple_definitions(vectors, symmetrize, zero):
     if symmetric and not S.has_zero():
         # label_clusters contracts the upper half of rows: one of each {s, -s}
         assert S.rows[len(S) // 2:].tolist() == [list(v) for v in ref if v > neg(v)]
+
+
+def test_lattice_ids_are_parsed_beside_their_names():
+    from coprimelab import colouring
+
+    assert colouring.lattice_from_id is lattice.lattice_from_id
+    for kind, d in [("hypercubic", 1), ("hypercubic", 5), ("square", None), ("D", 2),
+                    ("D", 32), ("E8", None), ("Leech", None), ("triangular", None)]:
+        spec = lattice.lattice_spec(kind, d)
+        assert lattice.lattice_from_id(spec.name) == spec
