@@ -588,12 +588,6 @@ def _leech_minimal_set() -> GenSet:
     return S
 
 
-@lru_cache(maxsize=1)
-def _leech_minimal_keys() -> np.ndarray:
-    """_row_keys of the minimal Leech vectors, in their sorted order."""
-    return _row_keys(_leech_minimal_set().rows.astype(np.int8))
-
-
 # ---------------------------------------------------------------------------
 # Leech membership via binary digits
 
@@ -865,13 +859,6 @@ def _signed(support: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return (2 * support * (1 - 2 * minus)).astype(np.int8)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One bytes key per int8 row, in the rows' lexicographic order (the
-    sign bit is flipped, so byte order is signed order)."""
-    flipped = np.ascontiguousarray(rows ^ np.int8(-128))
-    return flipped.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
 def _sampled_minus_sets(supports: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
     """_REPLAY_SAMPLES even minus sets per support word, as 0/1 rows within
     the support rows given (support k's samples are rows k * _REPLAY_SAMPLES
@@ -916,11 +903,11 @@ def _split_paths(meet: int, o1: np.ndarray, o2: np.ndarray, minus: np.ndarray):
 def _replay(paths: np.ndarray, targets: np.ndarray, axis: int) -> None:
     """Walk (paths, steps, 24) steps from the origin; raise unless every step
     is a minimal vector in the axis slice, every partial sum stays in the
-    radius-2 box and every walk ends on its target."""
-    keys = _leech_minimal_keys()
-    steps = _row_keys(paths.reshape(-1, 24))
-    at = np.minimum(np.searchsorted(keys, steps), len(keys) - 1)
-    if not (keys[at] == steps).all() or paths[:, :, axis].any():
+    radius-2 box and every walk ends on its target.  The minimal vectors are
+    the lattice vectors of norm 32 (_leech_minimal_set builds all 196,560)."""
+    steps = paths.reshape(-1, 24).astype(np.int64)
+    minimal = leech_contains_bulk(steps, build_golay()) & ((steps * steps).sum(axis=1) == 32)
+    if not minimal.all() or paths[:, :, axis].any():
         raise AssertionError("path step is not a slice generator")
     walk = np.cumsum(paths, axis=1)
     if (np.abs(walk) > 2).any():
@@ -1005,14 +992,14 @@ def check_slice_connectivity(spec: LatticeSpec, S: GenSet, axis: int,
     if certify_radius < 1:
         raise DomainError("certify_radius >= 1 required")
     _require_normalized(spec)
-    if spec.name == "Leech":
-        if certify_radius != 2:
-            raise DomainError("the structured Leech certificate covers radius 2")
-        return _leech_slice_certificate(S, axis)
     if search_radius is None:
         search_radius = 2 * certify_radius
     if search_radius < certify_radius:
         raise DomainError("search_radius must cover certify_radius")
+    if spec.name == "Leech":
+        if certify_radius != 2:
+            raise DomainError("the structured Leech certificate covers radius 2")
+        return _leech_slice_certificate(S, axis)
     return _bfs_slice_certificate(spec, S, axis, certify_radius, search_radius)
 
 

@@ -27,11 +27,12 @@ from .rng import stream_seed, stream_seeds
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 MC_CSV_HEADER = "experiment,n,x,P,trials,successes,estimate,ci_lo,ci_hi,seed"
+_TRIAL_TAG = "trial"  # the substream tag of trial seeds
 
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Seed of the index-th trial's private substream family."""
-    return stream_seed(master_seed, "trial", index)
+    return stream_seed(master_seed, _TRIAL_TAG, index)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -195,6 +196,15 @@ class CrossingResult:
     witness: int | None
 
 
+def _lines(rect: tuple[int, int, int, int], kind: str) -> tuple[int, int, int, int, int]:
+    """(coordinate naming the lines, first line, line count, first point, points
+    per line) of a crossing: the rect's rows if horizontal, else its columns."""
+    i1, i2, j1, j2 = rect
+    if kind == "horizontal":
+        return 1, j1, j2 - j1 + 1, i1, i2 - i1 + 1
+    return 0, i1, i2 - i1 + 1, j1, j2 - j1 + 1
+
+
 def crossing(colouring: Colouring, rect: tuple[int, int, int, int],
              kind: str = "horizontal") -> CrossingResult:
     """Count fully-white rows (kind=horizontal) or columns (vertical) of rect.
@@ -216,14 +226,12 @@ def crossing(colouring: Colouring, rect: tuple[int, int, int, int],
         raise DomainError("rectangle leaves the window")
     oi, oj = window.origin
     sub = colouring.white[j1 - oj : j2 - oj + 1, i1 - oi : i2 - oi + 1]
-    axis = 1 if kind == "horizontal" else 0
-    full = sub.all(axis=axis)
+    axis, first, *_ = _lines(rect, kind)
+    full = sub.all(axis=axis)  # in 2-D, array axis `axis` runs along the lines
     count = int(full.sum())
     if count == 0:
         return CrossingResult(kind, rect, False, 0, None)
-    first = int(np.argmax(full))
-    witness = (j1 if kind == "horizontal" else i1) + first
-    return CrossingResult(kind, rect, True, count, witness)
+    return CrossingResult(kind, rect, True, count, first + int(np.argmax(full)))
 
 
 @dataclass(frozen=True)
@@ -249,22 +257,22 @@ class AnnulusResult:
         ]
 
 
-def annulus_event(colouring: Colouring, k: int) -> AnnulusResult:
-    """White circuit event at scale k: four crossings surrounding [-k/3, k/3]^2.
-
-    The two vertical strips [-k,-k/3] and [k/3,k] must contain a fully-white
-    column over [-k,k], the two horizontal strips a fully-white row.
-    """
+def _annulus_crossings(k: int) -> list:
+    """The (rect, kind) crossings surrounding [-k/3, k/3]^2 at scale k: a
+    fully-white column over [-k,k] in each vertical strip [-k,-k/3] and
+    [k/3,k], a fully-white row in each horizontal strip."""
     if k < 3 or k % 3:
         raise DomainError(f"annulus scale must be a positive multiple of 3, got {k}")
     m = k // 3
-    left = crossing(colouring, (-k, -m, -k, k), "vertical")
-    right = crossing(colouring, (m, k, -k, k), "vertical")
-    bottom = crossing(colouring, (-k, k, -k, -m), "horizontal")
-    top = crossing(colouring, (-k, k, m, k), "horizontal")
-    if left.crossed and right.crossed and bottom.crossed and top.crossed:
-        return AnnulusResult(k, True, left.witness, right.witness,
-                             bottom.witness, top.witness)
+    return [((-k, -m, -k, k), "vertical"), ((m, k, -k, k), "vertical"),
+            ((-k, k, -k, -m), "horizontal"), ((-k, k, m, k), "horizontal")]
+
+
+def annulus_event(colouring: Colouring, k: int) -> AnnulusResult:
+    """White circuit event at scale k: all four of _annulus_crossings(k)."""
+    results = [crossing(colouring, *c) for c in _annulus_crossings(k)]
+    if all(r.crossed for r in results):
+        return AnnulusResult(k, True, *(r.witness for r in results))
     return AnnulusResult(k, False)
 
 
@@ -319,48 +327,43 @@ class StaircaseResult:
 def _segment(a: tuple[int, int], b: tuple[int, int]) -> list[tuple[int, int]]:
     """Unit-step walk from a to b along the one axis where they differ."""
     (ax, ay), (bx, by) = a, b
-    if ax == bx:
-        step = 1 if by > ay else -1
-        return [(ax, y) for y in range(ay, by + step, step)]
-    if ay == by:
-        step = 1 if bx > ax else -1
-        return [(x, ay) for x in range(ax, bx + step, step)]
-    raise AssertionError("segment endpoints differ in both axes")
+    if ax != bx and ay != by:
+        raise AssertionError("segment endpoints differ in both axes")
+    dx, dy = (bx > ax) - (bx < ax), (by > ay) - (by < ay)
+    return [(ax + t * dx, ay + t * dy) for t in range(abs(bx - ax) + abs(by - ay) + 1)]
+
+
+def _staircase_crossings(n_min: int, n_max: int) -> list:
+    """Stages n_min..n_max: stage n crosses [0, 2^(n+1)] x [0, 2^n] by a row
+    for even n, with the roles of the axes swapped for odd n."""
+    return [((0, 2 ** (n + 1), 0, 2**n), "horizontal") if n % 2 == 0
+            else ((0, 2**n, 0, 2 ** (n + 1)), "vertical") for n in range(n_min, n_max + 1)]
 
 
 def staircase(colouring: Colouring, n_min: int, n_max: int) -> StaircaseResult:
     """Check the alternating dyadic crossings and concatenate their witnesses.
 
-    Stage n uses the rectangle [0, 2^(n+1)] x [0, 2^n], crossed horizontally
-    for even n and with the roles of the axes swapped for odd n.  On success
+    Stages n_min..n_max are _staircase_crossings(n_min, n_max).  On success
     the witness lines are joined at their pairwise intersections into one
     explicit white path, verified point by point.
     """
     if n_min < 0 or n_min > n_max:
         raise DomainError("need 0 <= n_min <= n_max")
     witnesses = []
-    for n in range(n_min, n_max + 1):
-        long_side, short_side = 2 ** (n + 1), 2**n
-        if n % 2 == 0:
-            res = crossing(colouring, (0, long_side, 0, short_side), "horizontal")
-        else:
-            res = crossing(colouring, (0, short_side, 0, long_side), "vertical")
+    for n, c in enumerate(_staircase_crossings(n_min, n_max), n_min):
+        res = crossing(colouring, *c)
         if not res.crossed:
             return StaircaseResult(n_min, n_max, tuple(witnesses), None)
         witnesses.append((n, res.kind, res.witness))
 
-    points: list[tuple[int, int]] = []
-    n0, kind0, c0 = witnesses[0]
-    cursor = (0, c0) if kind0 == "horizontal" else (c0, 0)
-    points.append(cursor)
-    for (na, kind_a, ca), (_, kind_b, cb) in zip(witnesses, witnesses[1:]):
-        meet = (cb, ca) if kind_a == "horizontal" else (ca, cb)
-        points.extend(_segment(cursor, meet)[1:])
-        cursor = meet
-    n_last, kind_last, c_last = witnesses[-1]
-    far = 2 ** (n_last + 1)
-    end = (far, c_last) if kind_last == "horizontal" else (c_last, far)
-    points.extend(_segment(cursor, end)[1:])
+    # corners: the first line's start, where each line meets the next, the
+    # last line's far end; corner i lies on line on[i] at position at[i]
+    on = witnesses[:1] + witnesses[:-1] + witnesses[-1:]
+    at = [0] + [c for _, _, c in witnesses[1:]] + [2 ** (witnesses[-1][0] + 1)]
+    corners = [(t, c) if kind == "horizontal" else (c, t) for (_, kind, c), t in zip(on, at)]
+    points = corners[:1]
+    for a, b in zip(corners, corners[1:]):
+        points.extend(_segment(a, b)[1:])
 
     for p, q in zip(points, points[1:]):
         if abs(p[0] - q[0]) + abs(p[1] - q[1]) != 1:
@@ -422,35 +425,37 @@ def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
     return white[:, :length]
 
 
-def _crossing_kernel(primes, residues, n: int, x: int) -> np.ndarray:
+def _line_count(crossings) -> int:
+    """Most lines one of the crossings tests: the line budget of a trial."""
+    return max(_lines(*c)[2] for c in crossings)
+
+
+def _crossed(primes, residues, crossings) -> np.ndarray:
+    """Every (rect, kind) crossing crossed, as crossing() decides it on a
+    window colouring: some line of each rect stays white."""
+    hit = np.ones(len(residues), dtype=bool)
+    for c in crossings:
+        axis, *spans = _lines(*c)
+        hit &= _white_lines(residues[..., axis], residues[..., 1 - axis], primes,
+                            *spans).any(axis=1)
+    return hit
+
+
+def _box_crossings(n: int, x: int) -> list:
     """Some row 1..n white across the columns 1..x."""
-    rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x)
-    return rows.any(axis=1)
+    return [((1, x, 1, n), "horizontal")]
+
+
+def _crossing_kernel(primes, residues, n: int, x: int) -> np.ndarray:
+    return _crossed(primes, residues, _box_crossings(n, x))
 
 
 def _annulus_kernel(primes, residues, k: int) -> np.ndarray:
-    """annulus_event on [-k, k]^2: a white column over [-k, k] in each of the
-    strips [-k, -k/3] and [k/3, k], and a white row in each."""
-    m = k // 3
-    x, y = residues[..., 0], residues[..., 1]
-    hit = np.ones(len(residues), dtype=bool)
-    for r_line, r_across in ((x, y), (y, x)):
-        for lo in (-k, m):
-            hit &= _white_lines(r_line, r_across, primes, lo, k - m + 1,
-                                -k, 2 * k + 1).any(axis=1)
-    return hit
+    return _crossed(primes, residues, _annulus_crossings(k))
 
 
 def _staircase_kernel(primes, residues, n_max: int) -> np.ndarray:
-    """staircase stages 0..n_max all crossed: stage n crosses
-    [0, 2^(n+1)] x [0, 2^n] by a row for even n, axes swapped for odd n."""
-    x, y = residues[..., 0], residues[..., 1]
-    hit = np.ones(len(residues), dtype=bool)
-    for n in range(n_max + 1):
-        r_line, r_across = (y, x) if n % 2 == 0 else (x, y)
-        hit &= _white_lines(r_line, r_across, primes, 0, 2**n + 1,
-                            0, 2 ** (n + 1) + 1).any(axis=1)
-    return hit
+    return _crossed(primes, residues, _staircase_crossings(0, n_max))
 
 
 def _spanning_kernel(primes, residues, L: int) -> np.ndarray:
@@ -465,26 +470,17 @@ def _crossing_trial(seed: int, n: int, x: int, P: int) -> bool:
 
 
 def _trial_chunk(args):
-    """Run trials lo..hi-1: (successes, index of the first success or None).
-
-    Each trial draws dim residues per prime p <= P, and the kernel tests at
-    most `lines` lines per trial.
-    """
-    kernel, event_args, P, dim, lines, master_seed, lo, hi = args
-    step = max(1, _BATCH_ENTRIES // (len(primes_up_to(P)) * dim + lines))
+    """Run trials lo..hi-1, `step` at a time: (successes, index of the first
+    success or None)."""
+    kernel, event_args, P, dim, step, master_seed, lo, hi = args
     successes, first = 0, None
     for start in range(lo, hi, step):
-        seeds = stream_seeds([master_seed], "trial", range(start, min(hi, start + step)))[0]
+        seeds = stream_seeds([master_seed], _TRIAL_TAG, range(start, min(hi, start + step)))[0]
         hit = kernel(*coset_residues(seeds, P, dim), *event_args)
         successes += int(hit.sum())
         if first is None and hit.any():
             first = start + int(hit.argmax())
     return successes, first
-
-
-def _chunk_ranges(trials: int, pieces: int):
-    step = max(1, math.ceil(trials / pieces))
-    return [(lo, min(trials, lo + step)) for lo in range(0, trials, step)]
 
 
 def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials: int,
@@ -502,8 +498,11 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
         raise DomainError(f"need P >= 2, got {P}")
     if lines > SIZE_BUDGET:
         raise DomainError(f"a trial of {lines} lines exceeds the budget of {SIZE_BUDGET}")
-    chunks = [(kernel, event_args, P, dim, lines, master_seed, lo, hi)
-              for lo, hi in _chunk_ranges(trials, workers * 4)]
+    # each trial draws dim residues per prime p <= P and tests at most `lines` lines
+    step = max(1, _BATCH_ENTRIES // (len(primes_up_to(P)) * dim + lines))
+    size = max(1, math.ceil(trials / (workers * 4)))
+    chunks = [(kernel, event_args, P, dim, step, master_seed, lo, min(trials, lo + size))
+              for lo in range(0, trials, size)]
     processes = min(workers, len(chunks), os.cpu_count() or 1)
     if processes <= 1:
         results = [_trial_chunk(c) for c in chunks]
@@ -537,8 +536,8 @@ def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
     """
     if n < 1 or x < 1:
         raise DomainError("need n,x >= 1")
-    successes, first = _run_trials(_crossing_kernel, (n, x), P, 2, n, trials,
-                                   master_seed, workers)
+    successes, first = _run_trials(_crossing_kernel, (n, x), P, 2,
+                                   _line_count(_box_crossings(n, x)), trials, master_seed, workers)
     witness = None if first is None else (first, True)
     return McStats("crossing", n, x, P, trials, successes, master_seed, witness)
 
@@ -547,12 +546,11 @@ def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
                      workers: int = 1) -> McStats:
     """Frequency of the white-circuit event at scale k; the witness is the
     first successful trial's (index, AnnulusResult)."""
-    if k < 3 or k % 3:
-        raise DomainError("annulus scale must be a positive multiple of 3")
+    lines = _line_count(_annulus_crossings(k))
     window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
     # checked before any trial, so a refusal does not depend on a success
     window.require_budget()
-    successes, first = _run_trials(_annulus_kernel, (k,), P, 2, k - k // 3 + 1, trials,
+    successes, first = _run_trials(_annulus_kernel, (k,), P, 2, lines, trials,
                                    master_seed, workers)
     witness = _witness(first, master_seed, P, window, lambda col: annulus_event(col, k),
                        lambda result: result.occurred)
@@ -571,7 +569,8 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     side = 2 ** (n_max + 1)
     window = Window((0, 0), (side + 1, side + 1))
     window.require_budget()
-    successes, first = _run_trials(_staircase_kernel, (n_max,), P, 2, 2**n_max + 1, trials,
+    successes, first = _run_trials(_staircase_kernel, (n_max,), P, 2,
+                                   _line_count(_staircase_crossings(0, n_max)), trials,
                                    master_seed, workers)
     witness = _witness(first, master_seed, P, window, lambda col: staircase(col, 0, n_max),
                        lambda result: result.succeeded)

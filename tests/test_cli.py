@@ -659,6 +659,8 @@ def test_oracle_beyond_int64_is_sampled(capsys, tmp_path):
     (["annulus", "--k", "3", "--P", "1", "--workers", "2"], "need P >= 2, got 1"),
     (["staircase", "--n-max", "1", "--P", "1", "--workers", "2"], "need P >= 2, got 1"),
     (["spanning", "--length", "3", "--P", "1", "--workers", "2"], "need P >= 2, got 1"),
+    (["spanning", "--length", "3", "--P", "100000000", "--workers", "2", "--trials", "8"],
+     "prime table limit 100000000 exceeds the budget of 67108864"),
 ])
 def test_monte_carlo_arguments_are_refused_before_any_trial(capsys, monkeypatch, argv,
                                                             message):

@@ -309,6 +309,30 @@ print("numpy.ma" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
+def test_leech_slice_certificate_checks_the_search_radius():
+    spec, S = standard_lattice("Leech")
+    with pytest.raises(DomainError, match="search_radius must cover certify_radius"):
+        check_slice_connectivity(spec, S, 0, 2, 1)
+    # the structured walks stay inside the radius-2 box
+    assert check_slice_connectivity(spec, S, 0, 2, 2).passed
+
+
+def test_leech_replay_checks_each_step_is_a_minimal_vector(code):
+    # an even-signed octad is a step; a norm-64 lattice vector and an
+    # odd-signed octad (norm 32, outside the lattice) are not
+    octad = next(w for w in code.octads if not w >> 23 & 1)
+    support = np.array([octad >> k & 1 for k in range(24)], dtype=np.int8)
+    step = 2 * support
+    lattice._replay(step[None, None], step[None], 23)
+    odd = step.copy()
+    odd[np.flatnonzero(support)[0]] = -2
+    double = np.zeros(24, dtype=np.int8)
+    double[:4] = 4
+    for bad in (odd, double):
+        with pytest.raises(AssertionError, match="not a slice generator"):
+            lattice._replay(bad[None, None], bad[None], 23)
+
+
 def test_leech_slice_certificate_refuses_other_generating_sets():
     spec, S = standard_lattice("Leech")
     with pytest.raises(DomainError, match="minimal-vector set"):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from coprimelab.arith import line_white_trunc, pair_line_trunc, primes_up_to
 from coprimelab.colouring import (
     Colouring,
+    CosetConfig,
     Window,
     colour_window,
     coset_residues,
@@ -24,6 +25,7 @@ from coprimelab.colouring import (
 )
 from coprimelab.errors import DomainError
 from coprimelab.lattice import GenSet, standard_lattice
+from coprimelab.rng import RNG_ID
 from coprimelab.perco import (
     MC_CSV_HEADER,
     McStats,
@@ -42,6 +44,7 @@ from coprimelab.perco import (
 )
 from coprimelab.perco import (
     _annulus_kernel,
+    _crossed,
     _crossing_kernel,
     _crossing_trial,
     _spanning_kernel,
@@ -578,3 +581,50 @@ def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
     moment = Fraction(int((N * N).sum()), len(rows))
     assert moment == n * line_white_trunc(x, P) + sum(
         2 * (n - d) * pair_line_trunc(d, x, P) for d in range(1, n))
+
+
+# Each kernel against its event on every configuration at P = 5: 900 in 2-D,
+# 27,000 in 3-D.  At P = 5 the annulus at k = 9 always occurs (any 7
+# consecutive lines miss the chosen classes of 2, 3 and 5), so it runs at k = 3.
+_EXHAUSTIVE_CASES = {
+    "crossing": (_crossing_kernel, (3, 4), Window((1, 1), (4, 3)),
+                 lambda col: crossing(col, (1, 4, 1, 3), "horizontal").crossed),
+    # columns shorter than P, which no estimator's event has at P = 5
+    "columns": (_crossed, ([((1, 3, 1, 4), "vertical")],), Window((1, 1), (3, 4)),
+                lambda col: crossing(col, (1, 3, 1, 4), "vertical").crossed),
+    "annulus": (_annulus_kernel, (3,), Window((-3, -3), (7, 7)),
+                lambda col: annulus_event(col, 3).occurred),
+    "staircase": (_staircase_kernel, (3,), Window((0, 0), (17, 17)),
+                  lambda col: staircase(col, 0, 3).succeeded),
+    "spanning": (_spanning_kernel, (6,), Window((0, 0, 0), (1, 1, 7)),
+                 lambda col: spanning_stats(col).all_white),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXHAUSTIVE_CASES))
+def test_line_kernels_equal_window_events_on_every_configuration(monkeypatch, case):
+    from coprimelab import perco
+
+    kernel, args, window, event = _EXHAUSTIVE_CASES[case]
+    spec = Z2 if window.dim == 2 else Z3
+    primes, residues = all_residues(5, window.dim)
+    lengths = []
+
+    def spy(r_line, r_across, primes, line_lo, length, *along):
+        lengths.append(length)
+        return _white_lines(r_line, r_across, primes, line_lo, length, *along)
+
+    monkeypatch.setattr(perco, "_white_lines", spy)
+    got = kernel(primes, residues, *args).tolist()
+    want = []
+    for picks in residues.tolist():
+        reps = dict(zip(primes.tolist(), map(tuple, picks)))
+        config = CosetConfig(spec.name, 5, 0, RNG_ID, reps)
+        want.append(event(colour_window(config, window)))
+    assert got == want
+    assert 0 < sum(want) < len(want)  # both outcomes are exercised
+    if window.dim == 2:
+        # both branches of _white_lines: a prime below some line count loops
+        # over its lines, and a prime at or above one blackens at most one
+        assert any(n > primes[0] for n in lengths)
+        assert any(n <= primes[-1] for n in lengths)
