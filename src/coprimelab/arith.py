@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,21 +111,27 @@ def _as_interval(value) -> Interval:
 # primes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes <= limit, ascending."""
+    """All primes up to a limit, ascending, as one read-only int64 array;
+    primes and iteration give Python ints, whose products never wrap."""
 
-    limit: int
-    primes: tuple[int, ...]
+    array: np.ndarray
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.primes)
+        return len(self.array)
 
     def __iter__(self):
-        return iter(self.primes)
+        return iter(self.array.tolist())
 
 
+@lru_cache(maxsize=1)
 def primes_up_to(limit: int) -> PrimeTable:
+    """The one prime sieve; every caller in a process shares the last table."""
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
     if limit > SIZE_BUDGET:  # the sieve takes limit + 1 bytes
@@ -134,8 +141,9 @@ def primes_up_to(limit: int) -> PrimeTable:
     for i in range(2, math.isqrt(limit) + 1):
         if is_prime[i]:
             is_prime[i * i :: i] = False
-    values = np.nonzero(is_prime)[0]
-    return PrimeTable(limit, tuple(int(p) for p in values))
+    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
+    primes.flags.writeable = False
+    return PrimeTable(primes)
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
@@ -143,10 +151,13 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     if limit < 1:
         raise DomainError("spf table needs limit >= 1")
     spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            block = spf[p::p]
-            block[block == 0] = p
+    # a composite k has its least prime factor p <= sqrt(k) and is a multiple
+    # of p from p^2 on; marking in descending order lets the least p write last
+    if limit >= 4:
+        for p in primes_up_to(math.isqrt(limit)).array[::-1]:
+            spf[p * p :: p] = p
+    unmarked = np.flatnonzero(spf == 0)[2:]
+    spf[unmarked] = unmarked
     return spf
 
 
@@ -498,12 +509,9 @@ def pair_ratio_base(x: int, P: int) -> Interval:
         m = min(p, x)
         return (1, 1) if p == 2 else ((p * p - 2 * m) * p * p, (p * p - m) ** 2)
 
-    # |log factor| <= 4 (x/p^2)^2 once x/p^2 <= 1/4, the condition the
-    # pair-line tail (factors 1 - 2x/p^2) checks for every tail prime
-    _tail_one_minus(2 * x, Q)
+    # |log factor| <= 4 (x/p^2)^2 once x/p^2 <= 1/4; every tail prime is at least
+    # m > Q >= x, and 4x <= (x+1)^2 <= m^2, while eps <= 2/(3x) <= 1/3 keeps 1 - eps > 0
     eps = 4 * x * x * prime_power_tail_sum(Q, 4)
-    if eps >= 1:
-        raise DomainError("tail too wide; raise P")
     tail = Interval(1 - eps, 1 / (1 - eps))
     return _euler_product(factor, Q) * tail
 

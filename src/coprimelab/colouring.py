@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .arith import primes_up_to
-from .errors import SIZE_BUDGET, DomainError, ParseError
+from .errors import CANDIDATE_BUDGET, SIZE_BUDGET, DomainError, ParseError
 from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_from_id
 from .rng import RNG_ID, below_lanes, stream_seeds
 
@@ -136,7 +136,7 @@ def coset_residues(seeds, P: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     A prime's residues do not depend on which other primes or seeds are
     drawn.  Both arrays are int64; residues has shape (seeds, primes, dim).
     """
-    primes = np.array(primes_up_to(P).primes, dtype=np.int64)
+    primes = primes_up_to(P).array
     states = stream_seeds(seeds, "coset", primes)
     residues = [below_lanes(states, primes) for _ in range(dim)]
     return primes, np.stack(residues, axis=-1).astype(np.int64)
@@ -253,6 +253,18 @@ class InferResult:
     truncation_warning: bool
 
 
+def _fold(white: np.ndarray, p: int) -> np.ndarray:
+    """hit[j] says whether a white point sits at an array index congruent to j
+    mod p, every axis folded mod p (padded with black)."""
+    hit = white
+    for axis in range(white.ndim):
+        pad = [(0, 0)] * white.ndim
+        pad[axis] = (0, -hit.shape[axis] % p)
+        hit = np.pad(hit, pad)
+        hit = hit.reshape(hit.shape[:axis] + (-1, p) + hit.shape[axis + 1:]).any(axis=axis)
+    return hit
+
+
 def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
     """All residues r mod p whose entire class is black in the window, p <= p_max.
 
@@ -263,19 +275,18 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
     if colouring.in_lattice is not None:
         raise DomainError("inference implemented for full-grid windows")
     white, origin = colouring.white, colouring.window.origin
+    primes = primes_up_to(p_max)
+    # at most p^dim candidates per prime, summed in Python ints (int64 wraps for dim >= 3)
+    bound = sum(p**white.ndim for p in primes)
+    if bound > CANDIDATE_BUDGET:
+        raise DomainError(f"p_max={p_max} allows {bound} candidates, which exceeds"
+                          f" the budget of {CANDIDATE_BUDGET}")
     candidates: dict[int, list[tuple[int, ...]]] = {}
-    for p in primes_up_to(p_max):
-        # fold each axis mod p (padded with black): hit[j] says whether a white
-        # point sits at an array index congruent to j
-        hit = white
-        for axis in range(white.ndim):
-            pad = [(0, 0)] * white.ndim
-            pad[axis] = (0, -hit.shape[axis] % p)
-            hit = np.pad(hit, pad)
-            hit = hit.reshape(hit.shape[:axis] + (-1, p) + hit.shape[axis + 1:]).any(axis=axis)
+    for p in primes:
         # index j of coordinate k is residue j + origin[k]; the transpose puts
         # coordinate 0 first, so argwhere lists residues lexicographically
-        hit = np.roll(hit, [o % p for o in origin[::-1]], axis=tuple(range(white.ndim)))
+        shift = [o % p for o in origin[::-1]]
+        hit = np.roll(_fold(white, p), shift, axis=tuple(range(white.ndim)))
         candidates[p] = [tuple(r) for r in np.argwhere(~hit.T).tolist()]
     warning = False
     m = re.search(r"\bP=(\d+)", colouring.provenance)

@@ -4,6 +4,11 @@
 # coordinates, visited bytes, lines per trial), checked before allocating.
 SIZE_BUDGET = 1 << 26
 
+# The most residue candidates inference may list (the sum of p^dim over
+# p <= p_max), checked before any fold: on a 64^2 window the largest p_max
+# under it, 251 (bound 995,777), peaks at 124.5-125.4 MB RSS.
+CANDIDATE_BUDGET = 1 << 20
+
 
 class DomainError(ValueError):
     """An argument is outside the range an operation is defined for."""

@@ -26,6 +26,7 @@ from coprimelab.arith import (
     pair_line_prob,
     pair_line_trunc,
     pair_over_line_sq,
+    pair_ratio_base,
     phi_partial_sum,
     phi_partial_sum_interval,
     phi_sqf,
@@ -302,3 +303,17 @@ def test_product_accumulator_encloses_exact_product(factors):
         assert iv.contains(exact)
         if mode:
             assert iv.lo == iv.hi == exact
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 7, 8, 64, 101, 512, 10**6 + 1])
+@pytest.mark.parametrize("P", [2, 3, 50, 101, 3232])
+def test_pair_ratio_tail_needs_no_checks(x, P):
+    # with m the first odd integer above Q = max(P, x), every tail prime has
+    # 2x/p^2 <= 1/2 and the log-sum bound eps stays at most 1/3
+    Q = max(P, x)
+    m = Q + 1 if Q % 2 == 0 else Q + 2
+    assert 4 * x <= m * m
+    eps = 4 * x * x * prime_power_tail_sum(Q, 4)
+    assert eps <= Fraction(2, 3 * x) <= Fraction(1, 3)
+    if Q <= 512:
+        assert pair_ratio_base(x, P).lo > 0

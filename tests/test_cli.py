@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprimelab import perco
+from coprimelab import colouring, perco
 from coprimelab.cli import _SPECS, _read_config, build_parser, main
 from coprimelab.colouring import (
     Window,
@@ -535,6 +535,23 @@ def test_infer_reports_truth(capsys, tmp_path):
                        "--p-max", "11")
     assert code == 0
     assert "warning" in out  # asked beyond the sampled cutoff
+
+
+@pytest.mark.parametrize("p_max,bound", [(257, 1061826), (800, 25846782)])
+def test_infer_beyond_candidate_budget_is_refused_before_any_fold(
+        capsys, monkeypatch, tmp_path, p_max, bound):
+    # p_max=251 allows 995,777 candidates, within the budget of 2^20
+    def no_fold(white, p):
+        raise AssertionError("a prime was folded")
+
+    assert main(["sample", "--out", str(tmp_path), "--extents", "64,64", "--P", "97"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(colouring, "_fold", no_fold)
+    code, out, err = run(capsys, "infer", "--pgm", str(tmp_path / "colouring.pgm"),
+                         "--p-max", str(p_max))
+    assert code == 2 and out == ""
+    assert f"allows {bound} candidates, which exceeds the budget" in err
+    assert "Traceback" not in err
 
 
 def _pgm(size=b"2 2", origin=b"0 0", provenance=b"lattice=Z2"):

@@ -1,0 +1,64 @@
+"""The prime table: one read-only int64 array, sieved once per limit."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import sympy
+
+from coprimelab.arith import primes_up_to, smallest_prime_factors
+from coprimelab.perco import estimate_crossing
+
+
+def _least_factor(k: int) -> int:
+    return next(p for p in range(2, k + 1) if k % p == 0)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 10**5 + 3])
+def test_primes_match_sympy(limit):
+    table = primes_up_to(limit)
+    expected = tuple(sympy.primerange(2, limit + 1))
+    assert table.primes == expected
+    assert list(table) == list(expected) and len(table) == len(expected)
+    assert table.array.dtype == np.int64
+
+
+def test_smallest_prime_factors_match_trial_division():
+    spf = smallest_prime_factors(10**4)
+    assert spf[0] == spf[1] == 0
+    assert spf[2:].tolist() == [_least_factor(k) for k in range(2, 10**4 + 1)]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5])
+def test_smallest_prime_factors_at_tiny_limits(limit):
+    # sqrt(limit) < 2 for limits 1-3: no prime marks a multiple
+    expected = [0, 0] + [_least_factor(k) for k in range(2, limit + 1)]
+    assert smallest_prime_factors(limit).tolist() == expected
+
+
+def test_prime_array_is_read_only():
+    table = primes_up_to(30)
+    with pytest.raises(ValueError):
+        table.array[0] = 4
+    assert table.primes[0] == 2
+
+
+def test_crossing_run_sieves_once():
+    # every sub-batch and the batch sizing share one table
+    primes_up_to.cache_clear()
+    estimate_crossing(2, 2, 50, 10**5, 1)
+    assert primes_up_to.cache_info().misses == 1
+
+
+def test_largest_table_stays_compact():
+    # the limit + 1 sieve bytes plus the 8-byte primes, with no tuple beside them
+    primes_up_to.cache_clear()
+    tracemalloc.start()
+    try:
+        table = primes_up_to(2**26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        primes_up_to.cache_clear()
+    assert len(table) == 3_957_809
+    assert peak < 128 * 2**20
