@@ -23,6 +23,7 @@ import numpy as np
 
 from .arith import (
     SECOND_MOMENT_CSV_HEADER,
+    decimal_str,
     second_moment_bound,
 )
 from .colouring import (
@@ -277,6 +278,13 @@ def cmd_bounds(args) -> int:
     report = second_moment_bound(args.n, args.x, args.P)
     args.P = report.P
     _emit(args, "bounds.csv", SECOND_MOMENT_CSV_HEADER + "\n" + report.csv_row() + "\n")
+    # notes go to stderr, so the CSV row stays the one a cutoff of P prints
+    if report.P < report.x:
+        print(f"note: P={report.P} is below x={report.x}; the products ran to the"
+              f" effective cutoff max(P, x) = {report.x}", file=sys.stderr)
+    if report.r_upper >= 1:
+        print(f"note: r_upper={decimal_str(report.r_upper)} is at least 1, so the bound"
+              " is vacuous", file=sys.stderr)
     return 0
 
 

@@ -401,6 +401,12 @@ def spanning_stats(colouring: Colouring) -> SpanningStats:
 # memory stays flat whatever the trial count or P.
 _BATCH_ENTRIES = 1 << 16
 
+# Fewest entries of one chunk of trials.  An entry costs about 0.3-0.4 us in
+# process, so a chunk is about 0.3-0.4 s of work, some ten times the CPU a
+# worker process takes to start and stop (0.03-0.04 s, 2-core host); a run of
+# one chunk starts no pool.
+_CHUNK_ENTRIES = 1 << 20
+
 
 def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
                  across_lo: int, across_len: int) -> np.ndarray:
@@ -488,7 +494,10 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
     """Success count and index of the first success over all trials.
 
     Trial t always uses seed trial_seed(master_seed, t), and the first
-    success is the lowest such t, so neither depends on the worker count.
+    success is the lowest such t, so neither depends on the worker count or
+    the chunking.  Trials run in chunks of at least _CHUNK_ENTRIES entries,
+    at most one worker process per core this process may run on; a run too
+    small to pay for a worker makes one chunk and runs in this process.
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
@@ -499,11 +508,14 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
     if lines > SIZE_BUDGET:
         raise DomainError(f"a trial of {lines} lines exceeds the budget of {SIZE_BUDGET}")
     # each trial draws dim residues per prime p <= P and tests at most `lines` lines
-    step = max(1, _BATCH_ENTRIES // (len(primes_up_to(P)) * dim + lines))
-    size = max(1, math.ceil(trials / (workers * 4)))
+    entries = len(primes_up_to(P)) * dim + lines
+    step = max(1, _BATCH_ENTRIES // entries)
+    size = max(math.ceil(trials / (workers * 4)), math.ceil(_CHUNK_ENTRIES / entries))
     chunks = [(kernel, event_args, P, dim, step, master_seed, lo, min(trials, lo + size))
               for lo in range(0, trials, size)]
-    processes = min(workers, len(chunks), os.cpu_count() or 1)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    processes = min(workers, len(chunks), cores)
     if processes <= 1:
         results = [_trial_chunk(c) for c in chunks]
     else:

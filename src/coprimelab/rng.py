@@ -76,13 +76,22 @@ def stream_seeds(master_seeds, tag: str, indices) -> np.ndarray:
     array of shape (len(master_seeds), len(indices)).
 
     One SHA-256 per pair defines the stream, so this hashing is the floor.
+    Each master seed's row is filled in turn, every index hashed from a copy
+    of the state that has already absorbed the seed and tag, so only one
+    row's digests are alive at once; the keys are those of stream_seed.
     """
-    heads = [f"{int(m) & _MASK64}\x1f{tag}\x1f".encode() for m in master_seeds]
     tails = [str(int(i)).encode() for i in indices]
-    sha = hashlib.sha256
-    digests = b"".join([sha(h + t).digest() for h in heads for t in tails])
-    words = np.frombuffer(digests, "<u8").reshape(len(heads), len(tails), 4)
-    return words[:, :, 0].astype(np.uint64)
+    out = np.empty((len(master_seeds), len(tails)), dtype=np.uint64)
+    for row, m in zip(out, master_seeds):
+        head = hashlib.sha256(f"{int(m) & _MASK64}\x1f{tag}\x1f".encode())
+        digests = []
+        for t in tails:
+            h = head.copy()
+            h.update(t)
+            digests.append(h.digest())
+        # the first 8 of each digest's 32 bytes, read little-endian
+        row[:] = np.frombuffer(b"".join(digests), "<u8")[::4]
+    return out
 
 
 def below_lanes(states: np.ndarray, n) -> np.ndarray:

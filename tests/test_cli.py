@@ -221,6 +221,18 @@ def test_bounds_with_cutoff_at_an_even_width_names_the_cutoff(capsys):
     assert err.startswith("domain error") and "raise P above x=10000" in err
 
 
+def test_bounds_notes_its_effective_cutoff_and_a_vacuous_bound(capsys):
+    code, out, err = run(capsys, "bounds", "--n", "8", "--x", "101", "--P", "50")
+    assert code == 0
+    assert out.splitlines()[1] == "8,101,50,0.00116790225660,0.119126030173,106.611883856"
+    assert err.splitlines() == [
+        "note: P=50 is below x=101; the products ran to the effective cutoff max(P, x) = 101",
+        "note: r_upper=106.611883856 is at least 1, so the bound is vacuous",
+    ]
+    code, _, err = run(capsys, "bounds", "--n", "256", "--x", "256")
+    assert code == 0 and err == ""
+
+
 # one tiny run per command; infer reads the PGM of the sample run
 ROUND_TRIPS = {
     "sample": "sample --extents 12,10 --P 13 --seed 3",

@@ -345,6 +345,63 @@ def test_worker_processes_never_exceed_cores(monkeypatch):
     assert many == estimate_crossing(8, 8, 40, 23, 99, workers=1)
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool started")
+
+
+def test_a_run_too_small_for_a_worker_starts_no_pool(monkeypatch):
+    # 1000 trials of 172 * 2 + 512 entries each: one chunk, run in this process
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    stats = estimate_crossing(512, 512, 1000, 1024, 0, workers=2)
+    assert stats.trials == 1000 and stats.witness is not None
+
+
+def test_workers_are_capped_at_the_cores_this_process_may_use(monkeypatch):
+    import concurrent.futures
+    import os
+
+    from coprimelab import perco
+
+    monkeypatch.setattr(perco, "_CHUNK_ENTRIES", 1)
+    serial = estimate_crossing(8, 8, 40, 23, 99, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert estimate_crossing(8, 8, 40, 23, 99, workers=2) == serial
+
+
+def test_worker_pool_gives_the_serial_counts_and_witnesses(monkeypatch):
+    # one-entry chunks, so every run splits into workers * 4 chunks and any
+    # worker count above 1 goes through a real pool (on a host with 2 or more cores)
+    import concurrent.futures
+    import os
+
+    from coprimelab import perco
+
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(perco, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    runs = {}
+    for workers in (1, 2, 3):
+        runs[workers] = [estimate_crossing(16, 16, 120, 67, 4242, workers=workers),
+                         estimate_annulus(9, 60, 97, 7, workers=workers),
+                         estimate_staircase(3, 48, 97, 7, workers=workers),
+                         estimate_spanning(40, 200, 31, 5, workers=workers)]
+    assert all(stats.witness is not None for stats in runs[1])
+    for workers in (2, 3):
+        for one, many in zip(runs[1], runs[workers]):
+            assert (many.successes, many.witness) == (one.successes, one.witness)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert len(started) == (8 if cores >= 2 else 0)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_estimators_return_first_success_as_witness(workers):
     # reference: a serial scan over the trials for the first success

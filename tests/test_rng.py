@@ -1,8 +1,10 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coprimelab.arith import primes_up_to
 from coprimelab.rng import (
     RNG_ID,
     SplitMix64,
@@ -83,6 +85,20 @@ def test_stream_seeds_match_the_scalar_derivation():
     assert got.tolist() == [[stream_seed(m, "coset", i) for i in indices] for m in masters]
     lanes = stream_seeds(np.array(masters[:4], dtype=np.uint64), "coset", indices)
     assert np.array_equal(lanes, got[:4])
+
+
+def test_stream_seeds_hold_one_row_of_digests_at_a_time():
+    # 140 trial seeds x the 168 primes <= 997: the 188 KB output and one row
+    # of digests, not every pair's 32-byte digest at once
+    primes = primes_up_to(997).array
+    assert len(primes) == 168
+    tracemalloc.start()
+    try:
+        stream_seeds(list(range(140)), "coset", primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
