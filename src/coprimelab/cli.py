@@ -362,13 +362,7 @@ def cmd_lattice(args) -> int:
 def cmd_golay(args) -> int:
     code = build_golay()
     if args.dump is not None:
-        words = {
-            "generators": code.generators,
-            "codewords": code.codewords,
-            "octads": code.octads,
-            "dodecads": code.dodecads,
-        }[args.dump]
-        text = "".join(word_line(w) + "\n" for w in words)
+        text = "".join(word_line(w) + "\n" for w in getattr(code, args.dump))
         name = f"{args.dump}.txt"
     else:
         weights = Counter(w.bit_count() for w in code.codewords)

@@ -21,7 +21,7 @@ import numpy as np
 from .arith import decimal_str, primes_up_to
 from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
 from .errors import SIZE_BUDGET, DomainError
-from .lattice import GenSet, lattice_spec
+from .lattice import GenSet, lattice_from_id, minimal_vectors
 from .rng import stream_seed, stream_seeds
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -285,7 +285,7 @@ def check_annulus_consequences(colouring: Colouring, k: int) -> None:
     the offending component otherwise.
     """
     m = k // 3
-    S = GenSet.from_iterable([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    S = minimal_vectors(lattice_from_id("Z2"))
     window = colouring.window
     oi, oj = window.origin
 
@@ -394,8 +394,9 @@ def spanning_stats(colouring: Colouring) -> SpanningStats:
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators.  The residues of a sub-batch of trials are drawn as
 # one (trials, primes, dim) array, and an event kernel, called with
-# (primes, residues, *event args), returns every trial's success from the
-# survival of white lines alone, without colouring a window.
+# (primes, residues, event), returns every trial's success from the survival
+# of white lines alone, without colouring a window: _crossed for the (rect,
+# kind) crossings of a 2-D event, _spanning_kernel for a column length.
 
 # Most entries (residues plus tested lines, per trial) of one sub-batch, so
 # memory stays flat whatever the trial count or P.
@@ -452,44 +453,27 @@ def _box_crossings(n: int, x: int) -> list:
     return [((1, x, 1, n), "horizontal")]
 
 
-def _crossing_kernel(primes, residues, n: int, x: int) -> np.ndarray:
-    return _crossed(primes, residues, _box_crossings(n, x))
-
-
-def _annulus_kernel(primes, residues, k: int) -> np.ndarray:
-    return _crossed(primes, residues, _annulus_crossings(k))
-
-
-def _staircase_kernel(primes, residues, n_max: int) -> np.ndarray:
-    return _crossed(primes, residues, _staircase_crossings(0, n_max))
-
-
 def _spanning_kernel(primes, residues, L: int) -> np.ndarray:
     """The column {0}^2 x [0, L] all white: no prime's coset meets it."""
     r1, r2, r3 = residues[..., 0], residues[..., 1], residues[..., 2]
     return ~((r1 == 0) & (r2 == 0) & (r3 <= L)).any(axis=1)
 
 
-def _crossing_trial(seed: int, n: int, x: int, P: int) -> bool:
-    """One crossing trial on [1,x] x [1,n], for a single trial seed."""
-    return bool(_crossing_kernel(*coset_residues([seed], P, 2), n, x)[0])
-
-
 def _trial_chunk(args):
     """Run trials lo..hi-1, `step` at a time: (successes, index of the first
     success or None)."""
-    kernel, event_args, P, dim, step, master_seed, lo, hi = args
+    kernel, event, P, dim, step, master_seed, lo, hi = args
     successes, first = 0, None
     for start in range(lo, hi, step):
         seeds = stream_seeds([master_seed], _TRIAL_TAG, range(start, min(hi, start + step)))[0]
-        hit = kernel(*coset_residues(seeds, P, dim), *event_args)
+        hit = kernel(*coset_residues(seeds, P, dim), event)
         successes += int(hit.sum())
         if first is None and hit.any():
             first = start + int(hit.argmax())
     return successes, first
 
 
-def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials: int,
+def _run_trials(kernel, event, P: int, dim: int, lines: int, trials: int,
                 master_seed: int, workers: int):
     """Success count and index of the first success over all trials.
 
@@ -511,7 +495,7 @@ def _run_trials(kernel, event_args: tuple, P: int, dim: int, lines: int, trials:
     entries = len(primes_up_to(P)) * dim + lines
     step = max(1, _BATCH_ENTRIES // entries)
     size = max(math.ceil(trials / (workers * 4)), math.ceil(_CHUNK_ENTRIES / entries))
-    chunks = [(kernel, event_args, P, dim, step, master_seed, lo, min(trials, lo + size))
+    chunks = [(kernel, event, P, dim, step, master_seed, lo, min(trials, lo + size))
               for lo in range(0, trials, size)]
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
@@ -531,7 +515,7 @@ def _witness(first, master_seed: int, P: int, window: Window, event, succeeded):
     window, or None without a success; the result must be a success too."""
     if first is None:
         return None
-    config = sample_coset_config(lattice_spec("square"), P, trial_seed(master_seed, first))
+    config = sample_coset_config(lattice_from_id("Z2"), P, trial_seed(master_seed, first))
     result = event(colour_window(config, window))
     if not succeeded(result):
         raise AssertionError(f"trial {first}: line kernel and window colouring disagree")
@@ -548,8 +532,9 @@ def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
     """
     if n < 1 or x < 1:
         raise DomainError("need n,x >= 1")
-    successes, first = _run_trials(_crossing_kernel, (n, x), P, 2,
-                                   _line_count(_box_crossings(n, x)), trials, master_seed, workers)
+    crossings = _box_crossings(n, x)
+    successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
+                                   master_seed, workers)
     witness = None if first is None else (first, True)
     return McStats("crossing", n, x, P, trials, successes, master_seed, witness)
 
@@ -558,11 +543,11 @@ def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
                      workers: int = 1) -> McStats:
     """Frequency of the white-circuit event at scale k; the witness is the
     first successful trial's (index, AnnulusResult)."""
-    lines = _line_count(_annulus_crossings(k))
+    crossings = _annulus_crossings(k)
     window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
     # checked before any trial, so a refusal does not depend on a success
     window.require_budget()
-    successes, first = _run_trials(_annulus_kernel, (k,), P, 2, lines, trials,
+    successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
                                    master_seed, workers)
     witness = _witness(first, master_seed, P, window, lambda col: annulus_event(col, k),
                        lambda result: result.occurred)
@@ -581,8 +566,8 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     side = 2 ** (n_max + 1)
     window = Window((0, 0), (side + 1, side + 1))
     window.require_budget()
-    successes, first = _run_trials(_staircase_kernel, (n_max,), P, 2,
-                                   _line_count(_staircase_crossings(0, n_max)), trials,
+    crossings = _staircase_crossings(0, n_max)
+    successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
                                    master_seed, workers)
     witness = _witness(first, master_seed, P, window, lambda col: staircase(col, 0, n_max),
                        lambda result: result.succeeded)
@@ -594,7 +579,6 @@ def estimate_spanning(L: int, trials: int, P: int, master_seed: int,
     """Frequency of an all-white vertical column {0}^2 x [0, L] in dimension 3."""
     if L < 1:
         raise DomainError("column length >= 1 required")
-    successes, first = _run_trials(_spanning_kernel, (L,), P, 3, 0, trials,
-                                   master_seed, workers)
+    successes, first = _run_trials(_spanning_kernel, L, P, 3, 0, trials, master_seed, workers)
     witness = None if first is None else (first, True)
     return McStats("spanning", L, 1, P, trials, successes, master_seed, witness)

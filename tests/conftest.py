@@ -1,6 +1,15 @@
-"""Collects one summary line per acceptance criterion for the terminal report."""
+"""Collects one summary line per acceptance criterion for the terminal report,
+and lets the tests' subprocesses import coprimelab from this checkout."""
+
+import os
+from pathlib import Path
 
 import pytest
+
+# `python -m coprimelab.cli` and `python -c` subprocesses find src/ the way
+# pytest's own `pythonpath` setting does, with or without an install
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 _LINES = []
 

@@ -3,9 +3,10 @@
 One SHA-256 per file pins each format bit for bit: the PGM and PPM headers
 and rasters, config files, Golay and lattice dumps, and the annulus and
 staircase witness texts.  Each case also pins its stdout and the exact set
-of files it writes besides manifest.txt.  The digests were recorded from
-the implementation before the writers of these formats were merged, so a
-rewrite of any writer cannot move a byte.
+of files it writes besides manifest.txt; MANIFESTS pins the manifests of
+the Monte Carlo commands.  The digests were recorded from the implementation
+before the writers of these formats were merged, so a rewrite of any writer
+cannot move a byte.
 """
 
 import hashlib
@@ -129,6 +130,26 @@ CASES = {
             "witness.txt": "5df70714e76d023e53db038ff5431aa44e56f3568cd777ebf690f486d9b32195",
         },
     ),
+    "spanning": (
+        ["spanning", "--length", "20", "--trials", "50", "--P", "11", "--seed", "1"],
+        {
+            "stdout": "c2b082e4b690f400c23177867ee75809d6a36ce1f86c7c25e9bc2bb58a66176b",
+            "spanning.csv": "c2b082e4b690f400c23177867ee75809d6a36ce1f86c7c25e9bc2bb58a66176b",
+        },
+    ),
+}
+
+# case -> (argv without --out, SHA-256 of manifest.txt); the crossing
+# manifest also holds the cutoff P that crossing derives from --x
+MANIFESTS = {
+    "crossing": (["crossing", "--n", "6", "--x", "6", "--trials", "50", "--seed", "1"],
+                 "a6af210a9a404072bb39bc5cda31a8ee37c4deb1216461f0e1a341513f75b7f6"),
+    "annulus": (CASES["annulus"][0],
+                "c0f2209a07443f4075106f0d478e7d028f739f1e01c0b4dfa99f580f6e0f0980"),
+    "staircase": (CASES["staircase"][0],
+                  "7fcd6bd5fcd85fa31733de8d5d124c5a6c4596a02bce65fb4ea6525e562078d4"),
+    "spanning": (CASES["spanning"][0],
+                 "8c656cef9b8f50664114979d0002d20f7233b56a4a907c14a791488c7de6c185"),
 }
 
 
@@ -146,3 +167,10 @@ def _digests(argv, out_dir, capsys) -> dict[str, str]:
 def test_format_digests(case, tmp_path, capsys):
     argv, expected = CASES[case]
     assert _digests(argv, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("case", list(MANIFESTS))
+def test_manifest_digests(case, tmp_path, capsys):
+    argv, expected = MANIFESTS[case]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "manifest.txt").read_bytes()).hexdigest() == expected

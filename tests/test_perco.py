@@ -43,12 +43,11 @@ from coprimelab.perco import (
     wilson_interval,
 )
 from coprimelab.perco import (
-    _annulus_kernel,
+    _annulus_crossings,
+    _box_crossings,
     _crossed,
-    _crossing_kernel,
-    _crossing_trial,
     _spanning_kernel,
-    _staircase_kernel,
+    _staircase_crossings,
     _white_lines,
 )
 
@@ -233,7 +232,7 @@ def test_staircase_blocked_stage():
 def test_row_shortcut_equals_full_window():
     for t in range(120):
         seed = trial_seed(999, t)
-        fast = _crossing_trial(seed, 17, 23, 53)
+        fast = _crossed(*coset_residues([seed], 53, 2), _box_crossings(17, 23))[0]
         config = sample_coset_config(Z2, 53, seed)
         col = colour_window(config, Window((1, 1), (23, 17)))
         assert fast == crossing(col, (1, 23, 1, 17), "horizontal").crossed
@@ -243,9 +242,9 @@ def test_row_shortcut_equals_full_window():
 # primes both below and above the line counts (7 lines per annulus strip,
 # 2 to 9 per staircase stage), so both branches of the line test run.
 _KERNEL_CASES = {
-    "annulus": (_annulus_kernel, 9, 31, "square", Window((-9, -9), (19, 19)),
+    "annulus": (_crossed, _annulus_crossings(9), 31, "square", Window((-9, -9), (19, 19)),
                 lambda col: annulus_event(col, 9).occurred),
-    "staircase": (_staircase_kernel, 3, 31, "square", Window((0, 0), (17, 17)),
+    "staircase": (_crossed, _staircase_crossings(0, 3), 31, "square", Window((0, 0), (17, 17)),
                   lambda col: staircase(col, 0, 3).succeeded),
     "spanning": (_spanning_kernel, 12, 31, "spread3", Window((0, 0, 0), (1, 1, 13)),
                  lambda col: spanning_stats(col).all_white),
@@ -619,7 +618,7 @@ def test_line_kernels_match_exact_products_over_every_configuration(P):
     assert len(residues) == configs  # 44,100 at P = 7
     assert len(np.unique(residues.reshape(configs, -1), axis=0)) == configs
     for x in (1, 2, 3, 4, 6, 9):
-        one_row = _crossing_kernel(primes, residues, 1, x)
+        one_row = _crossed(primes, residues, _box_crossings(1, x))
         assert Fraction(int(one_row.sum()), configs) == line_white_trunc(x, P)
         for d in range(1, x + 1):
             rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, d + 1, 1, x)
@@ -644,16 +643,16 @@ def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
 # 27,000 in 3-D.  At P = 5 the annulus at k = 9 always occurs (any 7
 # consecutive lines miss the chosen classes of 2, 3 and 5), so it runs at k = 3.
 _EXHAUSTIVE_CASES = {
-    "crossing": (_crossing_kernel, (3, 4), Window((1, 1), (4, 3)),
+    "crossing": (_crossed, _box_crossings(3, 4), Window((1, 1), (4, 3)),
                  lambda col: crossing(col, (1, 4, 1, 3), "horizontal").crossed),
     # columns shorter than P, which no estimator's event has at P = 5
-    "columns": (_crossed, ([((1, 3, 1, 4), "vertical")],), Window((1, 1), (3, 4)),
+    "columns": (_crossed, [((1, 3, 1, 4), "vertical")], Window((1, 1), (3, 4)),
                 lambda col: crossing(col, (1, 3, 1, 4), "vertical").crossed),
-    "annulus": (_annulus_kernel, (3,), Window((-3, -3), (7, 7)),
+    "annulus": (_crossed, _annulus_crossings(3), Window((-3, -3), (7, 7)),
                 lambda col: annulus_event(col, 3).occurred),
-    "staircase": (_staircase_kernel, (3,), Window((0, 0), (17, 17)),
+    "staircase": (_crossed, _staircase_crossings(0, 3), Window((0, 0), (17, 17)),
                   lambda col: staircase(col, 0, 3).succeeded),
-    "spanning": (_spanning_kernel, (6,), Window((0, 0, 0), (1, 1, 7)),
+    "spanning": (_spanning_kernel, 6, Window((0, 0, 0), (1, 1, 7)),
                  lambda col: spanning_stats(col).all_white),
 }
 
@@ -662,7 +661,7 @@ _EXHAUSTIVE_CASES = {
 def test_line_kernels_equal_window_events_on_every_configuration(monkeypatch, case):
     from coprimelab import perco
 
-    kernel, args, window, event = _EXHAUSTIVE_CASES[case]
+    kernel, arg, window, event = _EXHAUSTIVE_CASES[case]
     spec = Z2 if window.dim == 2 else Z3
     primes, residues = all_residues(5, window.dim)
     lengths = []
@@ -672,7 +671,7 @@ def test_line_kernels_equal_window_events_on_every_configuration(monkeypatch, ca
         return _white_lines(r_line, r_across, primes, line_lo, length, *along)
 
     monkeypatch.setattr(perco, "_white_lines", spy)
-    got = kernel(primes, residues, *args).tolist()
+    got = kernel(primes, residues, arg).tolist()
     want = []
     for picks in residues.tolist():
         reps = dict(zip(primes.tolist(), map(tuple, picks)))
