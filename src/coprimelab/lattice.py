@@ -301,10 +301,6 @@ class GenSet:
         distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
         self.rows = arr[distinct].astype(np.int64)
 
-    @staticmethod
-    def from_iterable(vectors) -> "GenSet":
-        return GenSet(vectors)
-
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples of Python ints, built on first request."""
@@ -453,57 +449,58 @@ def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
 _MAX_GRID_DIM = 32
 
 
-def lattice_spec(kind: str, d: int | None = None) -> LatticeSpec:
-    """A named lattice's basis and membership rule, without a generating set.
-
-    kinds: "triangular", "hypercubic" (alias "square" when d=2), "D", "E8",
-    "Leech".  Hypercubic and D dimensions are at most _MAX_GRID_DIM, checked
-    before any basis is built.
-    """
-    kind_l = kind.lower().replace("-", "_")
-    if kind_l == "triangular":
-        return LatticeSpec("triangular", 2, _identity_columns(2), "all", "hexagonal")
-    if kind_l in ("hypercubic", "d") and d is not None and d > _MAX_GRID_DIM:
-        raise DomainError(f"dimension {d} exceeds the supported maximum {_MAX_GRID_DIM}")
-    if kind_l in ("hypercubic", "square"):
-        dd = 2 if kind_l == "square" else d
-        if dd is None or dd < 1:
-            raise DomainError("hypercubic lattice needs a dimension")
-        return LatticeSpec(f"Z{dd}", dd, _identity_columns(dd), "all")
-    if kind_l == "d":
-        if d is None or d < 2:
-            raise DomainError("D-lattice needs dimension >= 2")
-        return LatticeSpec(f"D{d}", d, _d_lattice_columns(d), "sum-even")
-    if kind_l == "e8":
-        return _e8_spec()
-    if kind_l == "leech":
-        return _leech_spec()
-    raise DomainError(f"unknown lattice kind {kind!r}")
-
-
 def lattice_from_id(lattice_id: str) -> LatticeSpec:
-    """The spec whose name is lattice_id: Z{d}, D{d}, E8, Leech or triangular."""
-    m = re.fullmatch(r"([ZD])(\d+)", lattice_id)
-    if m:
-        return lattice_spec("hypercubic" if m.group(1) == "Z" else "D", int(m.group(2)))
-    if lattice_id in ("E8", "Leech", "triangular"):
-        return lattice_spec(lattice_id)
-    raise DomainError(f"unknown lattice id {lattice_id!r}")
+    """The spec named lattice_id: Z{d} (1 <= d <= 32), D{d} (2 <= d <= 32),
+    E8, Leech or triangular.
+
+    Each lattice has one id: d is written in ASCII digits without a leading
+    zero, and is refused above _MAX_GRID_DIM before any basis is built.
+    """
+    if lattice_id == "triangular":
+        return LatticeSpec("triangular", 2, _identity_columns(2), "all", "hexagonal")
+    if lattice_id == "E8":
+        return _e8_spec()
+    if lattice_id == "Leech":
+        return _leech_spec()
+    m = re.fullmatch(r"([ZD])([1-9][0-9]*)", lattice_id)
+    if m is None:
+        raise DomainError(f"unknown lattice id {lattice_id!r}")
+    kind, digits = m.groups()
+    # the length test keeps int() off ids of thousands of digits
+    if len(digits) > 2 or int(digits) > _MAX_GRID_DIM:
+        raise DomainError(f"dimension {digits} exceeds the supported maximum {_MAX_GRID_DIM}")
+    d = int(digits)
+    if kind == "Z":
+        return LatticeSpec(lattice_id, d, _identity_columns(d), "all")
+    if d < 2:
+        raise DomainError("D-lattice needs dimension >= 2")
+    return LatticeSpec(lattice_id, d, _d_lattice_columns(d), "sum-even")
+
+
+# standard_lattice kind (case-folded, "-" read as "_") -> lattice id, {d}
+# standing for the dimension; spread_out is hypercubic
+_KIND_IDS = {"square": "Z2", "hypercubic": "Z{d}", "spread_out": "Z{d}", "d": "D{d}",
+             "e8": "E8", "leech": "Leech", "triangular": "triangular"}
 
 
 def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
                      alpha: int = 1) -> tuple[LatticeSpec, GenSet]:
     """A named lattice together with its standard generating set.
 
-    kinds: those of lattice_spec, whose generating set is the minimal
-    vectors, and "spread_out" (hypercubic points of norm <= alpha).
+    kinds: those of _KIND_IDS; the generating set is the minimal vectors,
+    except for "spread_out" (hypercubic points of norm <= alpha).
     """
-    if kind.lower().replace("-", "_") != "spread_out":
-        spec = lattice_spec(kind, d)
+    kind_l = kind.lower().replace("-", "_")
+    template = _KIND_IDS.get(kind_l)
+    if template is None:
+        raise DomainError(f"unknown lattice kind {kind!r}")
+    if "{d}" in template and (d is None or d < 1):
+        raise DomainError(f"{kind} lattice needs a dimension")
+    spec = lattice_from_id(template.format(d=d))
+    if kind_l != "spread_out":
         return spec, minimal_vectors(spec)
-    if d is None or d < 1 or alpha < 1:
+    if alpha < 1:
         raise DomainError("spread_out needs dimension and alpha >= 1")
-    spec = lattice_spec("hypercubic", d)
     if norm not in ("inf", "linf", "1", "l1", "2", "l2"):
         raise DomainError(f"unknown norm {norm!r}")
     pts = _enumerate_box_points(spec, alpha)
@@ -518,38 +515,40 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
 
 
 def minimal_vectors(spec: LatticeSpec) -> GenSet:
-    """All nonzero lattice vectors of minimal norm.
+    """All nonzero lattice vectors of minimal norm, chosen by membership rule.
 
-    Z_d, D_d and E_8 are written down from their forced shapes; the
-    triangular model is found by exhaustive search over a box that provably
-    contains every candidate; the Leech set is built from its three shape
-    families and verified by membership and norm (completeness of the three
-    families is classical).
+    Z_d ("all"), D_d ("sum-even") and E_8 ("e8") are written down from their
+    forced shapes; the triangular model ("all" with the hexagonal form) is
+    found by exhaustive search over a box that provably contains every
+    candidate; the Leech set ("leech") is built from its three shape families
+    and verified by membership and norm (completeness of the three families
+    is classical).  A generic "basis" rule has no enumeration here.
     """
-    if spec.name == "Leech":
+    rule = spec.membership_id
+    if rule == "leech":
         return _leech_minimal_set()
-    if spec.name.startswith(("Z", "D")) or spec.name == "E8":
-        # one entry +-1 for Z_d, two for D_d: an entry of size >= 2 already
-        # exceeds the norm of these.  E_8 in doubled coordinates (norm 8):
-        # two entries +-2, or all eight +-1 with an even number of minus
-        # signs (SPLAG ch. 4 sec. 8.1)
-        k, scale = {"Z": (1, 1), "D": (2, 1), "E": (2, 2)}[spec.name[0]]
-        vectors = []
-        for support in itertools.combinations(range(spec.dim), k):
-            for signs in itertools.product((scale, -scale), repeat=k):
-                v = [0] * spec.dim
-                for i, s in zip(support, signs):
-                    v[i] = s
-                vectors.append(v)
-        if spec.name == "E8":
-            vectors += [v for v in itertools.product((1, -1), repeat=8) if v.count(-1) % 2 == 0]
-        return GenSet.from_iterable(vectors)
-    if spec.name != "triangular":
+    if rule == "all" and spec.form == "hexagonal":
+        pts = _enumerate_box_points(spec, 1)
+        pts = pts[pts.any(axis=1)]
+        q = norm_sq(spec, pts)
+        return GenSet(pts[q == q.min()])
+    if rule not in ("all", "sum-even", "e8"):
         raise DomainError(f"no feasible enumeration for {spec.name!r}")
-    pts = _enumerate_box_points(spec, 1)
-    pts = pts[pts.any(axis=1)]
-    q = norm_sq(spec, pts)
-    return GenSet.from_iterable(pts[q == q.min()])
+    # one entry +-1 for Z_d, two for D_d: an entry of size >= 2 already
+    # exceeds the norm of these.  E_8 in doubled coordinates (norm 8): two
+    # entries +-2, or all eight +-1 with an even number of minus signs
+    # (SPLAG ch. 4 sec. 8.1)
+    k, scale = {"all": (1, 1), "sum-even": (2, 1), "e8": (2, 2)}[rule]
+    vectors = []
+    for support in itertools.combinations(range(spec.dim), k):
+        for signs in itertools.product((scale, -scale), repeat=k):
+            v = [0] * spec.dim
+            for i, s in zip(support, signs):
+                v[i] = s
+            vectors.append(v)
+    if rule == "e8":
+        vectors += [v for v in itertools.product((1, -1), repeat=8) if v.count(-1) % 2 == 0]
+    return GenSet(vectors)
 
 
 @lru_cache(maxsize=1)
@@ -984,8 +983,8 @@ def check_slice_connectivity(spec: LatticeSpec, S: GenSet, axis: int,
     """Certify that slice points near the origin are reachable inside a box.
 
     Generic lattices get a breadth-first search over the boxed slice; the
-    Leech lattice gets a structured certificate (its radius-2 slice holds
-    about 11 million points, far beyond pointwise search).
+    Leech membership rule gets a structured certificate (its radius-2 slice
+    holds about 11 million points, far beyond pointwise search).
     """
     if not 0 <= axis < spec.dim:
         raise DomainError(f"axis {axis} out of range")
@@ -996,7 +995,7 @@ def check_slice_connectivity(spec: LatticeSpec, S: GenSet, axis: int,
         search_radius = 2 * certify_radius
     if search_radius < certify_radius:
         raise DomainError("search_radius must cover certify_radius")
-    if spec.name == "Leech":
+    if spec.membership_id == "leech":
         if certify_radius != 2:
             raise DomainError("the structured Leech certificate covers radius 2")
         return _leech_slice_certificate(S, axis)

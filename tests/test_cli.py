@@ -1,6 +1,8 @@
 """Command line behaviour: outputs, manifests, config files, exit codes."""
 
+import ast
 import hashlib
+import importlib
 import os
 import resource
 import subprocess
@@ -333,11 +335,23 @@ def test_domain_error_exit_code(capsys, tmp_path):
     ("lattice", "info", "--lattice", "D33"),
     ("clusters", "--lattice", "Z70", "--extents", ",".join(["1"] * 70),
      "--origin", ",".join(["0"] * 70), "--P", "5"),
-], ids=["Z33", "D33", "clusters-Z70"])
+    ("lattice", "info", "--lattice", "D" + "9" * 4400),
+    ("sample", "--lattice", "Z" + "1" * 5000),
+], ids=["Z33", "D33", "clusters-Z70", "info-D4400", "sample-Z5000"])
 def test_lattice_dimension_above_32_is_a_domain_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "exceeds the supported maximum 32" in err
+
+
+@pytest.mark.parametrize("lattice_id", ["Z02", "D004", "Z\u0662", "Z0", "D1", "Z33"])
+def test_lattice_ids_have_one_spelling(capsys, tmp_path, lattice_id):
+    # Z02 used to sample Z2 while the manifest kept the spelling Z02
+    code, _, err = run(capsys, "sample", "--lattice", lattice_id, "--extents", "4,4",
+                       "--out", str(tmp_path / "s"))
+    assert code == 2
+    assert err.startswith("domain error: ")
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -737,3 +751,21 @@ def test_config_values_outside_the_choices_are_parse_errors(capsys, tmp_path, ar
     assert code == 3 and out == ""
     key, _, value = line.partition(" = ")
     assert err.startswith(f"parse error: bad value for {key}: {value!r} (choices: ")
+
+
+def test_every_name_the_bench_tracer_wraps_resolves():
+    # bench/tracing.py looks each TRACED name up as it does here; a missing one
+    # only prints "not found; its metrics stay 0" there, and its self-test
+    # still passes.  The file is parsed, not imported.
+    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    assert "lattice" in traced and "colouring" in traced
+    for mod_name, quals in traced.items():
+        module = importlib.import_module(f"coprimelab.{mod_name}")
+        for qual in quals:
+            owner_name, _, attr = qual.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            assert callable(vars(owner).get(attr)), f"{mod_name}.{qual}"

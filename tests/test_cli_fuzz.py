@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from coprimelab.cli import _REQUIRED, _SPECS, _ints, build_parser, main
 from coprimelab.colouring import Window, colour_window, sample_coset_config, save_colouring
-from coprimelab.lattice import lattice_spec
+from coprimelab.lattice import lattice_from_id
 
 PARSER = build_parser()  # also fills _SPECS where it is built with the parser
 SUBPARSERS = next(a for a in PARSER._actions if a.dest == "command").choices
@@ -79,7 +79,7 @@ def _options(command: str) -> dict:
 def pgms(tmp_path_factory):
     """A valid, a truncated and a garbage PGM, and a path with no file."""
     root = tmp_path_factory.mktemp("pgm")
-    config = sample_coset_config(lattice_spec("square"), 13, 1)
+    config = sample_coset_config(lattice_from_id("Z2"), 13, 1)
     save_colouring(colour_window(config, Window((-3, 2), (12, 10))), root / "valid.pgm")
     data = (root / "valid.pgm").read_bytes()
     (root / "truncated.pgm").write_bytes(data[: len(data) - 7])

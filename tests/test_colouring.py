@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -74,12 +74,32 @@ def test_lattice_registry():
     assert lattice_from_id("Z32").dim == lattice_from_id("D32").dim == 32
     # refused before any basis is built, however large the id
     tracemalloc.start()
-    for lattice_id in ("Z33", "D33", "Z20000", "D" + "9" * 30):
+    # int() refuses strings of more than 4300 digits with a plain ValueError
+    for lattice_id in ("Z33", "D33", "Z20000", "D" + "9" * 30, "D" + "9" * 4400,
+                       "Z" + "1" * 5000):
         with pytest.raises(DomainError, match="exceeds the supported maximum 32"):
             lattice_from_id(lattice_id)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from("ZDEQ"), st.text("0123456789\u0662 ", max_size=4)).map("".join),
+    st.sampled_from(["E8", "Leech", "triangular", "E08", "LEECH", "square"]),
+    st.text(max_size=6),
+))
+@example("Z02")
+@example("D004")
+@example("Z\u0662")
+def test_every_accepted_lattice_id_is_its_spec_name(lattice_id):
+    # one spelling per id: Z02 used to build the spec named Z2
+    try:
+        spec = lattice_from_id(lattice_id)
+    except DomainError:
+        return
+    assert spec.name == lattice_id
 
 
 def test_lattice_from_id_is_the_standard_spec_without_minimal_vectors(monkeypatch):
@@ -366,6 +386,9 @@ def test_config_round_trip_and_golden(tmp_path):
         (lambda t: t.replace("5 2 4", "5 2"), "expected 2 residues"),
         (lambda t: t.replace("lattice=Z2", "lattice=Z33"), "dimension 33 exceeds"),
         (lambda t: t.replace("lattice=Z2", "lattice=D33"), "supported maximum 32"),
+        (lambda t: t.replace("lattice=Z2", "lattice=D" + "9" * 4400),
+         r"line 1: dimension 9+ exceeds"),
+        (lambda t: t.replace("lattice=Z2", "lattice=Z02"), "line 1: unknown lattice id 'Z02'"),
     ],
 )
 def test_config_parse_errors(tmp_path, mutation, message):

@@ -5,6 +5,7 @@ membership) are recomputed here from first principles rather than read back
 from the module under test.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -207,12 +208,12 @@ def test_span_index_values():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([("D", 3), ("D", 4), ("E8", None)]),
+@given(st.sampled_from(["D3", "D4", "E8"]),
        st.lists(st.integers(-7, 7), min_size=8, max_size=8))
-def test_basis_coordinates_rebuild_the_vector(kind, entries):
+def test_basis_coordinates_rebuild_the_vector(lattice_id, entries):
     # coordinates share basis_numerators with the bulk rules, so check them by
     # rebuilding v from the basis columns, and membership by the direct rule
-    spec = lattice.lattice_spec(*kind)
+    spec = lattice.lattice_from_id(lattice_id)
     v = entries[: spec.dim]
     coords = basis_coordinates(spec, v)
     assert (coords is not None) == lattice.contains(spec, v)
@@ -224,7 +225,7 @@ def test_basis_coordinates_rebuild_the_vector(kind, entries):
 def test_span_index_checks_every_vector_before_the_early_stop():
     # (1,-1) and (1,1) already span D2, so (1,0) used to go unchecked
     with pytest.raises(DomainError, match=r"vector \(1, 0\) is not in the lattice"):
-        span_index([(1, -1), (1, 1), (1, 0)], lattice.lattice_spec("D", 2))
+        span_index([(1, -1), (1, 1), (1, 0)], lattice.lattice_from_id("D2"))
     spec, vectors = standard_lattice("E8")
     rows = vectors.rows.tolist()
     assert span_index(rows[:16], spec) == 1
@@ -378,7 +379,7 @@ def test_crossing_adjacency_truth_table():
     spec, square = standard_lattice("square")
     for axis in (0, 1):
         assert check_crossing_adjacency(spec, square, axis, "strict").passed
-    knight = GenSet.from_iterable(
+    knight = GenSet(
         [(2, 1), (1, 2), (1, -1), (-2, -1), (-1, -2), (-1, 1)])
     for axis in (0, 1):
         res = check_crossing_adjacency(spec, knight, axis, "strict")
@@ -412,7 +413,7 @@ def test_hypothesis_report_verdicts():
 
 def test_hypothesis_report_rejects_sublattice_generators():
     spec, _ = standard_lattice("square")
-    doubled = GenSet.from_iterable([(2, 0), (-2, 0), (0, 2), (0, -2)])
+    doubled = GenSet([(2, 0), (-2, 0), (0, 2), (0, -2)])
     with pytest.raises(DomainError, match="index 4"):
         hypothesis_report(spec, doubled, "setup", 2)
 
@@ -420,10 +421,10 @@ def test_hypothesis_report_rejects_sublattice_generators():
 def test_hypothesis_report_rejects_bad_sets():
     spec, _ = standard_lattice("square")
     with pytest.raises(DomainError):
-        hypothesis_report(spec, GenSet.from_iterable([(0, 0), (1, 0), (-1, 0)]),
+        hypothesis_report(spec, GenSet([(0, 0), (1, 0), (-1, 0)]),
                           "setup", 2)
     with pytest.raises(DomainError):
-        hypothesis_report(spec, GenSet.from_iterable([(1, 0), (0, 1)]),
+        hypothesis_report(spec, GenSet([(1, 0), (0, 1)]),
                           "setup", 2)
     with pytest.raises(DomainError):
         hypothesis_report(spec, standard_lattice("square")[1], "sideways", 2)
@@ -436,7 +437,7 @@ def test_normalize_coordinates_scales():
     assert norm_s.vectors == square.vectors
     scaled = type(spec)(name="Z2x2", dim=2, columns=((2, 0), (0, 2)),
                         membership_id="basis", form="euclidean")
-    scaled_s = GenSet.from_iterable([(2, 0), (-2, 0), (0, 2), (0, -2)])
+    scaled_s = GenSet([(2, 0), (-2, 0), (0, 2), (0, -2)])
     _, reduced, ks = normalize_coordinates(scaled, scaled_s)
     assert ks == (2, 2)
     assert reduced.vectors == square.vectors
@@ -447,11 +448,11 @@ def test_bfs_slice_certificate_failures(case):
     if case == "square-skips-odd":
         # (0, +-2) steps skip the odd points of the x0 = 0 line
         spec = standard_lattice("square")[0]
-        S = GenSet.from_iterable([(1, 0), (-1, 0), (0, 2), (0, -2)])
+        S = GenSet([(1, 0), (-1, 0), (0, 2), (0, -2)])
         radius, points, unreached = 3, 3, (0, -3)
     else:
         spec, s8 = standard_lattice("E8")
-        S = GenSet.from_iterable(v for v in s8 if abs(v[0]) != 2 and abs(v[1]) != 2)
+        S = GenSet(v for v in s8 if abs(v[0]) != 2 and abs(v[1]) != 2)
         assert len(S) == 188
         radius, points, unreached = 2, 365, (0, -2, 0, -2, -2, -2, -2, -2)
     cert = check_slice_connectivity(spec, S, 0, radius)
@@ -491,7 +492,7 @@ def test_bfs_slice_certificate_matches_a_scalar_search(kind, d):
     rng = random.Random(11)
     for _ in range(15):
         picked = rng.sample(pool, rng.randrange(1, 4 * spec.dim))
-        S = GenSet.from_iterable(picked + [tuple(-c for c in v) for v in picked])
+        S = GenSet(picked + [tuple(-c for c in v) for v in picked])
         for axis in range(spec.dim):
             radius = rng.randrange(1, 4)
             search = radius + rng.randrange(0, 3)
@@ -523,7 +524,7 @@ def test_e8_minimal_vectors_match_a_box_search():
 def test_crossing_adjacency_witnesses(S, mode, axis, witness):
     spec, spread2 = standard_lattice("spread_out", 2, norm="inf", alpha=2)
     sets = {"spread2": spread2,
-            "3-step": GenSet.from_iterable([(3, 0), (-3, 0), (0, 1), (0, -1)])}
+            "3-step": GenSet([(3, 0), (-3, 0), (0, 1), (0, -1)])}
     res = check_crossing_adjacency(spec, sets[S], axis, mode)
     assert res.passed == (witness is None)
     assert res.witness == witness
@@ -554,7 +555,7 @@ def test_crossing_adjacency_matches_a_generator_scan():
     rng = random.Random(5)
     for _ in range(60):
         picked = rng.sample(pool, rng.randrange(1, 6))
-        S = GenSet.from_iterable(picked + [tuple(-c for c in v) for v in picked])
+        S = GenSet(picked + [tuple(-c for c in v) for v in picked])
         for axis, mode in itertools.product((0, 1), ("strict", "weak")):
             res = check_crossing_adjacency(spec, S, axis, mode)
             witness = _reference_crossing_witness(spec, S, axis, mode)
@@ -652,7 +653,7 @@ def test_genset_array_matches_the_tuple_definitions(vectors, symmetrize, zero):
     def neg(v):
         return tuple(-c for c in v)
 
-    S = GenSet.from_iterable(vectors)
+    S = GenSet(vectors)
     assert S.rows.dtype == np.int64 and S.vectors == tuple(ref)
     assert GenSet(np.array(vectors[::-1], dtype=np.int8)).vectors == tuple(ref)
     assert (len(S), S.dim) == (len(ref), len(ref[0]))
@@ -665,10 +666,48 @@ def test_genset_array_matches_the_tuple_definitions(vectors, symmetrize, zero):
 
 
 def test_lattice_ids_are_parsed_beside_their_names():
+    # every standard_lattice kind builds its spec through lattice_from_id
     from coprimelab import colouring
 
     assert colouring.lattice_from_id is lattice.lattice_from_id
-    for kind, d in [("hypercubic", 1), ("hypercubic", 5), ("square", None), ("D", 2),
-                    ("D", 32), ("E8", None), ("Leech", None), ("triangular", None)]:
-        spec = lattice.lattice_spec(kind, d)
-        assert lattice.lattice_from_id(spec.name) == spec
+    assert not hasattr(lattice, "lattice_spec")
+    cases = [("hypercubic", 1, "Z1"), ("HYPERCUBIC", 5, "Z5"), ("square", None, "Z2"),
+             ("spread-out", 3, "Z3"), ("D", 2, "D2"), ("d", 32, "D32"), ("E8", None, "E8"),
+             ("leech", None, "Leech"), ("triangular", None, "triangular")]
+    assert {kind.lower().replace("-", "_") for kind, _, _ in cases} == set(lattice._KIND_IDS)
+    for kind, d, lattice_id in cases:
+        spec = standard_lattice(kind, d)[0]
+        assert spec.name == lattice_id
+        assert lattice.lattice_from_id(lattice_id) == spec
+    for kind, d in [("hypercubic", None), ("D", 0), ("spread_out", None)]:
+        with pytest.raises(DomainError, match="needs a dimension"):
+            standard_lattice(kind, d)
+    with pytest.raises(DomainError, match="unknown lattice kind 'Z2'"):
+        standard_lattice("Z2")
+
+
+def test_minimal_vectors_follow_the_membership_rule_not_the_name():
+    z2 = standard_lattice("square")[0]
+    scaled = lattice.LatticeSpec("Z2x2", 2, ((2, 0), (0, 2)), "basis")
+    with pytest.raises(DomainError, match="no feasible enumeration for 'Z2x2'"):
+        minimal_vectors(scaled)
+    for lattice_id in ("Z3", "D4", "E8", "triangular"):
+        spec = lattice.lattice_from_id(lattice_id)
+        renamed = dataclasses.replace(spec, name="unnamed")
+        assert minimal_vectors(renamed).vectors == minimal_vectors(spec).vectors
+    assert minimal_vectors(dataclasses.replace(z2, name="E8")).vectors == (
+        (-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def test_slice_connectivity_is_structured_exactly_for_the_leech_rule():
+    spec, S = standard_lattice("Leech")
+    renamed = dataclasses.replace(spec, name="Lambda24")
+    assert check_slice_connectivity(renamed, S, 0, 2).method == "structured"
+    z2, square = standard_lattice("square")
+    named_leech = dataclasses.replace(z2, name="Leech")
+    cert = check_slice_connectivity(named_leech, square, 0, 2)
+    assert (cert.passed, cert.method) == (True, "bfs")
+    # the Leech basis under the generic rule is searched pointwise, which
+    # its 23 free coordinates refuse
+    with pytest.raises(DomainError, match="search box too large"):
+        check_slice_connectivity(dataclasses.replace(spec, membership_id="basis"), S, 0, 2)

@@ -157,7 +157,7 @@ def test_labels_respect_lattice_mask():
 def test_label_rejects_bad_sets():
     col = colour_window(sample_coset_config(Z2, 7, 1), Window((0, 0), (5, 5)))
     with pytest.raises(DomainError):
-        label_clusters(col, GenSet.from_iterable([(1, 0), (0, 1)]))
+        label_clusters(col, GenSet([(1, 0), (0, 1)]))
     with pytest.raises(DomainError):
         label_clusters(col, SQUARE, "grey")
 
@@ -583,7 +583,7 @@ _HALF_OFFSETS = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if (x, y) > 
 )
 def test_labels_match_bfs_oracle_on_random_generating_sets(shape, cells, half):
     mask = np.array(cells[: shape[0] * shape[1]]).reshape(shape)
-    S = GenSet.from_iterable([v for s in half for v in (s, (-s[0], -s[1]))])
+    S = GenSet([v for s in half for v in (s, (-s[0], -s[1]))])
     col = mask_colouring(mask)
     for colour, m in (("white", mask), ("black", ~mask)):
         lab = label_clusters(col, S, colour)
