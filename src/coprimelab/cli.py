@@ -207,6 +207,11 @@ def _emit(args, name: str, text: str) -> None:
         _write_text(args, name, text)
 
 
+def _emit_csv(args, header: str, rows: list[str]) -> None:
+    """<command>.csv: the header line, then one line per row."""
+    _emit(args, f"{args.command}.csv", "".join(f"{line}\n" for line in [header, *rows]))
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -246,8 +251,10 @@ def cmd_layers(args) -> int:
     spec = lattice_from_id(args.lattice)
     config = sample_coset_config(spec, args.P, args.seed)
     for p in primes:
-        if p not in config.reps:
+        if p > args.P:
             raise DomainError(f"highlighted prime {p} exceeds the cutoff P={args.P}")
+        if p not in config.reps:
+            raise DomainError(f"highlighted value {p} is not a prime")
     window = Window(args.origin, args.extents)
     col = colour_window(config, window)
     rgb = np.zeros(window.array_shape() + (3,), dtype=np.uint8)
@@ -265,19 +272,34 @@ def cmd_layers(args) -> int:
     return 0
 
 
-def cmd_crossing(args) -> int:
-    if args.P is None:
-        args.P = max(5, 2 * args.x)
-    stats = estimate_crossing(args.n, args.x, args.trials, args.P, args.seed,
-                              workers=args.workers)
-    _emit(args, "crossing.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
+# Monte Carlo command -> (estimator, the options its leading parameters take);
+# trials, P, seed and workers follow them
+_MONTE_CARLO = {
+    "crossing": (estimate_crossing, ("n", "x")),
+    "annulus": (estimate_annulus, ("k",)),
+    "staircase": (estimate_staircase, ("n_max",)),
+    "spanning": (estimate_spanning, ("length",)),
+}
+
+
+def cmd_monte_carlo(args) -> int:
+    """<command>.csv, and witness.txt with the first successful trial and its
+    event's witness lines when the event has them."""
+    estimate, options = _MONTE_CARLO[args.command]
+    stats = estimate(*(getattr(args, option) for option in options), args.trials, args.P,
+                     args.seed, workers=args.workers)
+    args.P = stats.P
+    _emit_csv(args, MC_CSV_HEADER, [stats.csv_row()])
+    t, result = stats.witness or (None, None)
+    if hasattr(result, "witness_lines"):
+        _emit(args, "witness.txt", "\n".join([f"trial {t}", *result.witness_lines()]) + "\n")
     return 0
 
 
 def cmd_bounds(args) -> int:
     report = second_moment_bound(args.n, args.x, args.P)
     args.P = report.P
-    _emit(args, "bounds.csv", SECOND_MOMENT_CSV_HEADER + "\n" + report.csv_row() + "\n")
+    _emit_csv(args, SECOND_MOMENT_CSV_HEADER, [report.csv_row()])
     # notes go to stderr, so the CSV row stays the one a cutoff of P prints
     if report.P < report.x:
         print(f"note: P={report.P} is below x={report.x}; the products ran to the"
@@ -288,53 +310,21 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _emit_witness(args, stats) -> None:
-    """witness.txt: the first successful trial and its event's witness lines."""
-    if stats.witness is not None:
-        t, result = stats.witness
-        _emit(args, "witness.txt", "\n".join([f"trial {t}", *result.witness_lines()]) + "\n")
-
-
-def cmd_annulus(args) -> int:
-    stats = estimate_annulus(args.k, args.trials, args.P, args.seed,
-                             workers=args.workers)
-    _emit(args, "annulus.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    _emit_witness(args, stats)
-    return 0
-
-
-def cmd_staircase(args) -> int:
-    stats = estimate_staircase(args.n_max, args.trials, args.P, args.seed,
-                               workers=args.workers)
-    _emit(args, "staircase.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    _emit_witness(args, stats)
-    return 0
-
-
-def cmd_spanning(args) -> int:
-    stats = estimate_spanning(args.length, args.trials, args.P, args.seed,
-                              workers=args.workers)
-    _emit(args, "spanning.csv", MC_CSV_HEADER + "\n" + stats.csv_row() + "\n")
-    return 0
-
-
 def cmd_clusters(args) -> int:
     spec = lattice_from_id(args.lattice)
     config = sample_coset_config(spec, args.P, args.seed)
     col = colour_window(config, Window(args.origin, args.extents))
     kind, d, kw, _ = _MODELS[args.adjacency]
     labels = label_clusters(col, standard_lattice(kind, d, **kw)[1], args.colour)
-    coloured = int((labels.labels >= 0).sum())
-    rows = [
-        ("colour", args.colour),
-        ("adjacency", args.adjacency),
-        ("points", col.window.point_count),
-        ("coloured_points", coloured),
-        ("components", labels.count),
-        ("largest", int(labels.sizes.max()) if labels.count else 0),
-        ("boundary_components", len(labels.boundary_components())),
-    ]
-    _emit(args, "clusters.csv", "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows))
+    _emit_csv(args, "key,value", [
+        f"colour,{args.colour}",
+        f"adjacency,{args.adjacency}",
+        f"points,{col.window.point_count}",
+        f"coloured_points,{int((labels.labels >= 0).sum())}",
+        f"components,{labels.count}",
+        f"largest,{int(labels.sizes.max()) if labels.count else 0}",
+        f"boundary_components,{len(labels.boundary_components())}",
+    ])
     return 0
 
 
@@ -342,35 +332,32 @@ def cmd_lattice(args) -> int:
     spec = lattice_from_id(args.lattice)
     vectors = minimal_vectors(spec)
     if args.action == "dump":
-        text = "".join(" ".join(str(c) for c in v) + "\n" for v in vectors.rows.tolist())
-        name = "vectors.txt"
+        _emit(args, "vectors.txt",
+              "".join(" ".join(str(c) for c in v) + "\n" for v in vectors.rows.tolist()))
     else:
-        rows = [
-            ("lattice", spec.name),
-            ("dim", spec.dim),
-            ("determinant", spec.determinant),
-            ("minimal_vectors", len(vectors)),
-            ("minimal_norm_sq", norm_sq(spec, vectors.rows[0].tolist())),
-            ("span_index", span_index(vectors.rows, spec)),
-        ]
-        text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
-        name = "lattice.csv"
-    _emit(args, name, text)
+        _emit_csv(args, "key,value", [
+            f"lattice,{spec.name}",
+            f"dim,{spec.dim}",
+            f"determinant,{spec.determinant}",
+            f"minimal_vectors,{len(vectors)}",
+            f"minimal_norm_sq,{norm_sq(spec, vectors.rows[0].tolist())}",
+            f"span_index,{span_index(vectors.rows, spec)}",
+        ])
     return 0
 
 
 def cmd_golay(args) -> int:
     code = build_golay()
     if args.dump is not None:
-        text = "".join(word_line(w) + "\n" for w in getattr(code, args.dump))
-        name = f"{args.dump}.txt"
+        _emit(args, f"{args.dump}.txt",
+              "".join(word_line(w) + "\n" for w in getattr(code, args.dump)))
     else:
         weights = Counter(w.bit_count() for w in code.codewords)
-        rows = [("codewords", len(code.codewords)), ("dimension", len(code.generators))]
-        rows += [(f"weight_{k}", weights[k]) for k in sorted(weights)]
-        text = "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
-        name = "golay.csv"
-    _emit(args, name, text)
+        _emit_csv(args, "key,value", [
+            f"codewords,{len(code.codewords)}",
+            f"dimension,{len(code.generators)}",
+            *(f"weight_{k},{weights[k]}" for k in sorted(weights)),
+        ])
     return 0
 
 
@@ -440,18 +427,18 @@ _COMMANDS = {
         ("--oracle", _ints, None, "render the gcd oracle around point a,b instead of sampling"))),
     "layers": (cmd_layers, "render per-prime coset layers as PPM", (
         *_sampled((256, 256)), ("--primes", _ints, (2, 3, 5), "up to 3 highlighted primes"))),
-    "crossing": (cmd_crossing, "Monte Carlo crossing probability", (
+    "crossing": (cmd_monte_carlo, "Monte Carlo crossing probability", (
         *_NX, _trials(10000), ("--P", int, None,
          "prime truncation cutoff (default: 2x; truncation only raises the estimate)"),
         _SEED, _WORKERS)),
     "bounds": (cmd_bounds, "second-moment crossing bound as CSV", (
         *_NX, ("--P", int, None, "prime cutoff (default: 32x)"))),
-    "annulus": (cmd_annulus, "white-circuit frequency at scale k", (
+    "annulus": (cmd_monte_carlo, "white-circuit frequency at scale k", (
         ("--k", int, _REQUIRED, "annulus scale, multiple of 3"),
         _trials(200), _P, _SEED, _WORKERS)),
-    "staircase": (cmd_staircase, "dyadic staircase frequency and path", (
+    "staircase": (cmd_monte_carlo, "dyadic staircase frequency and path", (
         ("--n-max", int, 5, "last staircase stage"), _trials(200), _P, _SEED, _WORKERS)),
-    "spanning": (cmd_spanning, "all-white column frequency in dimension 3", (
+    "spanning": (cmd_monte_carlo, "all-white column frequency in dimension 3", (
         ("--length", int, 1000, "column length L"), _trials(1000), _P, _SEED, _WORKERS)),
     "clusters": (cmd_clusters, "cluster statistics of one sample", (
         *_sampled((256, 256)),

@@ -50,8 +50,33 @@ class CosetConfig:
         return self.reps[p]
 
     def fields(self) -> str:
-        """The `lattice=... P=... seed=... rng=...` of headers and provenance."""
+        """The `lattice=... P=... seed=... rng=...` of headers and provenance;
+        parse_fields reads it back."""
         return f"lattice={self.lattice_id} P={self.P} seed={self.seed} rng={self.rng_id}"
+
+
+_FIELDS = re.compile(r"lattice=(\S+) P=([0-9]+) seed=([0-9]+) rng=(\S+)\s*")
+
+
+def parse_fields(text: str, line: int | None = None) -> tuple[LatticeSpec, int, int, str]:
+    """(spec, P, seed, rng id) of a CosetConfig.fields() text, or a ParseError
+    at `line`.  P and seed of more than 20 digits (2^64 has 20) are refused
+    before int() sees them."""
+    m = _FIELDS.fullmatch(text)
+    if not m:
+        raise ParseError("expected lattice=<id> P=<int> seed=<int> rng=<id>", line=line)
+    try:
+        spec = lattice_from_id(m[1])
+    except DomainError as exc:
+        raise ParseError(str(exc), line=line) from None
+    if max(len(m[2]), len(m[3])) > 20:
+        raise ParseError("P and seed take at most 20 digits", line=line)
+    P, seed = int(m[2]), int(m[3])
+    if P < 2:
+        raise ParseError(f"need P >= 2, got {P}", line=line)
+    if seed > _U64:
+        raise ParseError("seed must fit in 64 bits", line=line)
+    return spec, P, seed, m[4]
 
 
 @dataclass(frozen=True)
@@ -107,7 +132,6 @@ class Colouring:
 
     window: Window
     white: np.ndarray
-    lattice_id: str
     provenance: str
     in_lattice: np.ndarray | None = None
 
@@ -168,7 +192,7 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
         white = np.ones(window.array_shape(), dtype=bool)
         for p, rep in config.reps.items():
             white[coset_slice(rep, p, window)] = False
-        return Colouring(window, white, config.lattice_id, provenance)
+        return Colouring(window, white, provenance)
     return _colour_sublattice_window(spec, config, window, provenance)
 
 
@@ -202,8 +226,7 @@ def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
             black |= ((coeff - rep) % p == 0).all(axis=1)
         in_lattice[flat] = member
         white[flat[member]] = ~black
-    return Colouring(window, white.reshape(shape), config.lattice_id, provenance,
-                     in_lattice.reshape(shape))
+    return Colouring(window, white.reshape(shape), provenance, in_lattice.reshape(shape))
 
 
 def oracle_from_origin(X, window: Window) -> Colouring:
@@ -224,7 +247,7 @@ def oracle_from_origin(X, window: Window) -> Colouring:
         g = np.gcd(g, axes[window.dim - 1 - k] + shift[k])
     white = g == 1
     provenance = "oracle X=" + ",".join(str(c) for c in X)
-    return Colouring(window, white, f"Z{window.dim}", provenance)
+    return Colouring(window, white, provenance)
 
 
 def truncation_error_bound(window: Window, P: int) -> Fraction:
@@ -288,10 +311,9 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
         shift = [o % p for o in origin[::-1]]
         hit = np.roll(_fold(white, p), shift, axis=tuple(range(white.ndim)))
         candidates[p] = [tuple(r) for r in np.argwhere(~hit.T).tolist()]
-    warning = False
-    m = re.search(r"\bP=(\d+)", colouring.provenance)
-    if m and p_max > int(m.group(1)):
-        warning = True
+    provenance = colouring.provenance
+    warning = (provenance.startswith("config ")
+               and p_max > parse_fields(provenance.removeprefix("config "))[1])
     return InferResult(candidates, warning)
 
 
@@ -324,11 +346,6 @@ def save_config(config: CosetConfig, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_CONFIG_HEADER = re.compile(
-    r"coprime-config v1 lattice=(\S+) P=(\d+) seed=(\d+) rng=(\S+)\s*$"
-)
-
-
 def load_config(path) -> CosetConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -339,16 +356,9 @@ def load_config(path) -> CosetConfig:
         raise ParseError("config file is not UTF-8") from None
     if not lines:
         raise ParseError("empty config file", line=1)
-    m = _CONFIG_HEADER.match(lines[0])
-    if not m:
+    if not lines[0].startswith("coprime-config v1 "):
         raise ParseError("bad header", line=1)
-    lattice_id, P, seed, rng_id = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
-    try:
-        spec = lattice_from_id(lattice_id)
-    except DomainError as exc:
-        raise ParseError(str(exc), line=1) from None
-    if P < 2:
-        raise ParseError(f"need P >= 2, got {P}", line=1)
+    spec, P, seed, rng_id = parse_fields(lines[0].removeprefix("coprime-config v1 "), line=1)
     reps: dict[int, tuple[int, ...]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -380,7 +390,7 @@ def load_config(path) -> CosetConfig:
             f"config lists {len(reps)} primes, header promises {promised}",
             line=len(lines),
         )
-    return CosetConfig(lattice_id, P, seed, rng_id, reps)
+    return CosetConfig(spec.name, P, seed, rng_id, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +488,7 @@ def load_colouring(path) -> Colouring:
     bad = (arr != 0) & (arr != 255)
     if bad.any():
         raise ParseError("raster contains values other than 0 and 255", line=lineno)
-    window = Window(origin, extents)
-    provenance = meta.get("provenance", ("unknown", None))[0]
-    guess = re.search(r"lattice=(\S+)", provenance)
-    lattice_id = guess.group(1) if guess else f"Z{window.dim}"
-    return Colouring(window, arr == 255, lattice_id, provenance)
+    provenance, line = meta.get("provenance", ("unknown", None))
+    if provenance.startswith("config "):
+        parse_fields(provenance.removeprefix("config "), line)
+    return Colouring(Window(origin, extents), arr == 255, provenance)

@@ -522,16 +522,19 @@ def _witness(first, master_seed: int, P: int, window: Window, event, succeeded):
     return first, result
 
 
-def estimate_crossing(n: int, x: int, trials: int, P: int, master_seed: int,
+def estimate_crossing(n: int, x: int, trials: int, P: int | None, master_seed: int,
                       workers: int = 1) -> McStats:
     """Monte Carlo estimate of the horizontal crossing probability P(x-by-n).
 
-    The per-trial configs are the ones sample_coset_config would produce for
-    seed trial_seed(master_seed, t); successes only depend on trial indices,
-    so any worker count gives the identical count.
+    P=None means the cutoff max(5, 2x).  The per-trial configs are the ones
+    sample_coset_config would produce for seed trial_seed(master_seed, t);
+    successes only depend on trial indices, so any worker count gives the
+    identical count.
     """
     if n < 1 or x < 1:
         raise DomainError("need n,x >= 1")
+    if P is None:
+        P = max(5, 2 * x)
     crossings = _box_crossings(n, x)
     successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
                                    master_seed, workers)
@@ -574,11 +577,11 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     return McStats("staircase", side, side, P, trials, successes, master_seed, witness)
 
 
-def estimate_spanning(L: int, trials: int, P: int, master_seed: int,
+def estimate_spanning(length: int, trials: int, P: int, master_seed: int,
                       workers: int = 1) -> McStats:
-    """Frequency of an all-white vertical column {0}^2 x [0, L] in dimension 3."""
-    if L < 1:
+    """Frequency of an all-white vertical column {0}^2 x [0, length] in dimension 3."""
+    if length < 1:
         raise DomainError("column length >= 1 required")
-    successes, first = _run_trials(_spanning_kernel, L, P, 3, 0, trials, master_seed, workers)
+    successes, first = _run_trials(_spanning_kernel, length, P, 3, 0, trials, master_seed, workers)
     witness = None if first is None else (first, True)
-    return McStats("spanning", L, 1, P, trials, successes, master_seed, witness)
+    return McStats("spanning", length, 1, P, trials, successes, master_seed, witness)

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import os
 import resource
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprimelab import colouring, perco
+from coprimelab import cli, colouring, perco
 from coprimelab.cli import _SPECS, _read_config, build_parser, main
 from coprimelab.colouring import (
     Window,
@@ -537,6 +538,14 @@ def test_layers_rejects_prime_beyond_cutoff(capsys, tmp_path):
     assert "7" in err
 
 
+@pytest.mark.parametrize("value", ["4", "0", "-3", "9"])
+def test_layers_refuses_a_value_that_is_not_prime(capsys, tmp_path, value):
+    code, out, err = run(capsys, "layers", "--out", str(tmp_path), "--P", "13",
+                         "--primes", value)
+    assert code == 2 and out == ""
+    assert err == f"domain error: highlighted value {value} is not a prime\n"
+
+
 def test_infer_reports_truth(capsys, tmp_path):
     d = tmp_path / "s"
     assert main(["sample", "--out", str(d), "--origin", "-8,-8", "--extents",
@@ -594,9 +603,13 @@ def _pgm(size=b"2 2", origin=b"0 0", provenance=b"lattice=Z2"):
         (_pgm(origin=b"0 zero"), 3, "line 2"),
         (_pgm(provenance=b"\xff\xfe"), 3, "line 4"),
         (None, 3, "cannot read"),
+        (_pgm(provenance=b"config lattice=Z2 P=" + b"9" * 5000 + b" seed=1 rng=splitmix64"), 3,
+         "line 4: P and seed take at most 20 digits"),
+        (_pgm(provenance=b"config lattice=Q7 P=5 seed=1 rng=splitmix64"), 3,
+         "line 4: unknown lattice id 'Q7'"),
     ],
     ids=["valid", "size-line", "negative-size", "origin-comment", "non-utf8-comment",
-         "missing-file"],
+         "missing-file", "config-P-of-5000-digits", "config-unknown-lattice"],
 )
 def test_infer_pgm_read_failures_are_parse_errors(capsys, tmp_path, data, code, where):
     path = tmp_path / "w.pgm"
@@ -769,3 +782,13 @@ def test_every_name_the_bench_tracer_wraps_resolves():
             owner_name, _, attr = qual.rpartition(".")
             owner = getattr(module, owner_name) if owner_name else module
             assert callable(vars(owner).get(attr)), f"{mod_name}.{qual}"
+
+
+def test_monte_carlo_table_matches_the_commands_and_the_estimators():
+    # the shared body calls estimate(*options, trials, P, seed, workers=workers)
+    shared = {cmd for cmd, (fn, _, _) in cli._COMMANDS.items() if fn is cli.cmd_monte_carlo}
+    assert set(cli._MONTE_CARLO) == shared == {"crossing", "annulus", "staircase", "spanning"}
+    for cmd, (estimate, options) in cli._MONTE_CARLO.items():
+        params = list(inspect.signature(estimate).parameters)
+        assert params == [*options, "trials", "P", "master_seed", "workers"], cmd
+        assert {*options, "trials", "P", "seed", "workers"} <= set(_SPECS[cmd]), cmd

@@ -6,7 +6,8 @@ Each config key of a command is omitted or given a small int, a malformed
 token, one of its choices (a lattice id for the other string keys), or, where
 its size is refused up front, a 20-digit int.  --workers stays in {-1, 0, 1},
 so no process pool starts.  A run may add a config file of valid, garbage or
-non-UTF-8 lines, and `infer` reads a valid, a truncated or a garbage PGM.
+non-UTF-8 lines, and `infer` reads a valid, a truncated or a garbage PGM, or
+one whose provenance names a P of 5000 digits.
 """
 
 import contextlib
@@ -77,14 +78,17 @@ def _options(command: str) -> dict:
 
 @pytest.fixture(scope="module")
 def pgms(tmp_path_factory):
-    """A valid, a truncated and a garbage PGM, and a path with no file."""
+    """A valid, a truncated and a garbage PGM, one whose config provenance
+    has a P of 5000 digits, and a path with no file."""
     root = tmp_path_factory.mktemp("pgm")
     config = sample_coset_config(lattice_from_id("Z2"), 13, 1)
     save_colouring(colour_window(config, Window((-3, 2), (12, 10))), root / "valid.pgm")
     data = (root / "valid.pgm").read_bytes()
     (root / "truncated.pgm").write_bytes(data[: len(data) - 7])
     (root / "garbage.pgm").write_bytes(b"P5\n12 x\n255\n\xff\x00" + data[:20])
-    return [str(root / name) for name in ("valid.pgm", "truncated.pgm", "garbage.pgm", "none")]
+    (root / "long-P.pgm").write_bytes(data.replace(b" P=13 ", b" P=" + b"9" * 5000 + b" "))
+    return [str(root / name)
+            for name in ("valid.pgm", "truncated.pgm", "garbage.pgm", "long-P.pgm", "none")]
 
 
 def _config_lines(command: str, options: dict) -> st.SearchStrategy:

@@ -342,7 +342,7 @@ def test_infer_folds_agree_with_the_product_loop():
                         tuple(rng.randint(1, 8 if d == 3 else 20) for _ in range(d)))
         density = rng.choice([0.05, 0.3, 0.8])
         white = np.random.default_rng(trial).random(window.array_shape()) < density
-        col = Colouring(window, white, f"Z{d}", "test")
+        col = Colouring(window, white, "test")
         p_max = rng.randint(2, 13 if d == 3 else 29)
         assert infer_cosets(col, p_max).candidates == _infer_by_product(col, p_max), trial
 
@@ -389,6 +389,10 @@ def test_config_round_trip_and_golden(tmp_path):
         (lambda t: t.replace("lattice=Z2", "lattice=D" + "9" * 4400),
          r"line 1: dimension 9+ exceeds"),
         (lambda t: t.replace("lattice=Z2", "lattice=Z02"), "line 1: unknown lattice id 'Z02'"),
+        (lambda t: t.replace("seed=12345", "seed=18446744073709551616"),
+         "line 1: seed must fit in 64 bits"),
+        (lambda t: t.replace("P=7", "P=" + "9" * 5000),
+         "line 1: P and seed take at most 20 digits"),
     ],
 )
 def test_config_parse_errors(tmp_path, mutation, message):

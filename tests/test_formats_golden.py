@@ -1,15 +1,17 @@
 """Frozen bytes of the files the command line writes.
 
 One SHA-256 per file pins each format bit for bit: the PGM and PPM headers
-and rasters, config files, Golay and lattice dumps, and the annulus and
-staircase witness texts.  Each case also pins its stdout and the exact set
-of files it writes besides manifest.txt; MANIFESTS pins the manifests of
-the Monte Carlo commands.  The digests were recorded from the implementation
-before the writers of these formats were merged, so a rewrite of any writer
-cannot move a byte.
+and rasters, config files, Golay and lattice dumps, the annulus and
+staircase witness texts, and every `<command>.csv` table.  Each case also
+pins its stdout, its stderr when it writes any, and the exact set of files it
+writes besides manifest.txt; MANIFESTS pins the manifests of the Monte Carlo
+commands, and HELP the --help text of every parser.  The digests were
+recorded from the implementation before the writers of these formats were
+merged, so a rewrite of any writer cannot move a byte.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -137,6 +139,53 @@ CASES = {
             "spanning.csv": "c2b082e4b690f400c23177867ee75809d6a36ce1f86c7c25e9bc2bb58a66176b",
         },
     ),
+    # the default cutoff P = 2x
+    "crossing": (
+        ["crossing", "--n", "6", "--x", "6", "--trials", "50", "--seed", "1"],
+        {
+            "stdout": "34abc1045bdb52de581268b764cafef4393c9525792160c8929654a2e28f7f9c",
+            "crossing.csv": "34abc1045bdb52de581268b764cafef4393c9525792160c8929654a2e28f7f9c",
+        },
+    ),
+    "bounds": (
+        ["bounds", "--n", "4", "--x", "8"],
+        {
+            "stdout": "43b76d107ec91183de79c9a3b8eee3b25c86ffd862fdf346f725cdff2eaf326a",
+            "bounds.csv": "43b76d107ec91183de79c9a3b8eee3b25c86ffd862fdf346f725cdff2eaf326a",
+        },
+    ),
+    # P below x and r_upper >= 1: both notes on stderr
+    "bounds-notes": (
+        ["bounds", "--n", "8", "--x", "101", "--P", "50"],
+        {
+            "stdout": "7ed10712a9e231eb98acf301e55a5ba3baaae9ba5c86227ac805db6f53ced406",
+            "stderr": "aabd2d40b4a77387dc8ff47cdbfc3dfeed0c3b0eb85460c05c09473522b03f1c",
+            "bounds.csv": "7ed10712a9e231eb98acf301e55a5ba3baaae9ba5c86227ac805db6f53ced406",
+        },
+    ),
+    "clusters": (
+        ["clusters", "--P", "31", "--seed", "7", *WINDOW, "--adjacency", "triangular",
+         "--colour", "black"],
+        {
+            "stdout": "99b2c40f5b64b48b7ae3f3c201de37312b39cb3674aaaab5e14599b2025cb5c8",
+            "clusters.csv": "99b2c40f5b64b48b7ae3f3c201de37312b39cb3674aaaab5e14599b2025cb5c8",
+        },
+    ),
+    # {pgm} is the colouring.pgm of sample-Z2, sampled with P=31
+    "infer": (
+        ["infer", "--pgm", "{pgm}", "--p-max", "7"],
+        {
+            "stdout": "ba992b09aa0ed7be5f595d8cc1adfab7bb4dccf0f5e4dfd8cb4acf4f39f8d5b2",
+            "infer.txt": "ba992b09aa0ed7be5f595d8cc1adfab7bb4dccf0f5e4dfd8cb4acf4f39f8d5b2",
+        },
+    ),
+    "infer-beyond-cutoff": (
+        ["infer", "--pgm", "{pgm}", "--p-max", "37"],
+        {
+            "stdout": "354848b6d84e3834fc028e572383aaf54559d189b840a76738702984331c39ce",
+            "infer.txt": "354848b6d84e3834fc028e572383aaf54559d189b840a76738702984331c39ce",
+        },
+    ),
 }
 
 # case -> (argv without --out, SHA-256 of manifest.txt); the crossing
@@ -153,20 +202,67 @@ MANIFESTS = {
 }
 
 
+# parser -> SHA-256 of its --help text at 80 columns
+HELP = {
+    "coprimelab": "7ed8c9762bd0ec02160964b55d597ddf3dd1477b6c6282dd6cbb5eaddd0fffa6",
+    "coprimelab sample": "c6ed40d5c31b3f3f70b662f44eb3174349003b6674473fa1dc3c1dd7bb80715d",
+    "coprimelab layers": "ec59f2b703cc957538c33bdc39ecb87336cec11ce3206c0937219d357d401697",
+    "coprimelab crossing": "92875ff05e7ebe316beaab8610279ae97e1c5b71d3d6a01d8c5b3e825f678c70",
+    "coprimelab bounds": "f1afdde92b8d1eb44526dacbb897969a9d34a186a05947a35f1ba4298b62fa17",
+    "coprimelab annulus": "716b7ee95dbb40e2f436b3c7af5d5e8eb8f929a7c5175e931b42b444e271efcc",
+    "coprimelab staircase": "bc757548a7b31a64b7e3fde61fbc791c4fb2e38f8f6f9b92e648308615e19d5f",
+    "coprimelab spanning": "bb25020a5f01fb313bb4fe643194de06ec76329152ffc2ef3be8f55563c49a75",
+    "coprimelab clusters": "f9c828f33de2bf8c32a78b55c07c48d6648b57b7f046f7f4b6b06090a08dbb1a",
+    "coprimelab lattice": "647194fc7cf7ebd43f1df698add5bfc2334e38a12d745f27636e1df3bd93e20c",
+    "coprimelab golay": "8f91a0034ab4fb7161038cadee7fa60029602957cf530fec33ba4bc948c231cd",
+    "coprimelab check": "292b4b532938d19dabbbe82d32ffa511b11dc22a8d3494b40975dfdefc186130",
+    "coprimelab infer": "267506ca1d7b5779ded842c0cd5754b47504b84546f00fd074c44c845ae8128f",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _digests(argv, out_dir, capsys) -> dict[str, str]:
     capsys.readouterr()
     assert main([*argv, "--out", str(out_dir)]) == 0
-    digests = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    captured = capsys.readouterr()
+    digests = {"stdout": _sha256(captured.out.encode())}
+    if captured.err:
+        digests["stderr"] = _sha256(captured.err.encode())
     for path in sorted(out_dir.iterdir()):
         if path.name != "manifest.txt":
-            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            digests[path.name] = _sha256(path.read_bytes())
     return digests
 
 
+@pytest.fixture(scope="module")
+def sample_pgm(tmp_path_factory):
+    """The colouring.pgm of the sample-Z2 case, which the infer cases read."""
+    out = tmp_path_factory.mktemp("sample")
+    assert main([*CASES["sample-Z2"][0], "--out", str(out)]) == 0
+    return str(out / "colouring.pgm")
+
+
 @pytest.mark.parametrize("case", list(CASES))
-def test_format_digests(case, tmp_path, capsys):
+def test_format_digests(case, tmp_path, capsys, sample_pgm):
     argv, expected = CASES[case]
+    argv = [arg.replace("{pgm}", sample_pgm) for arg in argv]
     assert _digests(argv, tmp_path, capsys) == expected
+
+
+# argparse lays help out differently from one Python release to the next
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="help digests were recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("parser", list(HELP))
+def test_help_digests(parser, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        main([*parser.split()[1:], "--help"])
+    assert stop.value.code == 0
+    assert _sha256(capsys.readouterr().out.encode()) == HELP[parser]
 
 
 @pytest.mark.parametrize("case", list(MANIFESTS))

@@ -73,7 +73,7 @@ def make_colouring(white_rows):
     """Tiny full-grid colouring from a list of row strings, row 0 at y=0."""
     arr = np.array([[c == "." for c in row] for row in white_rows], dtype=bool)
     h, w = arr.shape
-    return Colouring(Window((0, 0), (w, h)), arr, "Z2", "test fixture", None)
+    return Colouring(Window((0, 0), (w, h)), arr, "test fixture", None)
 
 
 def bfs_labels(mask, S):
@@ -190,7 +190,7 @@ def test_crossing_rect_validation():
 
 def test_annulus_fixture_and_validation():
     all_white = Colouring(Window((-3, -3), (7, 7)), np.ones((7, 7), bool),
-                          "Z2", "test fixture", None)
+                          "test fixture", None)
     res = annulus_event(all_white, 3)
     assert res.occurred
     assert res.left_column == -3 and res.right_column == 1
@@ -199,14 +199,14 @@ def test_annulus_fixture_and_validation():
     with pytest.raises(DomainError):
         annulus_event(all_white, 4)
     dark = Colouring(Window((-3, -3), (7, 7)), np.zeros((7, 7), bool),
-                     "Z2", "test fixture", None)
+                     "test fixture", None)
     assert not annulus_event(dark, 3).occurred
 
 
 def test_staircase_fixture():
     side = 2**4 + 1
     all_white = Colouring(Window((0, 0), (side, side)), np.ones((side, side), bool),
-                          "Z2", "test fixture", None)
+                          "test fixture", None)
     res = staircase(all_white, 0, 3)
     assert res.succeeded
     assert [w[0] for w in res.witnesses] == [0, 1, 2, 3]
@@ -223,7 +223,7 @@ def test_staircase_blocked_stage():
     side = 9
     arr = np.ones((side, side), dtype=bool)
     arr[:3, :] = False  # rows y=0..2 all black kill the first two stages
-    col = Colouring(Window((0, 0), (side, side)), arr, "Z2", "test fixture", None)
+    col = Colouring(Window((0, 0), (side, side)), arr, "test fixture", None)
     res = staircase(col, 0, 2)
     assert not res.succeeded and res.path is None
     assert res.witnesses == ()
@@ -487,7 +487,7 @@ def test_estimator_input_validation():
 def test_label_clusters_checks_the_window_budget():
     huge = Window((0, 0), (100_000, 100_000))
     # a broadcast view: the colouring's bits take no memory
-    col = Colouring(huge, np.broadcast_to(np.True_, huge.array_shape()), "Z2", "test", None)
+    col = Colouring(huge, np.broadcast_to(np.True_, huge.array_shape()), "test", None)
     tracemalloc.start()
     for colour in ("white", "black"):
         with pytest.raises(DomainError, match="exceeds the budget"):
@@ -503,7 +503,7 @@ def test_label_clusters_checks_the_window_budget():
 
 def mask_colouring(mask):
     h, w = mask.shape
-    return Colouring(Window((0, 0), (w, h)), mask, "Z2", "test fixture", None)
+    return Colouring(Window((0, 0), (w, h)), mask, "test fixture", None)
 
 
 def serpentine_mask(n):
