@@ -1,6 +1,8 @@
 """Random coprime colourings of lattices: exact constants, samplers, percolation events."""
 
+import importlib.util
 import os
+import sys
 
 # Runs before any submodule imports numpy.  The package does no BLAS work
 # (its matrix products are integer products, which numpy computes without
@@ -9,3 +11,19 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """Register submodule `name` in sys.modules now and run it on its first
+    attribute access, so a command loads only the modules it uses (bounds,
+    which needs only arith, never imports numpy)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+arith, rng, lattice, colouring, perco = map(
+    _lazy, ("arith", "rng", "lattice", "colouring", "perco"))

@@ -20,9 +20,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_HALF_EVEN
 from fractions import Fraction
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from .errors import SIZE_BUDGET, DomainError
 
@@ -113,20 +111,39 @@ def _as_interval(value) -> Interval:
 
 @dataclass(frozen=True, eq=False)
 class PrimeTable:
-    """All primes up to a limit, ascending, as one read-only int64 array;
-    primes and iteration give Python ints, whose products never wrap."""
+    """All primes up to a limit, ascending, as one flag byte per odd number:
+    byte i is 1 iff 2i + 1 is prime, except byte 0, which stands for 2.
+    Iteration, len and .primes give Python ints, whose products never wrap,
+    without numpy; .array is the read-only int64 array, built on first use."""
 
-    array: np.ndarray
+    flags: bytearray
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(self.array.tolist())
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.array)
+        return self.flags.count(1)
+
+    def __contains__(self, k: int) -> bool:
+        i = k // 2
+        return k == 2 or (k % 2 == 1 and 0 < i < len(self.flags) and self.flags[i] == 1)
 
     def __iter__(self):
-        return iter(self.array.tolist())
+        odd = itertools.compress(range(3, 2 * len(self.flags), 2), memoryview(self.flags)[1:])
+        return itertools.chain((2,), odd)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        import numpy as np
+
+        primes = np.flatnonzero(np.frombuffer(self.flags, dtype=np.uint8)).astype(
+            np.int64, copy=False)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+        primes.flags.writeable = False
+        return primes
 
 
 @lru_cache(maxsize=1)
@@ -134,20 +151,26 @@ def primes_up_to(limit: int) -> PrimeTable:
     """The one prime sieve; every caller in a process shares the last table."""
     if limit < 2:
         raise DomainError(f"prime table needs limit >= 2, got {limit}")
-    if limit > SIZE_BUDGET:  # the sieve takes limit + 1 bytes
+    if limit > SIZE_BUDGET:  # the sieve takes (limit + 1) / 2 bytes
         raise DomainError(f"prime table limit {limit} exceeds the budget of {SIZE_BUDGET}")
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = False
-    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-    primes.flags.writeable = False
-    return PrimeTable(primes)
+    n = (limit + 1) // 2
+    flags = bytearray(b"\x01") * n
+    # the multiples of an odd prime p from p^2 on sit at every p-th byte from
+    # p^2 // 2; 3 has the most of them, so one zero buffer of that length
+    # serves every prime
+    zero = bytearray(n // 3 + 1)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = zero[: (n - 1 - start) // p + 1]
+    return PrimeTable(flags)
 
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """spf[k] = least prime factor of k, for 0 <= k <= limit (spf[0]=spf[1]=0)."""
+    import numpy as np
+
     if limit < 1:
         raise DomainError("spf table needs limit >= 1")
     spf = np.zeros(limit + 1, dtype=np.int64)

@@ -19,45 +19,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
-from .arith import (
-    SECOND_MOMENT_CSV_HEADER,
-    decimal_str,
-    second_moment_bound,
-)
-from .colouring import (
-    Window,
-    colour_window,
-    coset_slice,
-    infer_cosets,
-    lattice_from_id,
-    load_colouring,
-    oracle_from_origin,
-    pnm_header,
-    sample_coset_config,
-    save_colouring,
-    save_config,
-    truncation_error_bound,
-)
+from . import arith, colouring, lattice, perco
 from .errors import DomainError, ParseError
-from .lattice import (
-    build_golay,
-    hypothesis_report,
-    minimal_vectors,
-    norm_sq,
-    span_index,
-    standard_lattice,
-    word_line,
-)
-from .perco import (
-    MC_CSV_HEADER,
-    estimate_annulus,
-    estimate_crossing,
-    estimate_spanning,
-    estimate_staircase,
-    label_clusters,
-)
 
 _REQUIRED = object()
 
@@ -219,28 +182,30 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
 def cmd_sample(args) -> int:
     if args.oracle is not None and args.lattice != "Z2":
         raise DomainError("the gcd oracle is defined on the Z2 grid")
-    spec = lattice_from_id(args.lattice)
+    spec = lattice.lattice_from_id(args.lattice)
     if not spec.full_grid or spec.dim != 2:
         # refused before any work, so no partial output is left behind
         raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
     if args.out is None:
         raise ParseError("sample writes files; --out is required")
-    window = Window(args.origin, args.extents)
+    window = colouring.Window(args.origin, args.extents)
     if args.oracle is not None:
-        col = oracle_from_origin(args.oracle, window)
+        col = colouring.oracle_from_origin(args.oracle, window)
     else:
-        config = sample_coset_config(spec, args.P, args.seed)
-        col = colour_window(config, window)
-        _write(args, "config.txt", lambda path: save_config(config, path))
-    _write(args, "colouring.pgm", lambda path: save_colouring(col, path))
+        config = colouring.sample_coset_config(spec, args.P, args.seed)
+        col = colouring.colour_window(config, window)
+        _write(args, "config.txt", lambda path: colouring.save_config(config, path))
+    _write(args, "colouring.pgm", lambda path: colouring.save_colouring(col, path))
     print(f"white fraction {col.white_fraction():.6f}")
     if args.oracle is None:
-        bound = truncation_error_bound(window, args.P)
+        bound = colouring.truncation_error_bound(window, args.P)
         print(f"truncation error bound {float(bound):.6g}")
     return 0
 
 
 def cmd_layers(args) -> int:
+    import numpy as np
+
     if args.out is None:
         raise ParseError("layers writes files; --out is required")
     if args.lattice != "Z2":
@@ -248,48 +213,50 @@ def cmd_layers(args) -> int:
     primes = args.primes
     if not 1 <= len(primes) <= 3 or len(set(primes)) != len(primes):
         raise DomainError("need 1 to 3 distinct highlighted primes")
-    spec = lattice_from_id(args.lattice)
-    config = sample_coset_config(spec, args.P, args.seed)
+    spec = lattice.lattice_from_id(args.lattice)
+    config = colouring.sample_coset_config(spec, args.P, args.seed)
+    table = arith.primes_up_to(max(2, *primes))
     for p in primes:
+        if p not in table:
+            raise DomainError(f"highlighted value {p} is not a prime")
         if p > args.P:
             raise DomainError(f"highlighted prime {p} exceeds the cutoff P={args.P}")
-        if p not in config.reps:
-            raise DomainError(f"highlighted value {p} is not a prime")
-    window = Window(args.origin, args.extents)
-    col = colour_window(config, window)
+    window = colouring.Window(args.origin, args.extents)
+    col = colouring.colour_window(config, window)
     rgb = np.zeros(window.array_shape() + (3,), dtype=np.uint8)
     rgb[col.white] = (255, 255, 255)
     subset = np.zeros(window.array_shape(), dtype=np.uint8)
     for i, p in enumerate(primes):
-        subset[coset_slice(config.rep(p), p, window)] |= 1 << i
+        subset[colouring.coset_slice(config.rep(p), p, window)] |= 1 << i
     for bits, colour in LAYER_PALETTE.items():
         if bits < 1 << len(primes):
             rgb[subset == bits] = colour
-    header = pnm_header("P6", col, "primes=" + " ".join(str(p) for p in primes))
+    header = colouring.pnm_header("P6", col, "primes=" + " ".join(str(p) for p in primes))
     _write(args, "layers.ppm", lambda path: path.write_bytes(header + rgb.tobytes()))
-    _write(args, "config.txt", lambda path: save_config(config, path))
+    _write(args, "config.txt", lambda path: colouring.save_config(config, path))
     print(f"layers.ppm written, {len(primes)} highlighted primes")
     return 0
 
 
-# Monte Carlo command -> (estimator, the options its leading parameters take);
-# trials, P, seed and workers follow them
+# Monte Carlo command -> (perco estimator, the options its leading parameters
+# take); trials, P, seed and workers follow them
 _MONTE_CARLO = {
-    "crossing": (estimate_crossing, ("n", "x")),
-    "annulus": (estimate_annulus, ("k",)),
-    "staircase": (estimate_staircase, ("n_max",)),
-    "spanning": (estimate_spanning, ("length",)),
+    "crossing": ("estimate_crossing", ("n", "x")),
+    "annulus": ("estimate_annulus", ("k",)),
+    "staircase": ("estimate_staircase", ("n_max",)),
+    "spanning": ("estimate_spanning", ("length",)),
 }
 
 
 def cmd_monte_carlo(args) -> int:
     """<command>.csv, and witness.txt with the first successful trial and its
     event's witness lines when the event has them."""
-    estimate, options = _MONTE_CARLO[args.command]
+    name, options = _MONTE_CARLO[args.command]
+    estimate = getattr(perco, name)
     stats = estimate(*(getattr(args, option) for option in options), args.trials, args.P,
                      args.seed, workers=args.workers)
     args.P = stats.P
-    _emit_csv(args, MC_CSV_HEADER, [stats.csv_row()])
+    _emit_csv(args, perco.MC_CSV_HEADER, [stats.csv_row()])
     t, result = stats.witness or (None, None)
     if hasattr(result, "witness_lines"):
         _emit(args, "witness.txt", "\n".join([f"trial {t}", *result.witness_lines()]) + "\n")
@@ -297,25 +264,25 @@ def cmd_monte_carlo(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    report = second_moment_bound(args.n, args.x, args.P)
+    report = arith.second_moment_bound(args.n, args.x, args.P)
     args.P = report.P
-    _emit_csv(args, SECOND_MOMENT_CSV_HEADER, [report.csv_row()])
+    _emit_csv(args, arith.SECOND_MOMENT_CSV_HEADER, [report.csv_row()])
     # notes go to stderr, so the CSV row stays the one a cutoff of P prints
     if report.P < report.x:
         print(f"note: P={report.P} is below x={report.x}; the products ran to the"
               f" effective cutoff max(P, x) = {report.x}", file=sys.stderr)
     if report.r_upper >= 1:
-        print(f"note: r_upper={decimal_str(report.r_upper)} is at least 1, so the bound"
+        print(f"note: r_upper={arith.decimal_str(report.r_upper)} is at least 1, so the bound"
               " is vacuous", file=sys.stderr)
     return 0
 
 
 def cmd_clusters(args) -> int:
-    spec = lattice_from_id(args.lattice)
-    config = sample_coset_config(spec, args.P, args.seed)
-    col = colour_window(config, Window(args.origin, args.extents))
+    spec = lattice.lattice_from_id(args.lattice)
+    config = colouring.sample_coset_config(spec, args.P, args.seed)
+    col = colouring.colour_window(config, colouring.Window(args.origin, args.extents))
     kind, d, kw, _ = _MODELS[args.adjacency]
-    labels = label_clusters(col, standard_lattice(kind, d, **kw)[1], args.colour)
+    labels = perco.label_clusters(col, lattice.standard_lattice(kind, d, **kw)[1], args.colour)
     _emit_csv(args, "key,value", [
         f"colour,{args.colour}",
         f"adjacency,{args.adjacency}",
@@ -329,8 +296,8 @@ def cmd_clusters(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    spec = lattice_from_id(args.lattice)
-    vectors = minimal_vectors(spec)
+    spec = lattice.lattice_from_id(args.lattice)
+    vectors = lattice.minimal_vectors(spec)
     if args.action == "dump":
         _emit(args, "vectors.txt",
               "".join(" ".join(str(c) for c in v) + "\n" for v in vectors.rows.tolist()))
@@ -340,17 +307,17 @@ def cmd_lattice(args) -> int:
             f"dim,{spec.dim}",
             f"determinant,{spec.determinant}",
             f"minimal_vectors,{len(vectors)}",
-            f"minimal_norm_sq,{norm_sq(spec, vectors.rows[0].tolist())}",
-            f"span_index,{span_index(vectors.rows, spec)}",
+            f"minimal_norm_sq,{lattice.norm_sq(spec, vectors.rows[0].tolist())}",
+            f"span_index,{lattice.span_index(vectors.rows, spec)}",
         ])
     return 0
 
 
 def cmd_golay(args) -> int:
-    code = build_golay()
+    code = lattice.build_golay()
     if args.dump is not None:
         _emit(args, f"{args.dump}.txt",
-              "".join(word_line(w) + "\n" for w in getattr(code, args.dump)))
+              "".join(lattice.word_line(w) + "\n" for w in getattr(code, args.dump)))
     else:
         weights = Counter(w.bit_count() for w in code.codewords)
         _emit_csv(args, "key,value", [
@@ -363,10 +330,10 @@ def cmd_golay(args) -> int:
 
 def cmd_check(args) -> int:
     kind, d, kw, default_radius = _MODELS[args.lattice]
-    spec, S = standard_lattice(kind, d, **kw)
+    spec, S = lattice.standard_lattice(kind, d, **kw)
     if args.radius is None:
         args.radius = default_radius
-    report = hypothesis_report(spec, S, args.theorem, args.radius, args.search_radius)
+    report = lattice.hypothesis_report(spec, S, args.theorem, args.radius, args.search_radius)
     lines = [f"target={args.lattice} lattice={report.lattice} theorem={report.theorem}"]
     for adj in report.adjacency:
         status = "pass (exact)" if adj.passed else f"FAIL witness={adj.witness}"
@@ -385,8 +352,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    col = load_colouring(args.pgm)
-    result = infer_cosets(col, args.p_max)
+    col = colouring.load_colouring(args.pgm)
+    result = colouring.infer_cosets(col, args.p_max)
     lines = []
     for p in sorted(result.candidates):
         cands = " | ".join(" ".join(str(r) for r in c) for c in result.candidates[p])

@@ -796,10 +796,12 @@ def _enumerate_box_points(spec: LatticeSpec, radius: int, axis: int | None = Non
     side = 2 * radius + 1
     if side ** free * spec.dim > SIZE_BUDGET:
         raise DomainError("box too large to enumerate pointwise")
-    pts = np.indices((side,) * free).reshape(free, side ** free).T - radius
+    # built in the smallest signed type that holds the box; members are int64
+    pts = np.indices((side,) * free, dtype=np.min_scalar_type(-side))
+    pts = pts.reshape(free, side ** free).T - radius
     if axis is not None:
         pts = np.insert(pts, axis, 0, axis=1)
-    return pts[contains_bulk(spec, pts)]
+    return pts[contains_bulk(spec, pts)].astype(np.int64)
 
 
 def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,

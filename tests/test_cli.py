@@ -414,6 +414,31 @@ def test_cli_import_starts_no_blas_thread():
     assert fresh_stdout(probe) == "1"
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_numpy_loaded_through_the_package_starts_no_blas_thread():
+    # the import alone no longer loads numpy; the first numpy-backed
+    # submodule does, after the package has pinned OpenBLAS
+    probe = ("import os, coprimelab.cli; coprimelab.cli.perco.MC_CSV_HEADER; "
+             "print(len(os.listdir('/proc/self/task')))")
+    assert fresh_stdout(probe) == "1"
+
+
+def test_bounds_runs_without_numpy():
+    # bounds needs only arith's exact products; the numpy-backed submodules
+    # load on first use, and bounds uses none of them
+    probe = """
+import contextlib, io, sys
+from coprimelab.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["bounds", "--n", "64", "--x", "64"]) == 0
+print("numpy" in sys.modules)
+print(out.getvalue().splitlines()[1])
+"""
+    assert fresh_stdout(probe).splitlines() == [
+        "False", "64,64,2048,0.105765105381,0.109176882974,0.0625817210819"]
+
+
 def test_preset_openblas_threads_survive_import():
     probe = "import os, coprimelab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert fresh_stdout(probe, OPENBLAS_NUM_THREADS="2") == "2"
@@ -538,7 +563,7 @@ def test_layers_rejects_prime_beyond_cutoff(capsys, tmp_path):
     assert "7" in err
 
 
-@pytest.mark.parametrize("value", ["4", "0", "-3", "9"])
+@pytest.mark.parametrize("value", ["4", "0", "-3", "9", "15"])
 def test_layers_refuses_a_value_that_is_not_prime(capsys, tmp_path, value):
     code, out, err = run(capsys, "layers", "--out", str(tmp_path), "--P", "13",
                          "--primes", value)
@@ -784,11 +809,33 @@ def test_every_name_the_bench_tracer_wraps_resolves():
             assert callable(vars(owner).get(attr)), f"{mod_name}.{qual}"
 
 
+def test_the_bench_tracer_finds_every_module_after_the_cli_import():
+    # Tracer.installed() indexes sys.modules["coprimelab.<m>"] right after
+    # `import coprimelab.cli`, so that import alone must register every
+    # traced module, though most of them run only on first use
+    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    probe = f"""
+import sys, coprimelab.cli
+for mod_name, quals in {traced!r}.items():
+    module = sys.modules[f"coprimelab.{{mod_name}}"]
+    for qual in quals:
+        owner_name, _, attr = qual.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        assert callable(vars(owner).get(attr)), qual
+print("resolved")
+"""
+    assert fresh_stdout(probe) == "resolved"
+
+
 def test_monte_carlo_table_matches_the_commands_and_the_estimators():
     # the shared body calls estimate(*options, trials, P, seed, workers=workers)
     shared = {cmd for cmd, (fn, _, _) in cli._COMMANDS.items() if fn is cli.cmd_monte_carlo}
     assert set(cli._MONTE_CARLO) == shared == {"crossing", "annulus", "staircase", "spanning"}
-    for cmd, (estimate, options) in cli._MONTE_CARLO.items():
-        params = list(inspect.signature(estimate).parameters)
+    for cmd, (name, options) in cli._MONTE_CARLO.items():
+        params = list(inspect.signature(getattr(perco, name)).parameters)
         assert params == [*options, "trials", "P", "master_seed", "workers"], cmd
         assert {*options, "trials", "P", "seed", "workers"} <= set(_SPECS[cmd]), cmd

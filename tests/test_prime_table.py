@@ -1,4 +1,5 @@
-"""The prime table: one read-only int64 array, sieved once per limit."""
+"""The prime table: one flag byte per odd number, sieved once per limit; its
+int64 array is built on first use."""
 
 import tracemalloc
 
@@ -21,6 +22,19 @@ def test_primes_match_sympy(limit):
     assert table.primes == expected
     assert list(table) == list(expected) and len(table) == len(expected)
     assert table.array.dtype == np.int64
+
+
+def test_odd_only_sieve_at_every_small_limit():
+    # both parities of the limit, and the squares of primes (9, 25, 49, 121,
+    # 169, 289), where the limit is the first multiple its prime marks
+    for limit in range(2, 301):
+        table = primes_up_to(limit)
+        expected = list(sympy.primerange(2, limit + 1))
+        assert len(table) == len(expected), limit
+        assert list(table) == expected, limit
+        assert [k for k in range(-3, limit + 3) if k in table] == expected, limit
+        assert "array" not in vars(table), limit  # built only when asked for
+        assert table.array.tolist() == expected, limit
 
 
 def test_smallest_prime_factors_match_trial_division():
