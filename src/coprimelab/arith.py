@@ -207,15 +207,15 @@ def _odd_prime_factors(n: int) -> list[int]:
 class ProductAccumulator:
     """Running product of positive rationals with a guaranteed enclosure.
 
-    Exact mode keeps a single Fraction; fixed mode keeps floor/ceil scaled
-    integers so very long products stay cheap.  Either way result() brackets
-    the true product.
+    Exact mode keeps an unreduced integer numerator and denominator, reduced
+    once in result(); fixed mode keeps floor/ceil scaled integers so very
+    long products stay cheap.  Either way result() brackets the true product.
     """
 
     def __init__(self, exact: bool):
         self.exact = exact
         if exact:
-            self.value = Fraction(1)
+            self.num = self.den = 1
         else:
             self.lo = _FIXED_ONE
             self.hi = _FIXED_ONE
@@ -224,14 +224,16 @@ class ProductAccumulator:
         if num < 0 or den <= 0:
             raise ValueError("factors must be nonnegative with positive denominator")
         if self.exact:
-            self.value *= Fraction(num, den)
+            self.num *= num
+            self.den *= den
         else:
             self.lo = (self.lo * num) // den
             self.hi = -((-self.hi * num) // den)
 
     def result(self) -> Interval:
         if self.exact:
-            return Interval(self.value, self.value)
+            value = Fraction(self.num, self.den)
+            return Interval(value, value)
         return Interval(
             Fraction(self.lo, _FIXED_ONE), Fraction(self.hi, _FIXED_ONE)
         )
@@ -452,20 +454,9 @@ def _phi_terms(N: int):
             yield k, unit
 
 
-def phi_partial_sum(N: int, weighted: bool) -> Fraction:
-    """Exact sum of phi_sqf(k) (or phi_sqf(k)/k) over odd squarefree k <= N.
-
-    Exact rationals get expensive beyond N around 10^4; use
-    phi_partial_sum_interval for large N.
-    """
-    total = Fraction(0)
-    for k, unit in _phi_terms(N):
-        total += Fraction(1, unit * k) if weighted else Fraction(1, unit)
-    return total
-
-
 def phi_partial_sum_interval(N: int, weighted: bool) -> Interval:
-    """Directed fixed-point enclosure of phi_partial_sum, cheap for large N."""
+    """Directed fixed-point enclosure of the sum of phi_sqf(k) (or
+    phi_sqf(k)/k) over odd squarefree k <= N, cheap for large N."""
     lo = 0
     hi = 0
     for k, unit in _phi_terms(N):
@@ -539,14 +530,6 @@ def pair_ratio_base(x: int, P: int) -> Interval:
     return _euler_product(factor, Q) * tail
 
 
-def pair_over_line_sq(d: int, x: int, P: int) -> Interval:
-    """Enclosure of pair(d,x)/line(x)^2 for even separation d."""
-    if d < 2 or d % 2 == 1:
-        raise DomainError("ratio defined for even d >= 2")
-    _check_pair(d, x)
-    return pair_ratio_base(x, P) * (2 * theta(d))
-
-
 def second_moment_bound(n: int, x: int, P: int | None = None) -> SecondMomentReport:
     """Upper bound for the probability that none of n consecutive lines of
     width x is fully white, via the exact finite second-moment identity."""
@@ -570,45 +553,6 @@ def second_moment_bound(n: int, x: int, P: int | None = None) -> SecondMomentRep
     # the products run to max(P, x), as in line_white_prob and pair_ratio_base
     mode = _accumulator_for(max(P, x)).mode
     return SecondMomentReport(n, x, P, f_enc, offdiag, diag, r_upper, mode)
-
-
-# ---------------------------------------------------------------------------
-# checked properties with fitted constants
-
-
-def check_inverse_f_log_bound(x_max: int = 10_000, factor: int = 12) -> dict:
-    """Verify 1/f(x) <= factor * log(x) for every integer x in [2, x_max].
-
-    f is decreasing and log increasing, so checking 1/f(hi) <= factor*log(lo)
-    on a geometric grid certifies the whole range.  Returns both sides at the
-    tightest grid point plus the largest observed 1/(f(x) log x).
-    """
-    grid = [2, 3, 4, 5, 6, 8]
-    g = 8
-    while g < x_max:
-        g = min(x_max, max(g + 1, int(g * 1.3)))
-        grid.append(g)
-    worst = None
-    fitted = Fraction(0)
-    prev = 2
-    for xg in grid:
-        P = max(2 * xg, 64)
-        f_lo = line_white_prob(xg, P).lo
-        bound = Fraction(1) / f_lo
-        # rational lower bound on log(prev): shave the float a little
-        log_lo = Fraction(math.log(prev)) * Fraction(999_999, 1_000_000)
-        ratio = bound / log_lo
-        if fitted < ratio:
-            fitted = ratio
-            worst = (prev, xg, float(bound), float(factor * log_lo))
-        prev = xg
-    return {
-        # bound <= factor * log_lo at every grid point iff every ratio <= factor
-        "ok": fitted <= factor,
-        "factor": factor,
-        "fitted_constant": float(fitted),
-        "worst": worst,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -373,7 +373,7 @@ def load_config(path) -> CosetConfig:
             raise ParseError(
                 f"expected {spec.dim} residues for p={p}, got {len(rep)}", line=lineno
             )
-        if reps and p <= max(reps):
+        if reps and p <= next(reversed(reps)):
             raise ParseError("primes out of order", line=lineno)
         if any(not 0 <= r < p for r in rep):
             raise ParseError(f"residue out of range [0,{p}) for p={p}", line=lineno)

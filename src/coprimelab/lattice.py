@@ -61,9 +61,6 @@ class GolayCode:
         k = bisect.bisect_left(self.codewords, word)
         return k < len(self.codewords) and self.codewords[k] == word
 
-    def generator_lines(self) -> list[str]:
-        return [word_line(g) for g in self.generators]
-
 
 def word_line(word: int) -> str:
     """The 24 bits of a word as 0/1 characters, bit 0 first."""
@@ -384,14 +381,6 @@ def _leech_spec() -> LatticeSpec:
     return _spec_from_generators("Leech", gens + [[-3] + [1] * 23], 8**12, "leech")
 
 
-def contains(spec: LatticeSpec, v) -> bool:
-    """Direct membership test against the spec's rule."""
-    v = [int(c) for c in v]
-    if len(v) != spec.dim:
-        raise DomainError(f"vector of length {len(v)} in dimension {spec.dim}")
-    return bool(contains_bulk(spec, np.array([v], dtype=object))[0])
-
-
 def contains_bulk(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
     """Membership of each row of an (n, dim) integer array under the spec's rule.
 
@@ -591,14 +580,6 @@ def _leech_minimal_set() -> GenSet:
 # Leech membership via binary digits
 
 
-def leech_contains(x, code: GolayCode) -> bool:
-    """Digit-condition membership test for the integer Leech model."""
-    x = [int(c) for c in x]
-    if len(x) != 24:
-        raise DomainError("Leech vectors have 24 coordinates")
-    return bool(leech_contains_bulk(np.array([x], dtype=object), code)[0])
-
-
 def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
     """Digit-condition membership for an (n, 24) integer array.
 
@@ -624,7 +605,7 @@ def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# span index and coordinate normalization
+# span index and coordinate scales
 
 
 def span_index(vectors, spec: LatticeSpec) -> int:
@@ -658,28 +639,10 @@ def coordinate_scales(spec: LatticeSpec) -> tuple[int, ...]:
     return tuple(math.gcd(*(abs(e) for e in row)) for row in rows)
 
 
-def normalize_coordinates(spec: LatticeSpec, S: GenSet):
-    """Divide coordinate i by k_i so every coordinate map becomes onto Z.
-
-    Returns (new spec, new generating set, the scale factors).  Lattices that
-    are already coordinate-onto come back unchanged.
-    """
-    ks = coordinate_scales(spec)
-    if all(k == 1 for k in ks):
-        return spec, S, ks
-    columns = tuple(
-        tuple(c // k for c, k in zip(col, ks)) for col in spec.columns
-    )
-    new_spec = LatticeSpec(spec.name + "/normalized", spec.dim, columns, "basis", spec.form)
-    return new_spec, GenSet(S.rows // np.array(ks, dtype=np.int64)), ks
-
-
 def _require_normalized(spec: LatticeSpec) -> None:
     ks = coordinate_scales(spec)
     if any(k != 1 for k in ks):
-        raise DomainError(
-            f"coordinates not normalized (scales {ks}); run normalize_coordinates"
-        )
+        raise DomainError(f"coordinate maps not onto the integers (scales {ks})")
 
 
 def _point_with_coordinate(spec: LatticeSpec, axis: int, value: int) -> tuple[int, ...]:
@@ -702,7 +665,7 @@ def _point_with_coordinate(spec: LatticeSpec, axis: int, value: int) -> tuple[in
             coeff[j] += b
             g = math.gcd(g, e)
     if g != 1:
-        raise DomainError("coordinate map not onto; normalize first")
+        raise DomainError("coordinate map not onto the integers")
     point = [0] * spec.dim
     for j, c in enumerate(coeff):
         for i in range(spec.dim):

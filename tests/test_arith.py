@@ -6,6 +6,7 @@ series for the remaining tail.  Enclosures produced by the module must
 contain them at every cutoff.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,15 +20,12 @@ from coprimelab.arith import (
     Interval,
     ProductAccumulator,
     SECOND_MOMENT_CSV_HEADER,
-    check_inverse_f_log_bound,
     decimal_str,
     line_white_prob,
     line_white_trunc,
     pair_line_prob,
     pair_line_trunc,
-    pair_over_line_sq,
     pair_ratio_base,
-    phi_partial_sum,
     phi_partial_sum_interval,
     phi_sqf,
     prime_power_tail_sum,
@@ -151,6 +149,19 @@ def test_theta_divisor_identity_spot_checks():
         assert theta_divisor_identity_check(d)
 
 
+def phi_partial_sum(N: int, weighted: bool) -> Fraction:
+    """Exact sum of phi_sqf(k) (or phi_sqf(k)/k) over odd squarefree k <= N.
+
+    The oracle of phi_partial_sum_interval, taken from the definition: k is
+    squarefree when no odd square above 1 divides it.
+    """
+    total = Fraction(0)
+    for k in range(1, N + 1, 2):
+        if all(k % (q * q) for q in range(3, math.isqrt(k) + 1, 2)):
+            total += phi_sqf(k) / k if weighted else phi_sqf(k)
+    return total
+
+
 def test_phi_partial_sums_by_hand():
     # odd squarefree k <= 9: 1, 3, 5, 7
     assert phi_partial_sum(9, weighted=True) == Fraction(10, 7)
@@ -221,7 +232,7 @@ def test_second_moment_at_an_even_width_below_the_cutoff_names_the_cutoff():
 
 def test_pair_over_line_sq_consistent_with_quotient():
     for d, x in ((2, 16), (4, 16), (6, 32)):
-        ratio = pair_over_line_sq(d, x, 4000)
+        ratio = pair_ratio_base(x, 4000) * (2 * theta(d))
         f = line_white_prob(x, 4000)
         g = pair_line_prob(d, x, 4000)
         quotient = g * (f * f).reciprocal()
@@ -248,6 +259,45 @@ def test_second_moment_trend_small():
     values = [second_moment_bound(n, n).r_upper for n in (16, 32, 64)]
     assert values[0] >= values[1] >= values[2]
     assert all(v >= 0 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# checked properties with fitted constants
+
+
+def check_inverse_f_log_bound(x_max: int = 10_000, factor: int = 12) -> dict:
+    """Verify 1/f(x) <= factor * log(x) for every integer x in [2, x_max].
+
+    f is decreasing and log increasing, so checking 1/f(hi) <= factor*log(lo)
+    on a geometric grid certifies the whole range.  Returns both sides at the
+    tightest grid point plus the largest observed 1/(f(x) log x).
+    """
+    grid = [2, 3, 4, 5, 6, 8]
+    g = 8
+    while g < x_max:
+        g = min(x_max, max(g + 1, int(g * 1.3)))
+        grid.append(g)
+    worst = None
+    fitted = Fraction(0)
+    prev = 2
+    for xg in grid:
+        P = max(2 * xg, 64)
+        f_lo = line_white_prob(xg, P).lo
+        bound = Fraction(1) / f_lo
+        # rational lower bound on log(prev): shave the float a little
+        log_lo = Fraction(math.log(prev)) * Fraction(999_999, 1_000_000)
+        ratio = bound / log_lo
+        if fitted < ratio:
+            fitted = ratio
+            worst = (prev, xg, float(bound), float(factor * log_lo))
+        prev = xg
+    return {
+        # bound <= factor * log_lo at every grid point iff every ratio <= factor
+        "ok": fitted <= factor,
+        "factor": factor,
+        "fitted_constant": float(fitted),
+        "worst": worst,
+    }
 
 
 def test_inverse_f_stays_logarithmic():

@@ -409,7 +409,8 @@ def test_cli_import_pins_openblas_to_one_thread():
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_cli_import_starts_no_blas_thread():
-    # numpy is loaded by the import; an OpenBLAS pool would add threads
+    # the import alone loads no numpy and starts no thread; the next test
+    # loads numpy through the package
     probe = "import os, coprimelab.cli; print(len(os.listdir('/proc/self/task')))"
     assert fresh_stdout(probe) == "1"
 
@@ -791,15 +792,22 @@ def test_config_values_outside_the_choices_are_parse_errors(capsys, tmp_path, ar
     assert err.startswith(f"parse error: bad value for {key}: {value!r} (choices: ")
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_traced():
+    """bench/tracing.py's TRACED, parsed, not imported."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+
+
 def test_every_name_the_bench_tracer_wraps_resolves():
     # bench/tracing.py looks each TRACED name up as it does here; a missing one
     # only prints "not found; its metrics stay 0" there, and its self-test
     # still passes.  The file is parsed, not imported.
-    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    tree = ast.parse(tracing.read_text(encoding="utf-8"))
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    traced = _bench_traced()
     assert "lattice" in traced and "colouring" in traced
     for mod_name, quals in traced.items():
         module = importlib.import_module(f"coprimelab.{mod_name}")
@@ -813,11 +821,7 @@ def test_the_bench_tracer_finds_every_module_after_the_cli_import():
     # Tracer.installed() indexes sys.modules["coprimelab.<m>"] right after
     # `import coprimelab.cli`, so that import alone must register every
     # traced module, though most of them run only on first use
-    tracing = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
-    tree = ast.parse(tracing.read_text(encoding="utf-8"))
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    traced = _bench_traced()
     probe = f"""
 import sys, coprimelab.cli
 for mod_name, quals in {traced!r}.items():
@@ -829,6 +833,44 @@ for mod_name, quals in {traced!r}.items():
 print("resolved")
 """
     assert fresh_stdout(probe) == "resolved"
+
+
+# Public names that no command, frozen test or bench trace reaches, and why
+# each stays in src/.
+_KEPT_WITHOUT_CALLER = {
+    "load_config": "the one reader of the config.txt that sample and layers write",
+    "substream": "the scalar reference that the lane RNG is tested against",
+}
+
+
+def _referenced_names(path):
+    """Names, attributes, imported names and string constants in a file
+    (_MONTE_CARLO names its estimators as strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_src_name_has_a_caller():
+    # a library name that only its own tests call belongs in those tests
+    sources = sorted((ROOT / "src" / "coprimelab").glob("*.py"))
+    frozen = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_arith_golden.py"]
+    reached = set(_KEPT_WITHOUT_CALLER).union(*map(_referenced_names, sources + frozen))
+    reached.update(part for quals in _bench_traced().values()
+                   for qual in quals for part in qual.split("."))
+    orphans = [f"{path.stem}.{node.name}" for path in sources
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in reached]
+    assert orphans == []
 
 
 def test_monte_carlo_table_matches_the_commands_and_the_estimators():

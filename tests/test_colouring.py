@@ -233,9 +233,9 @@ def per_point_colouring(spec, config, window):
     """Per-point rule: basis_coordinates, then residues mod p.
 
     Membership comes from the scalar adjugate solve in basis_coordinates,
-    which shares no code with the bulk rule; contains must agree with it.
+    which shares no code with the bulk rule; contains_bulk must agree with it.
     """
-    from coprimelab.lattice import basis_coordinates, contains
+    from coprimelab.lattice import basis_coordinates, contains_bulk
 
     d = window.dim
     white = np.zeros(window.array_shape(), dtype=bool)
@@ -243,7 +243,7 @@ def per_point_colouring(spec, config, window):
     for idx in np.ndindex(*window.array_shape()):
         point = tuple(window.origin[k] + idx[d - 1 - k] for k in range(d))
         coeff = basis_coordinates(spec, point)
-        assert contains(spec, point) == (coeff is not None)
+        assert contains_bulk(spec, np.array([point], dtype=object))[0] == (coeff is not None)
         if coeff is None:
             continue
         in_lattice[idx] = True
@@ -373,6 +373,16 @@ def test_config_round_trip_and_golden(tmp_path):
     path = tmp_path / "c.txt"
     save_config(config, path)
     assert path.read_text() == CONFIG_GOLDEN
+    assert load_config(path) == config
+
+
+def test_config_round_trip_with_every_prime_below_a_million(tmp_path):
+    # sample accepts --P 1000000; the order check compares each prime with the
+    # previous line's only, so reading the 78,498 lines back stays linear
+    config = sample_coset_config(Z2, 10**6, 0)
+    assert len(config.reps) == 78_498
+    path = tmp_path / "c.txt"
+    save_config(config, path)
     assert load_config(path) == config
 
 

@@ -27,15 +27,15 @@ from coprimelab.lattice import (
     build_golay,
     check_crossing_adjacency,
     check_slice_connectivity,
+    coordinate_scales,
     dodecad_decomposition,
     hypothesis_report,
-    leech_contains,
     leech_contains_bulk,
     minimal_vectors,
     norm_sq,
-    normalize_coordinates,
     span_index,
     standard_lattice,
+    word_line,
 )
 
 GOLAY_WEIGHTS = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
@@ -94,7 +94,8 @@ def test_golay_complement_symmetry(code):
 
 
 def test_generator_lines_format(code):
-    lines = code.generator_lines()
+    # what `golay --dump generators` prints
+    lines = [word_line(g) for g in code.generators]
     assert len(lines) == 12
     for g, line in zip(code.generators, lines):
         assert len(line) == 24 and set(line) <= {"0", "1"}
@@ -216,7 +217,7 @@ def test_basis_coordinates_rebuild_the_vector(lattice_id, entries):
     spec = lattice.lattice_from_id(lattice_id)
     v = entries[: spec.dim]
     coords = basis_coordinates(spec, v)
-    assert (coords is not None) == lattice.contains(spec, v)
+    assert (coords is not None) == lattice.contains_bulk(spec, np.array([v], dtype=object))[0]
     if coords is not None:
         rebuilt = [sum(c * col[i] for c, col in zip(coords, spec.columns)) for i in range(spec.dim)]
         assert rebuilt == v
@@ -258,7 +259,7 @@ def test_leech_minimal_vectors_against_coordinate_oracle():
     for v in sample:
         coords = basis_coordinates(spec, v)
         assert coords is not None
-        assert leech_contains(v, code)
+    assert leech_contains_bulk(np.array(sample, dtype=object), code).all()
 
 
 def test_leech_membership_on_constructed_members_and_rejects():
@@ -266,10 +267,11 @@ def test_leech_membership_on_constructed_members_and_rejects():
     code = build_golay()
     rng = random.Random(9)
     basis = np.array(spec.columns, dtype=np.int64)
+    members = []
     for _ in range(100):
         coeffs = np.array([rng.randrange(-3, 4) for _ in range(24)])
-        member = tuple(int(c) for c in coeffs @ basis)
-        assert leech_contains(member, code)
+        members.append(tuple(int(c) for c in coeffs @ basis))
+    assert leech_contains_bulk(np.array(members, dtype=object), code).all()
     sample = rng.sample(list(vectors), 200)
     bumped = []
     for v in sample:
@@ -430,17 +432,17 @@ def test_hypothesis_report_rejects_bad_sets():
         hypothesis_report(spec, standard_lattice("square")[1], "sideways", 2)
 
 
-def test_normalize_coordinates_scales():
+def test_coordinate_scales_gate_the_checkers():
     spec, square = standard_lattice("square")
-    norm_spec, norm_s, ks = normalize_coordinates(spec, square)
-    assert ks == (1, 1)
-    assert norm_s.vectors == square.vectors
+    assert coordinate_scales(spec) == (1, 1)
     scaled = type(spec)(name="Z2x2", dim=2, columns=((2, 0), (0, 2)),
                         membership_id="basis", form="euclidean")
     scaled_s = GenSet([(2, 0), (-2, 0), (0, 2), (0, -2)])
-    _, reduced, ks = normalize_coordinates(scaled, scaled_s)
-    assert ks == (2, 2)
-    assert reduced.vectors == square.vectors
+    assert coordinate_scales(scaled) == (2, 2)
+    with pytest.raises(DomainError, match=r"not onto the integers \(scales \(2, 2\)\)"):
+        check_crossing_adjacency(scaled, scaled_s, 0)
+    with pytest.raises(DomainError, match=r"not onto the integers \(scales \(2, 2\)\)"):
+        check_slice_connectivity(scaled, scaled_s, 0, 1)
 
 
 @pytest.mark.parametrize("case", ["square-skips-odd", "e8-subset"])
@@ -467,7 +469,8 @@ def _reference_slice_certificate(spec, S, axis, radius, search):
     def box(r):
         return itertools.product(range(-r, r + 1), repeat=spec.dim)
 
-    targets = [p for p in box(radius) if p[axis] == 0 and lattice.contains(spec, p)]
+    targets = [p for p in box(radius) if p[axis] == 0
+               and lattice.contains_bulk(spec, np.array([p], dtype=object))[0]]
     gens = [v for v in S if v[axis] == 0]
     origin = (0,) * spec.dim
     seen, frontier = {origin}, [origin]
@@ -488,7 +491,7 @@ def _reference_slice_certificate(spec, S, axis, radius, search):
 def test_bfs_slice_certificate_matches_a_scalar_search(kind, d):
     spec = standard_lattice(kind, d)[0]
     pool = [p for p in itertools.product(range(-3, 4), repeat=spec.dim)
-            if any(p) and lattice.contains(spec, p)]
+            if any(p) and lattice.contains_bulk(spec, np.array([p], dtype=object))[0]]
     rng = random.Random(11)
     for _ in range(15):
         picked = rng.sample(pool, rng.randrange(1, 4 * spec.dim))
@@ -607,7 +610,7 @@ def test_singular_basis_is_a_domain_error():
     with pytest.raises(DomainError, match="singular"):
         basis_coordinates(flat, (1, 2))
     with pytest.raises(DomainError, match="singular"):
-        lattice.contains(flat, (1, 2))
+        lattice.contains_bulk(flat, np.array([(1, 2)], dtype=object))
 
 
 def test_one_dimensional_slice_is_the_origin():
