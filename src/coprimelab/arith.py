@@ -83,6 +83,8 @@ class Interval:
 
     def __mul__(self, other):
         other = _as_interval(other)
+        if self.lo >= 0 and other.lo >= 0:  # the bounds' products need no sorting
+            return Interval(self.lo * other.lo, self.hi * other.hi)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,

@@ -287,7 +287,7 @@ def cmd_clusters(args) -> int:
         f"colour,{args.colour}",
         f"adjacency,{args.adjacency}",
         f"points,{col.window.point_count}",
-        f"coloured_points,{int((labels.labels >= 0).sum())}",
+        f"coloured_points,{int(labels.sizes.sum())}",
         f"components,{labels.count}",
         f"largest,{int(labels.sizes.max()) if labels.count else 0}",
         f"boundary_components,{len(labels.boundary_components())}",

@@ -119,6 +119,15 @@ class ClusterLabels:
         return np.nonzero(self.touches.any(axis=(1, 2)))[0]
 
 
+def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Roots of the given point ids."""
+    while True:
+        up = parent[ids]
+        if (up == ids).all():
+            return ids
+        ids = up
+
+
 def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> ClusterLabels:
     """Connected components of one colour; ids in raster first-visit order.
 
@@ -126,8 +135,15 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     and pointer jumping (Shiloach-Vishkin): a component's root is the
     smallest raster point id it holds, and each edge joining two roots hooks
     the larger onto the smaller.  Roots ordered by id are then components in
-    first-visit order.  Each pair gives at most one edge per point, so
-    memory stays linear in the window whatever the size of S.
+    first-visit order.
+
+    Memory: the int64 grid returned as `labels` holds each position's point
+    id, then its root as of the last offset pair, and `parent` holds one
+    int64 per point of the colour.  A pair's edges are taken in slabs of the
+    outer array axis of at most _BATCH_ENTRIES positions (a slab's grid
+    roots that an earlier slab hooked are followed up `parent`), and
+    `parent` is flattened in runs of that length, so the working set beyond
+    the two arrays is bounded whatever the window or the size of S.
     """
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")
@@ -140,37 +156,74 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     if colouring.in_lattice is not None:
         mask = mask & colouring.in_lattice
     shape = mask.shape
-    on = np.flatnonzero(mask)
-    points = len(on)
-    # root of each position's component; `points` marks the other positions
-    root = np.full(shape, points, dtype=np.int64)
-    root.flat[on] = np.arange(points)
-    parent = np.arange(points + 1)
+    # point ids in raster order; `points` marks the other positions
+    labels = np.empty(shape, dtype=np.int64)
+    np.cumsum(mask, out=labels.reshape(-1))
+    points = int(labels.flat[-1])
+    labels -= 1
+    np.copyto(labels, points, where=~mask)
+    parent = np.arange(points + 1, dtype=np.int64)
+    step = _BATCH_ENTRIES
+    rows = max(1, step // math.prod(shape[1:]))  # outer-axis rows per slab
     # the lexicographically positive half of a symmetric set, one per pair
     for s in S.rows[len(S) // 2:].tolist():
         offset = tuple(reversed(s))  # array-axis order
-        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
-        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape))
-        a, b = root[src], root[dst]
-        joined = (a != b) & mask[src] & mask[dst]
-        a, b = a[joined], b[joined]
-        while len(a):
-            high = np.maximum(a, b)
-            np.minimum.at(parent, high, np.minimum(a, b))
-            while len(high):  # jump the hooked roots up to their new roots
-                up = parent[high]
-                top = parent[up]
-                parent[high] = top
-                high = high[up != top]
-            root = parent[root]
-            a, b = parent[a], parent[b]
-            joined = a != b
+        src = [slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape)]
+        dst = [slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape)]
+        hooked = False
+        for lo in range(src[0].start, src[0].stop, rows):
+            hi = min(src[0].stop, lo + rows)
+            a_at = (slice(lo, hi), *src[1:])
+            b_at = (slice(lo + offset[0], hi + offset[0]), *dst[1:])
+            # the grid held roots when the pair began; equal ones are joined
+            a, b = labels[a_at], labels[b_at]
+            joined = (a != b) & mask[a_at] & mask[b_at]
+            if not joined.any():
+                continue
             a, b = a[joined], b[joined]
-    first = parent[:points] == np.arange(points)
-    count = int(first.sum())
-    rank = np.append(np.cumsum(first) - 1, -1)
-    labels = rank[root]
-    sizes = np.bincount(labels[labels >= 0], minlength=count).astype(np.int64)
+            if hooked:  # an earlier slab of the pair may have hooked these roots
+                a, b = _find(parent, a), _find(parent, b)
+                joined = a != b
+                a, b = a[joined], b[joined]
+            hooked = True
+            while len(a):
+                high = np.maximum(a, b)
+                low = np.minimum(a, b, out=a)
+                np.minimum.at(parent, high, low)
+                jump = high
+                while len(jump):  # jump the hooked roots up to their new roots
+                    up = parent[jump]
+                    top = parent[up]
+                    parent[jump] = top
+                    jump = jump[up != top]
+                # in place; the ids are in range, and "clip", unlike "raise", needs no buffer
+                a = np.take(parent, low, out=low, mode="clip")
+                b = np.take(parent, high, out=b, mode="clip")
+                joined = a != b
+                a, b = a[joined], b[joined]
+        if not hooked:
+            continue
+        for lo in range(0, points + 1, step):  # point every id at its root
+            run = parent[lo:lo + step]
+            while True:
+                top = parent[run]
+                if (top == run).all():
+                    break
+                run[...] = top
+        np.take(parent, labels, out=labels, mode="clip")
+    # each root takes the next id in raster order, every other point its root's
+    count = 0
+    for lo in range(0, points, step):
+        run = parent[lo:min(points, lo + step)]
+        first = run == np.arange(lo, lo + len(run))
+        ids = np.cumsum(first) + (count - 1)
+        count = int(ids[-1]) + 1
+        run[first] = ids[first]
+        rest = ~first
+        run[rest] = parent[run[rest]]
+    parent[points] = -1
+    np.take(parent, labels, out=labels, mode="clip")
+    sizes = np.bincount(parent[:points], minlength=count).astype(np.int64, copy=False)
     d = colouring.window.dim
     touches = np.zeros((count, d, 2), dtype=bool)
     for k in range(d):
@@ -399,7 +452,8 @@ def spanning_stats(colouring: Colouring) -> SpanningStats:
 # kind) crossings of a 2-D event, _spanning_kernel for a column length.
 
 # Most entries (residues plus tested lines, per trial) of one sub-batch, so
-# memory stays flat whatever the trial count or P.
+# memory stays flat whatever the trial count or P; label_clusters takes its
+# edge slabs and parent runs in the same size.
 _BATCH_ENTRIES = 1 << 16
 
 # Fewest entries of one chunk of trials.  An entry costs about 0.3-0.4 us in

@@ -332,6 +332,27 @@ def test_interval_add_mul_soundness(a, b, c, d):
     assert (-x).contains(-mid_x)
 
 
+_PLACES = ("below 0", "across 0", "from 0 up", "above 0")
+
+
+def _place(x, where):
+    """x moved, keeping its width, to lie where the name says."""
+    shift = {"below 0": -1 - x.hi, "across 0": -x.midpoint,
+             "from 0 up": -x.lo, "above 0": 1 - x.lo}[where]
+    return x + shift
+
+
+@given(fractions, fractions, fractions, fractions,
+       st.sampled_from(_PLACES), st.sampled_from(_PLACES))
+def test_interval_mul_is_the_four_product_hull(a, b, c, d, where_x, where_y):
+    x = _place(Interval(min(a, b), max(a, b)), where_x)
+    y = _place(Interval(min(c, d), max(c, d)), where_y)
+    products = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
+    want = Interval(min(products), max(products))
+    assert x * y == want
+    assert y * x == want
+
+
 @given(pos_fractions, pos_fractions)
 def test_interval_reciprocal_soundness(a, b):
     x = Interval(min(a, b), max(a, b))

@@ -57,6 +57,7 @@ TRIANGULAR = standard_lattice("triangular")[1]
 SPREAD2 = standard_lattice("spread_out", 2, norm="inf", alpha=2)[1]
 Z3, SPREAD3 = standard_lattice("spread_out", 3, norm="inf", alpha=2)
 D2 = standard_lattice("D", 2)[0]
+D3, D3_MIN = standard_lattice("D", 3)
 
 PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -596,6 +597,47 @@ def test_labels_match_bfs_oracle_on_random_generating_sets(shape, cells, half):
             for k, ax in ((0, 1), (1, 0)):
                 assert lab.touches[c, k, 0] == bool((pts[:, ax] == 0).any())
                 assert lab.touches[c, k, 1] == bool((pts[:, ax] == shape[ax] - 1).any())
+
+
+# each window's outer array extent is no multiple of the slab's rows at some budget
+@pytest.mark.parametrize(
+    "spec,S,window",
+    [
+        (Z2, SQUARE, Window((-6, -5), (13, 11))),
+        (Z2, SPREAD2, Window((-2, -9), (3, 19))),
+        (Z2, TRIANGULAR, Window((-6, -5), (13, 11))),
+        (D2, TRIANGULAR, Window((-7, -5), (14, 13))),
+        (D3, D3_MIN, Window((-3, -2, -4), (5, 4, 7))),
+    ],
+    ids=["square", "spread2", "triangular", "D2-triangular", "D3"],
+)
+def test_labels_do_not_depend_on_the_batch_budget(monkeypatch, spec, S, window):
+    from coprimelab import perco
+
+    cols = [colour_window(sample_coset_config(spec, 31, seed), window) for seed in range(6)]
+    whole = [label_clusters(col, S, colour) for col in cols for colour in ("white", "black")]
+    for entries in (1, 7, 64):
+        monkeypatch.setattr(perco, "_BATCH_ENTRIES", entries)
+        batched = [label_clusters(col, S, colour) for col in cols for colour in ("white", "black")]
+        for got, want in zip(batched, whole):
+            assert np.array_equal(got.labels, want.labels)
+            assert got.count == want.count
+            assert np.array_equal(got.sizes, want.sizes)
+            assert np.array_equal(got.touches, want.touches)
+
+
+@pytest.mark.parametrize("S", [SQUARE, SPREAD2], ids=["square", "spread2"])
+@pytest.mark.parametrize("colour", ["white", "black"])
+def test_label_clusters_memory_stays_near_the_label_grid(S, colour):
+    # the int64 labels take 8 bytes a position and `parent` 8 a point of the
+    # colour; one more grid-sized int64 array would pass 24
+    window = Window((0, 0), (512, 512))
+    col = colour_window(sample_coset_config(Z2, 997, 0), window)
+    tracemalloc.start()
+    label_clusters(col, S, colour)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 24 * window.point_count
 
 
 # ---------------------------------------------------------------------------
