@@ -206,55 +206,32 @@ def _odd_prime_factors(n: int) -> list[int]:
 # Euler products: directed accumulation and tail enclosures
 
 
-class ProductAccumulator:
-    """Running product of positive rationals with a guaranteed enclosure.
-
-    Exact mode keeps an unreduced integer numerator and denominator, reduced
-    once in result(); fixed mode keeps floor/ceil scaled integers so very
-    long products stay cheap.  Either way result() brackets the true product.
-    """
-
-    def __init__(self, exact: bool):
-        self.exact = exact
-        if exact:
-            self.num = self.den = 1
-        else:
-            self.lo = _FIXED_ONE
-            self.hi = _FIXED_ONE
-
-    def multiply(self, num: int, den: int) -> None:
-        if num < 0 or den <= 0:
-            raise ValueError("factors must be nonnegative with positive denominator")
-        if self.exact:
-            self.num *= num
-            self.den *= den
-        else:
-            self.lo = (self.lo * num) // den
-            self.hi = -((-self.hi * num) // den)
-
-    def result(self) -> Interval:
-        if self.exact:
-            value = Fraction(self.num, self.den)
-            return Interval(value, value)
-        return Interval(
-            Fraction(self.lo, _FIXED_ONE), Fraction(self.hi, _FIXED_ONE)
-        )
-
-    @property
-    def mode(self) -> str:
-        return ARITHMETIC_EXACT if self.exact else ARITHMETIC_FIXED
-
-
-def _accumulator_for(Q: int, exact: bool = False) -> ProductAccumulator:
-    return ProductAccumulator(exact=exact or Q <= EXACT_PRODUCT_LIMIT)
+def _arithmetic(Q: int) -> str:
+    """How an Euler product over the primes up to Q is taken, unless exact is forced."""
+    return ARITHMETIC_EXACT if Q <= EXACT_PRODUCT_LIMIT else ARITHMETIC_FIXED
 
 
 def _euler_product(factor, Q: int, exact: bool = False) -> Interval:
-    """Enclosure of the product over primes p <= Q, ascending, of factor(p) = (num, den)."""
-    acc = _accumulator_for(Q, exact)
+    """Enclosure of the product over primes p <= Q, ascending, of factor(p) = (num, den).
+
+    Exact arithmetic keeps an unreduced numerator and denominator, reduced
+    once; fixed point keeps a floor and a ceiling scaled by 2^_FIXED_BITS.
+    """
+    exact = exact or _arithmetic(Q) == ARITHMETIC_EXACT
+    a = b = 1 if exact else _FIXED_ONE
     for p in primes_up_to(Q):
-        acc.multiply(*factor(p))
-    return acc.result()
+        num, den = factor(p)
+        if not num >= 0 < den:  # the directed rounding needs these signs
+            raise ValueError("factors must be nonnegative with positive denominator")
+        if exact:
+            a *= num
+            b *= den
+        else:
+            a = (a * num) // den
+            b = -((-b * num) // den)
+    if exact:
+        return Interval.point(Fraction(a, b))
+    return Interval(Fraction(a, _FIXED_ONE), Fraction(b, _FIXED_ONE))
 
 
 def _first_odd_above(P: int) -> int:
@@ -553,19 +530,18 @@ def second_moment_bound(n: int, x: int, P: int | None = None) -> SecondMomentRep
     total = offdiag + diag - 1
     r_upper = total.hi if total.hi > 0 else Fraction(0)
     # the products run to max(P, x), as in line_white_prob and pair_ratio_base
-    mode = _accumulator_for(max(P, x)).mode
-    return SecondMomentReport(n, x, P, f_enc, offdiag, diag, r_upper, mode)
+    return SecondMomentReport(n, x, P, f_enc, offdiag, diag, r_upper, _arithmetic(max(P, x)))
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
 
-def decimal_str(value, sig: int = 12) -> str:
-    """Decimal string with `sig` significant digits, round half to even."""
+def decimal_str(value) -> str:
+    """Decimal string with 12 significant digits, round half to even."""
     q = Fraction(value)
     with localcontext() as ctx:
-        ctx.prec = sig
+        ctx.prec = 12
         ctx.rounding = ROUND_HALF_EVEN
         d = Decimal(q.numerator) / Decimal(q.denominator)
         return format(d, "f")

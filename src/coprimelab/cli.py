@@ -48,7 +48,7 @@ _MODELS = {
     "D4": ("D", 4, {}, 3),
     "E8": ("E8", None, {}, 2),
     "Leech": ("Leech", None, {}, 2),
-    "spread2": ("spread_out", 2, {"norm": "inf", "alpha": 2}, 3),
+    "spread2": ("spread_out", 2, {"alpha": 2}, 3),
 }
 
 
@@ -227,7 +227,7 @@ def cmd_layers(args) -> int:
     rgb[col.white] = (255, 255, 255)
     subset = np.zeros(window.array_shape(), dtype=np.uint8)
     for i, p in enumerate(primes):
-        subset[colouring.coset_slice(config.rep(p), p, window)] |= 1 << i
+        subset[colouring.coset_slice(config.reps[p], p, window)] |= 1 << i
     for bits, colour in LAYER_PALETTE.items():
         if bits < 1 << len(primes):
             rgb[subset == bits] = colour
@@ -279,10 +279,18 @@ def cmd_bounds(args) -> int:
 
 def cmd_clusters(args) -> int:
     spec = lattice.lattice_from_id(args.lattice)
+    kind, d, kw, _ = _MODELS[args.adjacency]
+    S = lattice.standard_lattice(kind, d, **kw)[1]
+    # an edge along a generator outside the lattice joins no two of its points
+    if S.dim != spec.dim:
+        raise DomainError(f"{args.adjacency} adjacency is {S.dim}-dimensional; {spec.name} is not")
+    inside = lattice.contains_bulk(spec, S.rows)
+    if not inside.all():
+        v = tuple(S.rows[inside.argmin()].tolist())
+        raise DomainError(f"{args.adjacency} generator {v} is not in {spec.name}")
     config = colouring.sample_coset_config(spec, args.P, args.seed)
     col = colouring.colour_window(config, colouring.Window(args.origin, args.extents))
-    kind, d, kw, _ = _MODELS[args.adjacency]
-    labels = perco.label_clusters(col, lattice.standard_lattice(kind, d, **kw)[1], args.colour)
+    labels = perco.label_clusters(col, S, args.colour)
     _emit_csv(args, "key,value", [
         f"colour,{args.colour}",
         f"adjacency,{args.adjacency}",

@@ -46,9 +46,6 @@ class CosetConfig:
     rng_id: str
     reps: dict[int, tuple[int, ...]] = field(compare=True)
 
-    def rep(self, p: int) -> tuple[int, ...]:
-        return self.reps[p]
-
     def fields(self) -> str:
         """The `lattice=... P=... seed=... rng=...` of headers and provenance;
         parse_fields reads it back."""
@@ -321,16 +318,16 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
 # block invariant helper
 
 
-def has_full_white_block(colouring: Colouring, side: int = 2) -> bool:
-    """Whether some axis-aligned side^d block of the window is entirely white."""
+def has_full_white_block(colouring: Colouring) -> bool:
+    """Whether some axis-aligned 2^d block of the window is entirely white."""
     W = colouring.white
     if colouring.in_lattice is not None:
         W = W & colouring.in_lattice
-    if any(n < side for n in W.shape):
+    if any(n < 2 for n in W.shape):
         return False
     views = []
-    for offsets in itertools.product(range(side), repeat=W.ndim):
-        views.append(W[tuple(slice(o, n - side + 1 + o) for o, n in zip(offsets, W.shape))])
+    for offsets in itertools.product(range(2), repeat=W.ndim):
+        views.append(W[tuple(slice(o, n - 1 + o) for o, n in zip(offsets, W.shape))])
     return bool(reduce(np.logical_and, views).any())
 
 

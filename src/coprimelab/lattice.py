@@ -472,12 +472,12 @@ _KIND_IDS = {"square": "Z2", "hypercubic": "Z{d}", "spread_out": "Z{d}", "d": "D
              "e8": "E8", "leech": "Leech", "triangular": "triangular"}
 
 
-def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
+def standard_lattice(kind: str, d: int | None = None,
                      alpha: int = 1) -> tuple[LatticeSpec, GenSet]:
     """A named lattice together with its standard generating set.
 
     kinds: those of _KIND_IDS; the generating set is the minimal vectors,
-    except for "spread_out" (hypercubic points of norm <= alpha).
+    except for "spread_out": the nonzero points of the box [-alpha, alpha]^d.
     """
     kind_l = kind.lower().replace("-", "_")
     template = _KIND_IDS.get(kind_l)
@@ -490,17 +490,8 @@ def standard_lattice(kind: str, d: int | None = None, norm: str = "inf",
         return spec, minimal_vectors(spec)
     if alpha < 1:
         raise DomainError("spread_out needs dimension and alpha >= 1")
-    if norm not in ("inf", "linf", "1", "l1", "2", "l2"):
-        raise DomainError(f"unknown norm {norm!r}")
     pts = _enumerate_box_points(spec, alpha)
-    a = np.abs(pts)
-    if norm.endswith("inf"):
-        inside = a.max(axis=1) <= alpha
-    elif norm.endswith("1"):
-        inside = a.sum(axis=1) <= alpha
-    else:
-        inside = (a * a).sum(axis=1) <= alpha * alpha
-    return spec, GenSet(pts[inside & pts.any(axis=1)])
+    return spec, GenSet(pts[pts.any(axis=1)])
 
 
 def minimal_vectors(spec: LatticeSpec) -> GenSet:

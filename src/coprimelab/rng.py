@@ -56,14 +56,6 @@ class SplitMix64:
             if r < limit:
                 return r % n
 
-    def uniform(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0**-53)
-
-
-def substream(master_seed: int, tag: str, index: int = 0) -> SplitMix64:
-    return SplitMix64(stream_seed(master_seed, tag, index))
-
 
 # ---------------------------------------------------------------------------
 # the same streams over arrays of lanes

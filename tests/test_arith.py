@@ -18,8 +18,9 @@ from coprimelab.arith import (
     ARITHMETIC_FIXED,
     EXACT_PRODUCT_LIMIT,
     Interval,
-    ProductAccumulator,
     SECOND_MOMENT_CSV_HEADER,
+    _arithmetic,
+    _euler_product,
     decimal_str,
     line_white_prob,
     line_white_trunc,
@@ -206,8 +207,8 @@ def test_zeta_inverse_against_known_constants():
 def test_arithmetic_mode_switches_at_limit():
     small = line_white_prob(2, EXACT_PRODUCT_LIMIT)
     assert ARITHMETIC_EXACT == "exact-rational"
-    acc = ProductAccumulator(exact=False)
-    assert acc.mode == ARITHMETIC_FIXED
+    assert _arithmetic(EXACT_PRODUCT_LIMIT) == ARITHMETIC_EXACT
+    assert _arithmetic(EXACT_PRODUCT_LIMIT + 1) == ARITHMETIC_FIXED
     big = line_white_prob(2, 2 * EXACT_PRODUCT_LIMIT)
     assert big.contains(F_TARGETS[2]) and small.contains(F_TARGETS[2])
 
@@ -308,7 +309,7 @@ def test_inverse_f_stays_logarithmic():
 
 def test_decimal_str_formatting():
     assert decimal_str(Fraction(1, 3)) == "0.333333333333"
-    assert decimal_str(Fraction(25, 10), 2) == "2.5"
+    assert decimal_str(Fraction(25, 10)) == "2.5"
     assert decimal_str(Fraction(0)) == "0"
     # round-half-even at the 12th significant digit
     assert decimal_str(Fraction("0.1234567890125")) == "0.123456789012"
@@ -366,11 +367,12 @@ def test_product_accumulator_encloses_exact_product(factors):
     exact = Fraction(1)
     for num, den in factors:
         exact *= Fraction(num, den)
+    # the i-th prime takes the i-th factor and every later prime 1; the fixed
+    # point arithmetic starts above EXACT_PRODUCT_LIMIT
+    Q = EXACT_PRODUCT_LIMIT + 1
+    table = dict(zip(primes_up_to(Q), factors))
     for mode in (True, False):
-        acc = ProductAccumulator(exact=mode)
-        for num, den in factors:
-            acc.multiply(num, den)
-        iv = acc.result()
+        iv = _euler_product(lambda p: table.get(p, (1, 1)), Q, exact=mode)
         assert iv.contains(exact)
         if mode:
             assert iv.lo == iv.hi == exact

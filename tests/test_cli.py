@@ -140,7 +140,7 @@ def test_flags_override_config(capsys, tmp_path):
     capsys.readouterr()
     assert "seed = 8" in (d2 / "manifest.txt").read_text()
     config = load_config(d2 / "config.txt")
-    assert config.rep(5) == (4, 1)  # seed 8, not the file's seed 7
+    assert config.reps[5] == (4, 1)  # seed 8, not the file's seed 7
 
 
 def test_sample_oracle_mode(capsys, tmp_path):
@@ -355,6 +355,17 @@ def test_lattice_ids_have_one_spelling(capsys, tmp_path, lattice_id):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("lattice_id, adjacency", [
+    ("D2", "square"), ("D2", "triangular"), ("D2", "spread2"), ("Leech", "square")])
+def test_clusters_refuses_generators_outside_the_lattice(capsys, tmp_path, lattice_id, adjacency):
+    # +-e1 is not in D2: a square adjacency used to leave every point its own cluster
+    code, out, err = run(capsys, "clusters", "--lattice", lattice_id, "--adjacency", adjacency,
+                         "--extents", "8,8", "--out", str(tmp_path / "c"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"domain error: {adjacency} ") and lattice_id in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy is imported only once clusters are labelled, so start-up (paid
     # by every command and every worker process) stays without it
@@ -551,7 +562,7 @@ def test_layers_palette(capsys, tmp_path):
                 continue
             bits = 0
             for idx, p in enumerate((2, 3, 5)):
-                r = config.rep(p)
+                r = config.reps[p]
                 if (x - r[0]) % p == 0 and (y - r[1]) % p == 0:
                     bits |= 1 << idx
             assert pixel == (PALETTE[bits] if bits else (0, 0, 0))
@@ -585,7 +596,7 @@ def test_infer_reports_truth(capsys, tmp_path):
         line = next(ln for ln in out.splitlines() if ln.startswith(f"p={p} "))
         cands = [tuple(int(r) for r in c.split())
                  for c in line.split(": ", 1)[1].split(" | ")]
-        assert config.rep(p) in cands
+        assert config.reps[p] in cands
     assert "warning" not in out  # p-max 7 is well inside the cutoff 97
 
     d2 = tmp_path / "shallow"
@@ -839,7 +850,6 @@ print("resolved")
 # each stays in src/.
 _KEPT_WITHOUT_CALLER = {
     "load_config": "the one reader of the config.txt that sample and layers write",
-    "substream": "the scalar reference that the lane RNG is tested against",
 }
 
 
@@ -859,18 +869,47 @@ def _referenced_names(path):
     return names
 
 
-def test_every_public_src_name_has_a_caller():
-    # a library name that only its own tests call belongs in those tests
-    sources = sorted((ROOT / "src" / "coprimelab").glob("*.py"))
+# Public methods and properties of src/ classes that only tests read, and why
+# each stays in src/.
+_MEMBERS_KEPT_WITHOUT_CALLER = {
+    "Interval.width": "the enclosure's own algebra; tests measure enclosures by it",
+    "Interval.midpoint": "the enclosure's own algebra; tests read the estimate it gives",
+    "Interval.contains": "the enclosure's own algebra; tests check known constants with it",
+}
+_SOURCES = sorted((ROOT / "src" / "coprimelab").glob("*.py"))
+
+
+def _reached_names():
+    """Every name that src/, the frozen tests or the bench's TRACED mentions."""
     frozen = [ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_arith_golden.py"]
-    reached = set(_KEPT_WITHOUT_CALLER).union(*map(_referenced_names, sources + frozen))
+    reached = set().union(*map(_referenced_names, _SOURCES + frozen))
     reached.update(part for quals in _bench_traced().values()
                    for qual in quals for part in qual.split("."))
-    orphans = [f"{path.stem}.{node.name}" for path in sources
-               for node in ast.parse(path.read_text(encoding="utf-8")).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("_") and node.name not in reached]
+    return reached
+
+
+def _src_defs(path):
+    return [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_src_name_has_a_caller():
+    # a library name that only its own tests call belongs in those tests
+    reached = _reached_names().union(_KEPT_WITHOUT_CALLER)
+    orphans = [f"{path.stem}.{node.name}" for path in _SOURCES for node in _src_defs(path)
+               if node.name not in reached]
     assert orphans == []
+
+
+def test_every_public_src_member_has_a_caller():
+    # the same for the methods and properties of public classes, matched by name
+    reached = _reached_names()
+    orphans = [f"{node.name}.{item.name}" for path in _SOURCES for node in _src_defs(path)
+               if isinstance(node, ast.ClassDef) for item in node.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+               and item.name not in reached]
+    assert set(orphans) <= set(_MEMBERS_KEPT_WITHOUT_CALLER), orphans
 
 
 def test_monte_carlo_table_matches_the_commands_and_the_estimators():

@@ -38,7 +38,7 @@ from coprimelab.colouring import (
     truncation_error_bound,
 )
 from coprimelab.errors import DomainError, ParseError
-from coprimelab.rng import RNG_ID, substream
+from coprimelab.rng import RNG_ID, SplitMix64, stream_seed
 
 Z2 = lattice_from_id("Z2")
 
@@ -150,7 +150,7 @@ def test_reps_do_not_depend_on_cutoff():
 def test_rep_uniformity_chi_square():
     counts = np.zeros((5, 5), dtype=np.int64)
     for seed in range(20000):
-        r = sample_coset_config(Z2, 5, seed).rep(5)
+        r = sample_coset_config(Z2, 5, seed).reps[5]
         counts[r[0], r[1]] += 1
     _, pvalue = stats.chisquare(counts.ravel())
     assert pvalue > 1e-3
@@ -179,7 +179,7 @@ def test_no_full_white_block_property(seed, d):
     config = sample_coset_config(spec, 31, seed)
     extents = (16,) * d
     col = colour_window(config, Window((-7,) * d, extents))
-    assert not has_full_white_block(col, side=2)
+    assert not has_full_white_block(col)
 
 
 def test_white_at_respects_coordinates():
@@ -314,7 +314,7 @@ def test_infer_recovers_truth():
     result = infer_cosets(col, 13)
     assert not result.truncation_warning
     for p in (2, 3, 5, 7, 11, 13):
-        assert config.rep(p) in result.candidates[p]
+        assert config.reps[p] in result.candidates[p]
 
 
 def test_infer_warns_beyond_cutoff():
@@ -364,7 +364,7 @@ def test_coset_residues_are_the_per_prime_substream_draws(dim):
     assert residues.dtype == np.int64 and residues.shape == (4, len(primes), dim)
     for t, seed in enumerate(seeds):
         for j, p in enumerate(primes.tolist()):
-            stream = substream(seed, "coset", p)
+            stream = SplitMix64(stream_seed(seed, "coset", p))
             assert residues[t, j].tolist() == [stream.below(p) for _ in range(dim)]
 
 

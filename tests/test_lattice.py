@@ -192,10 +192,8 @@ def test_d_lattice_membership_is_sum_even():
 
 
 def test_spread_out_counts():
-    _, s_inf = standard_lattice("spread_out", 2, norm="inf", alpha=2)
+    _, s_inf = standard_lattice("spread_out", 2, alpha=2)
     assert len(s_inf) == 24
-    _, s_l2 = standard_lattice("spread_out", 2, norm="l2", alpha=2)
-    assert len(s_l2) == 12
 
 
 def test_span_index_values():
@@ -386,7 +384,7 @@ def test_crossing_adjacency_truth_table():
     for axis in (0, 1):
         res = check_crossing_adjacency(spec, knight, axis, "strict")
         assert res.passed and res.witness is None
-    _, spread = standard_lattice("spread_out", 2, norm="inf", alpha=2)
+    _, spread = standard_lattice("spread_out", 2, alpha=2)
     weak = check_crossing_adjacency(spec, spread, 0, "weak")
     assert not weak.passed
     assert weak.witness is not None and "s" in weak.witness
@@ -407,7 +405,7 @@ def test_hypothesis_report_verdicts():
     assert hypothesis_report(spec, square, "setup", 2).verdict == "pass-bounded"
     tri, s_tri = standard_lattice("triangular")
     assert hypothesis_report(tri, s_tri, "setup", 2).verdict == "pass-bounded"
-    _, spread = standard_lattice("spread_out", 2, norm="inf", alpha=2)
+    _, spread = standard_lattice("spread_out", 2, alpha=2)
     report = hypothesis_report(spec, spread, "setupblack", 2)
     assert report.verdict == "fail"
     assert not report.passed
@@ -525,7 +523,7 @@ def test_e8_minimal_vectors_match_a_box_search():
     ("3-step", "strict", 1, None),
 ])
 def test_crossing_adjacency_witnesses(S, mode, axis, witness):
-    spec, spread2 = standard_lattice("spread_out", 2, norm="inf", alpha=2)
+    spec, spread2 = standard_lattice("spread_out", 2, alpha=2)
     sets = {"spread2": spread2,
             "3-step": GenSet([(3, 0), (-3, 0), (0, 1), (0, -1)])}
     res = check_crossing_adjacency(spec, sets[S], axis, mode)
@@ -620,17 +618,10 @@ def test_one_dimensional_slice_is_the_origin():
     assert hypothesis_report(spec, S, "setup", 1).verdict == "pass-bounded"
 
 
-@pytest.mark.parametrize("norm", ["inf", "linf", "1", "l1", "2", "l2"])
-def test_spread_out_matches_a_norm_loop(norm):
-    measure = {"f": lambda v: max(map(abs, v)), "1": lambda v: sum(map(abs, v)),
-               "2": lambda v: sum(c * c for c in v)}[norm[-1]]
+def test_spread_out_matches_a_box_loop():
     for d, alpha in itertools.product((1, 2, 3), (1, 2, 3)):
-        bound = alpha * alpha if norm[-1] == "2" else alpha
-        expect = tuple(v for v in itertools.product(range(-alpha, alpha + 1), repeat=d)
-                       if any(v) and measure(v) <= bound)
-        assert standard_lattice("spread_out", d, norm=norm, alpha=alpha)[1].vectors == expect
-    with pytest.raises(DomainError, match="unknown norm"):
-        standard_lattice("spread_out", 2, norm="l3", alpha=1)
+        expect = tuple(v for v in itertools.product(range(-alpha, alpha + 1), repeat=d) if any(v))
+        assert standard_lattice("spread_out", d, alpha=alpha)[1].vectors == expect
 
 
 def test_genset_refuses_an_empty_or_flat_list():

@@ -54,8 +54,8 @@ from coprimelab.perco import (
 Z2 = standard_lattice("square")[0]
 SQUARE = standard_lattice("square")[1]
 TRIANGULAR = standard_lattice("triangular")[1]
-SPREAD2 = standard_lattice("spread_out", 2, norm="inf", alpha=2)[1]
-Z3, SPREAD3 = standard_lattice("spread_out", 3, norm="inf", alpha=2)
+SPREAD2 = standard_lattice("spread_out", 2, alpha=2)[1]
+Z3, SPREAD3 = standard_lattice("spread_out", 3, alpha=2)
 D2 = standard_lattice("D", 2)[0]
 D3, D3_MIN = standard_lattice("D", 3)
 
