@@ -14,7 +14,7 @@ import bisect
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -385,8 +385,12 @@ def contains_bulk(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
     """Membership of each row of an (n, dim) integer array under the spec's rule.
 
     The array may hold int64 or Python ints (dtype=object); sums may wrap in
-    int64 since the rules only read them mod 4.
+    int64 since the rules only read them mod 4.  Rows of another width than
+    the spec's dimension are refused.
     """
+    if np.shape(pts)[1:] != (spec.dim,):
+        raise DomainError(f"{spec.name} membership needs rows of {spec.dim} coordinates, "
+                          f"got an array of shape {np.shape(pts)}")
     rule = spec.membership_id
     if rule == "all":
         return np.ones(len(pts), dtype=bool)
@@ -762,40 +766,50 @@ def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
                            certify_radius: int, search_radius: int) -> SliceCertificate:
     """Breadth-first search from the origin over the slice points of the
     search box.  Slice generators keep the axis coordinate 0, so the search
-    runs on the other coordinates, with one visited byte per point of the
-    slice's search box; codes put the last coordinate most significant.
-    A step adds a generator's code to the frontier codes that its nonzero
-    coordinates keep in the box; each layer is decoded to coordinates once."""
+    runs on the other coordinates.  Every reachable point is a multiple of
+    g_k, the gcd of the generators' k-th coordinates, in coordinate k, so
+    the visited map holds one byte per point of that grid in the box,
+    (2 floor(R / g_k) + 1) per coordinate, and a target off the grid is
+    unreached; the budget is still checked on the full box.  A step adds a
+    generator's code to the frontier codes that its nonzero coordinates keep
+    in the box; each layer is decoded to grid coordinates once."""
     R = search_radius
-    base = 2 * R + 1
     free = spec.dim - 1
-    if base ** free > SIZE_BUDGET:
+    if (2 * R + 1) ** free > SIZE_BUDGET:
         raise DomainError("search box too large for a visited map")
     targets = _enumerate_box_points(spec, certify_radius, axis)
     others = np.arange(spec.dim) != axis
     gens = S.rows[S.rows[:, axis] == 0][:, others]
-    weights = base ** np.arange(free, dtype=np.int64)
-    target_codes = (targets[:, others] + R) @ weights
-    steps = [(g != 0, g[g != 0], int(g @ weights)) for g in gens]
-    visited = np.zeros(base ** free, dtype=bool)
+    stride = np.gcd.reduce(gens, axis=0)
+    stride[stride == 0] = 1
+    half = R // stride
+    side = 2 * half + 1
+    weights = np.cumprod(side) // side
+    on_grid = (targets[:, others] % stride == 0).all(axis=1)
+    target_codes = (targets[on_grid][:, others] // stride + half) @ weights
+    gens //= stride
+    steps = [(g != 0, g[g != 0], half[g != 0], int(g @ weights)) for g in gens]
+    visited = np.zeros(int(np.prod(side)), dtype=bool)
     frontier = np.zeros((1, free), dtype=np.int64)
-    codes = (frontier + R) @ weights
+    codes = (frontier + half) @ weights
     visited[codes] = True
     while len(codes) and not visited[target_codes].all():
         layer = []
-        for nz, g, step in steps:
-            nxt = codes[(np.abs(frontier[:, nz] + g) <= R).all(axis=1)] + step
+        for nz, g, h, step in steps:
+            nxt = codes[(np.abs(frontier[:, nz] + g) <= h).all(axis=1)] + step
             nxt = nxt[~visited[nxt]]
             visited[nxt] = True
             layer.append(nxt)
         codes = np.concatenate(layer or [codes[:0]])
-        frontier = codes[:, None] // weights % base - R
-    reached = visited[target_codes]
+        frontier = codes[:, None] // weights % side - half
+    reached = np.zeros(len(targets), dtype=bool)
+    reached[on_grid] = visited[target_codes]
     if not reached.all():
-        missing = np.flatnonzero(~reached)
-        first = missing[np.argmin(target_codes[missing])]
+        # the smallest missing target, last coordinate most significant
+        missing = targets[~reached]
+        first = missing[np.lexsort(missing.T)[0]]
         return SliceCertificate(axis, certify_radius, search_radius, False, "bfs",
-                                int(reached.sum()), unreached=tuple(targets[first].tolist()))
+                                int(reached.sum()), unreached=tuple(first.tolist()))
     return SliceCertificate(axis, certify_radius, search_radius, True, "bfs",
                             len(targets))
 
@@ -983,6 +997,57 @@ class HypothesisReport:
         return self.verdict.startswith("pass")
 
 
+def _icosahedron_automorphisms() -> list[list[int]]:
+    """For each vertex v, the first automorphism sigma of the icosahedron
+    graph with sigma[0] = v, found by backtracking over vertices 0, 1, ..."""
+    adj = _icosahedron_adjacency()
+
+    def extend(sigma):
+        u = len(sigma)
+        if u == 12:
+            return sigma
+        for v in range(12):
+            if v not in sigma and all(adj[u][w] == adj[v][sigma[w]] for w in range(u)):
+                found = extend(sigma + [v])
+                if found:
+                    return found
+        return None
+
+    return [extend([v]) for v in range(12)]
+
+
+def _axis_orbit(spec: LatticeSpec, S: GenSet) -> list[int]:
+    """The axes that verified coordinate automorphisms of (lattice, S) map
+    axis 0 to, axis 0 first.
+
+    A candidate permutation p (x -> x[p]) is kept when every permuted basis
+    column is a lattice vector, which with det +-1 gives p(lattice) =
+    lattice, and when it maps S onto S.  Under the Leech rule S is the
+    minimal set (the structured certificate refuses any other), which an
+    isometry of the lattice preserves, so only the lattice is checked.  The
+    candidates are the transpositions (0 i), and for the Leech rule the
+    icosahedron automorphisms on both halves of [I | J - A] with the half
+    swap u <-> 12 + u (SPLAG ch. 11); kept ones are composed along the orbit.
+    """
+    d = spec.dim
+    leech = spec.membership_id == "leech"
+    if leech:
+        candidates = [sigma + [12 + u for u in sigma] for sigma in _icosahedron_automorphisms()]
+        candidates.append(list(range(12, 24)) + list(range(12)))
+    else:
+        candidates = [[i] + list(range(1, i)) + [0] + list(range(i + 1, d)) for i in range(1, d)]
+    columns = np.array(spec.columns)
+    kept = [p for p in candidates
+            if contains_bulk(spec, columns[:, p]).all()
+            and (leech or np.array_equal(GenSet(S.rows[:, p]).rows, S.rows))]
+    orbit = [0]
+    for axis in orbit:
+        for p in kept:
+            if p[axis] not in orbit:
+                orbit.append(p[axis])
+    return orbit
+
+
 def hypothesis_report(spec: LatticeSpec, S: GenSet, theorem: str,
                       certify_radius: int, search_radius: int | None = None,
                       ) -> HypothesisReport:
@@ -996,14 +1061,20 @@ def hypothesis_report(spec: LatticeSpec, S: GenSet, theorem: str,
     if idx != 1:
         raise DomainError(f"generating set spans a sublattice of index {idx}")
     mode = "strict" if theorem == "setup" else "weak"
-    adjacency = []
-    slices = []
-    for axis in range(spec.dim):
-        adjacency.append(check_crossing_adjacency(spec, S, axis, mode))
-        slices.append(check_slice_connectivity(spec, S, axis, certify_radius,
-                                               search_radius))
+
+    def certify(axis):
+        return (check_crossing_adjacency(spec, S, axis, mode),
+                check_slice_connectivity(spec, S, axis, certify_radius, search_radius))
+
+    first = certify(0)
+    checks = {0: first}
+    if all(c.passed for c in first):
+        # passing verdicts carry over to every axis of the orbit; failure
+        # witnesses are not equivariant, so those axes run their own checks
+        checks = {i: tuple(replace(c, axis=i) for c in first) for i in _axis_orbit(spec, S)}
+    adjacency, slices = zip(*(checks.get(i) or certify(i) for i in range(spec.dim)))
     if all(a.passed for a in adjacency) and all(s.passed for s in slices):
         verdict = "pass-bounded"
     else:
         verdict = "fail"
-    return HypothesisReport(spec.name, theorem, tuple(adjacency), tuple(slices), verdict)
+    return HypothesisReport(spec.name, theorem, adjacency, slices, verdict)

@@ -705,3 +705,99 @@ def test_slice_connectivity_is_structured_exactly_for_the_leech_rule():
     # its 23 free coordinates refuse
     with pytest.raises(DomainError, match="search box too large"):
         check_slice_connectivity(dataclasses.replace(spec, membership_id="basis"), S, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# row widths, and one certificate per axis orbit
+
+
+@pytest.mark.parametrize("lattice_id,width", [("Z3", 2), ("E8", 3), ("Leech", 1)])
+def test_contains_bulk_refuses_rows_of_another_width(lattice_id, width):
+    spec = lattice.lattice_from_id(lattice_id)
+    for dtype in (np.int64, object):
+        with pytest.raises(DomainError, match=f"rows of {spec.dim} coordinates"):
+            lattice.contains_bulk(spec, np.zeros((3, width), dtype=dtype))
+
+
+def _extra_report_cases():
+    """Generating sets that no coordinate automorphism, or only some, fix."""
+    z2, z3, e8 = (lattice.lattice_from_id(i) for i in ("Z2", "Z3", "E8"))
+    s8 = minimal_vectors(e8)
+    units = [v for v in itertools.product((-1, 0, 1), repeat=3) if sum(map(abs, v)) == 1]
+    return {
+        # (0, +-2) skips the odd points of the x0 = 0 line; +-(1, 1) makes the
+        # set span Z2
+        "square-skips-odd": (z2, GenSet([(1, 0), (-1, 0), (0, 2), (0, -2), (1, 1), (-1, -1)]),
+                             3, [0]),
+        "e8-subset": (e8, GenSet(v for v in s8 if abs(v[0]) != 2 and abs(v[1]) != 2), 2, [0, 1]),
+        # axis 0 passes and axis 1 fails: no slice neighbour repairs a +-4 step
+        "square-long-step": (z2, GenSet([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 4), (-1, -4)]),
+                             2, [0]),
+        # axis 0 passes; (0 1) fixes the set and (0 2) does not
+        "z3-one-diagonal": (z3, GenSet(units + [(1, 1, 0), (-1, -1, 0)]), 2, [0, 1]),
+    }
+
+
+def test_hypothesis_report_matches_every_axis_checked():
+    from coprimelab import cli
+
+    cases = {name: (*standard_lattice(kind, d, **kw), radius, None)
+             for name, (kind, d, kw, radius) in cli._MODELS.items()}
+    cases.update(_extra_report_cases())
+    verdicts = {}
+    for name, (spec, S, radius, orbit) in cases.items():
+        if orbit is not None:
+            assert lattice._axis_orbit(spec, S) == orbit
+        axes = range(spec.dim)
+        slices = tuple(check_slice_connectivity(spec, S, axis, radius) for axis in axes)
+        for theorem, mode in (("setup", "strict"), ("setupblack", "weak")):
+            report = hypothesis_report(spec, S, theorem, radius)
+            adjacency = tuple(check_crossing_adjacency(spec, S, axis, mode) for axis in axes)
+            assert report.adjacency == adjacency, (name, theorem)
+            assert report.slices == slices, (name, theorem)
+            passed = all(a.passed for a in adjacency) and all(s.passed for s in slices)
+            assert report.verdict == ("pass-bounded" if passed else "fail")
+            verdicts[name, theorem] = report.verdict
+    # the representative fails and every axis falls back
+    assert verdicts["spread2", "setupblack"] == "fail"
+    assert verdicts["z3-one-diagonal", "setup"] == "pass-bounded"
+    assert verdicts["square-long-step", "setup"] == "fail"
+    assert verdicts["square-skips-odd", "setup"] == verdicts["e8-subset", "setup"] == "fail"
+
+
+def test_hypothesis_report_certifies_one_axis_per_orbit(monkeypatch):
+    calls = {"adjacency": 0, "slices": 0}
+
+    def counted(name, checker):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return checker(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "check_crossing_adjacency",
+                        counted("adjacency", check_crossing_adjacency))
+    monkeypatch.setattr(lattice, "check_slice_connectivity",
+                        counted("slices", check_slice_connectivity))
+    for kind, d in (("E8", None), ("D", 4), ("Leech", None)):
+        spec, S = standard_lattice(kind, d)
+        calls.update(adjacency=0, slices=0)
+        report = hypothesis_report(spec, S, "setup", 2)
+        assert report.passed and len(report.slices) == spec.dim
+        assert calls == {"adjacency": 1, "slices": 1}, kind
+    spec, S, radius, _ = _extra_report_cases()["z3-one-diagonal"]
+    calls.update(adjacency=0, slices=0)
+    hypothesis_report(spec, S, "setup", radius)
+    assert calls == {"adjacency": 2, "slices": 2}
+
+
+def test_e8_slice_certificate_visits_only_the_generators_grid():
+    # every E8 slice generator has even coordinates: the visited map covers
+    # the 5^7 even points of the 9^7 search box
+    e8, s8 = standard_lattice("E8")
+    check_slice_connectivity(e8, s8, 0, 2)
+    tracemalloc.start()
+    cert = check_slice_connectivity(e8, s8, 0, 2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert cert.passed and cert.points_certified == 1093
+    assert peak < 2.5 * (1 << 20)
