@@ -281,22 +281,22 @@ class LatticeSpec:
 
 class GenSet:
     """A finite generating set: one lexicographically sorted, duplicate-free
-    (n, dim) int64 array, rows.
+    (n, dim) signed integer array, rows.
 
-    Integer arrays are sorted in their own dtype, which is cheaper for
-    narrow ones, and widened after.
+    A signed integer array keeps its dtype (Leech's is int8) unless it holds
+    the dtype's minimum, which negates to itself; other input becomes int64.
     """
 
     def __init__(self, vectors):
         arr = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
         if arr.ndim != 2 or not len(arr):
             raise DomainError("a generating set is a non-empty list of vectors")
-        if arr.dtype.kind not in "iu":
+        if arr.dtype.kind != "i" or arr.min() == np.iinfo(arr.dtype).min:
             arr = arr.astype(np.int64)
         arr = arr[np.lexsort(arr.T[::-1])]
         distinct = np.ones(len(arr), dtype=bool)
         distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        self.rows = arr[distinct].astype(np.int64)
+        self.rows = arr[distinct]
 
     @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -427,14 +427,6 @@ def basis_numerators(spec: LatticeSpec, pts: np.ndarray) -> tuple[np.ndarray, in
     bound = max(sum(abs(a) for a in row) for row in adj) * int(np.abs(pts).max(initial=0))
     dtype = np.int64 if bound < 1 << 62 else object
     return pts.astype(dtype, copy=False) @ np.array(adj, dtype=dtype).T, det
-
-
-def basis_coordinates(spec: LatticeSpec, v) -> tuple[int, ...] | None:
-    """Integer coordinates of v in the spec's basis, or None if v is outside."""
-    numerators, det = basis_numerators(spec, np.array([[int(c) for c in v]], dtype=object))
-    if (numerators % det).any():
-        return None
-    return tuple(int(n) // det for n in numerators[0])
 
 
 # a window on a d-dimensional lattice is a rank-d array, and numpy 1.x caps
@@ -606,22 +598,28 @@ def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
 def span_index(vectors, spec: LatticeSpec) -> int:
     """Index inside the lattice of the subgroup the vectors generate.
 
-    Exact HNF arithmetic on basis coordinates; stops early once the index
-    reaches 1, after every vector has passed the membership test.  Raises,
-    naming the first vector outside the lattice, or if the span never
-    reaches full rank (infinite index).
+    Every vector passes the membership test first.  An exact HNF then takes
+    basis coordinates from basis_numerators in m = isqrt(n) interleaved
+    blocks rows[k::m] and stops once the index is 1: the order changes only
+    when it stops, never the index.  Raises, naming the first vector outside
+    the lattice, or if the span never reaches full rank (infinite index).
     """
     rows = np.asarray(vectors)
+    if rows.dtype.kind not in "iuO":  # float64 from ints past 2^63 mixed with others
+        rows = np.array([[int(c) for c in v] for v in vectors], dtype=object)
     if len(rows):
         outside = np.flatnonzero(~contains_bulk(spec, rows))
         if len(outside):
             v = rows[outside[0]]
             raise DomainError(f"vector {tuple(int(c) for c in v)} is not in the lattice")
     acc = _HnfAccumulator(spec.dim)
-    for v in rows:
-        acc.add(basis_coordinates(spec, v))
-        if acc.index() == 1:
-            return 1
+    m = math.isqrt(len(rows))
+    for k in range(m):
+        numerators, det = basis_numerators(spec, rows[k::m])
+        for coords in (numerators // det).tolist():
+            acc.add(coords)
+            if acc.index() == 1:
+                return 1
     idx = acc.index()
     if idx is None:
         raise DomainError("vectors do not span the lattice's full rank")
@@ -770,19 +768,20 @@ def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,
     g_k, the gcd of the generators' k-th coordinates, in coordinate k, so
     the visited map holds one byte per point of that grid in the box,
     (2 floor(R / g_k) + 1) per coordinate, and a target off the grid is
-    unreached; the budget is still checked on the full box.  A step adds a
+    unreached, and the budget is checked on that grid first.  A step adds a
     generator's code to the frontier codes that its nonzero coordinates keep
     in the box; each layer is decoded to grid coordinates once."""
     R = search_radius
     free = spec.dim - 1
-    if (2 * R + 1) ** free > SIZE_BUDGET:
-        raise DomainError("search box too large for a visited map")
-    targets = _enumerate_box_points(spec, certify_radius, axis)
     others = np.arange(spec.dim) != axis
     gens = S.rows[S.rows[:, axis] == 0][:, others]
     stride = np.gcd.reduce(gens, axis=0)
     stride[stride == 0] = 1
-    half = R // stride
+    half = [R // g for g in stride.tolist()]
+    if math.prod(2 * h + 1 for h in half) > SIZE_BUDGET:
+        raise DomainError("search box too large for a visited map")
+    targets = _enumerate_box_points(spec, certify_radius, axis)
+    half = np.array(half, dtype=np.int64)
     side = 2 * half + 1
     weights = np.cumprod(side) // side
     on_grid = (targets[:, others] % stride == 0).all(axis=1)

@@ -230,22 +230,30 @@ def test_sublattice_window_membership():
 
 
 def per_point_colouring(spec, config, window):
-    """Per-point rule: basis_coordinates, then residues mod p.
+    """Per-point rule: basis coordinates, then residues mod p.
 
-    Membership comes from the scalar adjugate solve in basis_coordinates,
-    which shares no code with the bulk rule; contains_bulk must agree with it.
+    Coordinates come from sympy's rational inverse of the basis, scaled to
+    an integer matrix once, which shares no code with the bulk rule or its
+    adjugate solve; contains_bulk must agree with it.
     """
-    from coprimelab.lattice import basis_coordinates, contains_bulk
+    import sympy
 
+    from coprimelab.lattice import contains_bulk
+
+    inverse = sympy.Matrix(spec.columns).T.inv()
+    denom = math.lcm(*(int(q.q) for q in inverse))
+    scaled = [[int(q * denom) for q in inverse.row(i)] for i in range(spec.dim)]
     d = window.dim
     white = np.zeros(window.array_shape(), dtype=bool)
     in_lattice = np.zeros(window.array_shape(), dtype=bool)
     for idx in np.ndindex(*window.array_shape()):
         point = tuple(window.origin[k] + idx[d - 1 - k] for k in range(d))
-        coeff = basis_coordinates(spec, point)
-        assert contains_bulk(spec, np.array([point], dtype=object))[0] == (coeff is not None)
-        if coeff is None:
+        numerators = [sum(a * x for a, x in zip(row, point)) for row in scaled]
+        inside = all(n % denom == 0 for n in numerators)
+        assert contains_bulk(spec, np.array([point], dtype=object))[0] == inside
+        if not inside:
             continue
+        coeff = [n // denom for n in numerators]
         in_lattice[idx] = True
         white[idx] = not any(
             all((c - r) % p == 0 for c, r in zip(coeff, rep))

@@ -16,14 +16,14 @@ import tracemalloc
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coprimelab import lattice
 from coprimelab.errors import DomainError
 from coprimelab.lattice import (
     GenSet,
-    basis_coordinates,
+    basis_numerators,
     build_golay,
     check_crossing_adjacency,
     check_slice_connectivity,
@@ -210,13 +210,16 @@ def test_span_index_values():
 @given(st.sampled_from(["D3", "D4", "E8"]),
        st.lists(st.integers(-7, 7), min_size=8, max_size=8))
 def test_basis_coordinates_rebuild_the_vector(lattice_id, entries):
-    # coordinates share basis_numerators with the bulk rules, so check them by
-    # rebuilding v from the basis columns, and membership by the direct rule
+    # basis_numerators / det against sympy's rational solve of B c = v, which
+    # shares no code with the adjugate; membership by the direct rule
     spec = lattice.lattice_from_id(lattice_id)
     v = entries[: spec.dim]
-    coords = basis_coordinates(spec, v)
-    assert (coords is not None) == lattice.contains_bulk(spec, np.array([v], dtype=object))[0]
-    if coords is not None:
+    coords = sympy.Matrix(spec.columns).T.solve(sympy.Matrix(v))
+    numerators, det = basis_numerators(spec, np.array([v]))
+    assert [sympy.Rational(int(n), det) for n in numerators[0]] == list(coords)
+    inside = all(c.is_integer for c in coords)
+    assert inside == lattice.contains_bulk(spec, np.array([v], dtype=object))[0]
+    if inside:
         rebuilt = [sum(c * col[i] for c, col in zip(coords, spec.columns)) for i in range(spec.dim)]
         assert rebuilt == v
 
@@ -233,6 +236,81 @@ def test_span_index_checks_every_vector_before_the_early_stop():
         span_index(rows + outsiders, spec)
     with pytest.raises(DomainError, match=r"vector \(0, 0, 0, 0, 0, 0, 0, 2\) is not"):
         span_index(np.array(rows + outsiders[::-1]), spec)
+
+
+def _span_index_reference(rows, spec):
+    """[lattice : span] from an HNF over every row in input order, taken in
+    Z^d and divided by the lattice's covolume; None below full rank."""
+    acc = lattice._HnfAccumulator(spec.dim)
+    for v in rows:
+        acc.add([int(c) for c in v])
+    idx = acc.index()
+    if idx is None:
+        return None
+    assert idx % spec.determinant == 0
+    return idx // spec.determinant
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_id=st.sampled_from(["D4", "E8", "Z3"]),
+       coeffs=st.lists(st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+                       min_size=1, max_size=12),
+       scales=st.lists(st.sampled_from([1, 1, 1, 2, 3, 2**62 + 1, 2**70]), min_size=12,
+                       max_size=12))
+@example(lattice_id="E8", coeffs=[[2 * (i == j) for j in range(8)] for i in range(8)],
+         scales=[1] * 12)
+@example(lattice_id="D4", coeffs=[[1, 1, 0, 0, 0, 0, 0, 0]] * 6, scales=[1] * 12)
+@example(lattice_id="Z3", coeffs=[[1, 0, 0] + [0] * 5, [0, 1, 0] + [0] * 5,
+                                  [0, 0, 1] + [0] * 5], scales=[2**62 + 1, 1, 2**70] + [1] * 9)
+@example(lattice_id="Z3", coeffs=[[1, 0, 0] + [0] * 5, [0, 1, 0] + [0] * 5,
+                                  [0, 0, 2] + [0] * 5], scales=[1, 1, 2**62 + 1] + [1] * 9)
+def test_span_index_matches_an_hnf_of_every_row(lattice_id, coeffs, scales):
+    # integer combinations of the basis columns, some scaled past 2^62 (the
+    # object path of basis_numerators) or into (2^63, 2^64), where numpy
+    # reads a list mixing them with small ints as float64; the early stop
+    # and the interleaved blocks must give the index of the whole set
+    spec = lattice.lattice_from_id(lattice_id)
+    d = spec.dim
+    rows = [[k * sum(c * col[i] for c, col in zip(cs[:d], spec.columns)) for i in range(d)]
+            for cs, k in zip(coeffs, scales)]
+    want = _span_index_reference(rows, spec)
+    if want is None:
+        with pytest.raises(DomainError, match="full rank"):
+            span_index(rows, spec)
+    else:
+        assert span_index(rows, spec) == want
+
+
+def test_leech_span_index_solves_in_blocks(monkeypatch):
+    # the first interleaved block of the sorted minimal set reaches index 1
+    spec, S = standard_lattice("Leech")
+    assert S.rows.dtype == np.int8
+    added = []
+    add = lattice._HnfAccumulator.add
+
+    def counting_add(self, vector):
+        added.append(vector)
+        add(self, vector)
+
+    monkeypatch.setattr(lattice._HnfAccumulator, "add", counting_add)
+    tracemalloc.start()
+    assert span_index(S.rows, spec) == 1
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(added) <= 100
+    assert peak < 40 << 20
+    with pytest.raises(DomainError, match="full rank"):
+        span_index([], spec)
+
+
+def test_leech_minimal_set_is_built_in_bounded_memory():
+    standard_lattice("Leech")  # the Golay code and octad tables are cached
+    tracemalloc.start()
+    S = lattice._leech_minimal_set.__wrapped__()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert S.rows.dtype == np.int8 and len(S) == 196_560
+    assert peak < 40 << 20
 
 
 def test_leech_minimal_vectors_against_coordinate_oracle():
@@ -254,9 +332,8 @@ def test_leech_minimal_vectors_against_coordinate_oracle():
     code = build_golay()
     rng = random.Random(3)
     sample = rng.sample(list(vectors), 400)
-    for v in sample:
-        coords = basis_coordinates(spec, v)
-        assert coords is not None
+    numerators, det = basis_numerators(spec, np.array(sample))
+    assert not (numerators % det).any()
     assert leech_contains_bulk(np.array(sample, dtype=object), code).all()
 
 
@@ -565,7 +642,7 @@ def test_crossing_adjacency_matches_a_generator_scan():
 
 
 @pytest.mark.parametrize("certify,search,what", [
-    (4, None, "visited map"),         # 17^7 visited bytes
+    (7, None, "visited map"),         # 15^7 strided visited bytes
     (5, 5, "enumerate pointwise"),    # 11^7 slice candidates of 8 coordinates
 ])
 def test_bfs_slice_certificate_refuses_oversized_grids(certify, search, what):
@@ -576,6 +653,13 @@ def test_bfs_slice_certificate_refuses_oversized_grids(certify, search, what):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_bfs_slice_certificate_budgets_the_strided_map():
+    # the full 17^7 box is past the budget, the 9^7 grid of even points is not
+    e8, s8 = standard_lattice("E8")
+    cert = check_slice_connectivity(e8, s8, 0, 4)
+    assert (cert.passed, cert.search_radius, cert.points_certified) == (True, 8, 39063)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +690,7 @@ def test_singular_basis_is_a_domain_error():
     flat = lattice.LatticeSpec("flat", 2, ((1, 2), (2, 4)), "basis")
     assert flat.determinant == 0
     with pytest.raises(DomainError, match="singular"):
-        basis_coordinates(flat, (1, 2))
+        basis_numerators(flat, np.array([(1, 2)]))
     with pytest.raises(DomainError, match="singular"):
         lattice.contains_bulk(flat, np.array([(1, 2)], dtype=object))
 
@@ -628,6 +712,16 @@ def test_genset_refuses_an_empty_or_flat_list():
     for bad in ([], (), [1, 0, -1]):
         with pytest.raises(DomainError, match="non-empty list of vectors"):
             GenSet(bad)
+
+
+def test_genset_keeps_signed_integer_dtypes():
+    assert GenSet(np.array([[1, -2], [0, 3]], dtype=np.int8)).rows.dtype == np.int8
+    assert GenSet(np.array([[1, -2]], dtype=np.int16)).rows.dtype == np.int16
+    for vectors in ([[1, -2]], np.array([[1, 2]], dtype=np.uint8), np.array([[1.0, 2.0]])):
+        assert GenSet(vectors).rows.dtype == np.int64
+    # -128 would negate and take abs to itself in int8
+    S = GenSet(np.array([[-128, 0]], dtype=np.int8))
+    assert S.rows.dtype == np.int64 and not S.is_symmetric()
 
 
 @settings(max_examples=300, deadline=None)
