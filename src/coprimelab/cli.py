@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import arith, colouring, lattice, perco
+from . import arith, colouring, lattice, lattice_core, perco
 from .errors import DomainError, ParseError
 
 _REQUIRED = object()
@@ -182,7 +182,7 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
 def cmd_sample(args) -> int:
     if args.oracle is not None and args.lattice != "Z2":
         raise DomainError("the gcd oracle is defined on the Z2 grid")
-    spec = lattice.lattice_from_id(args.lattice)
+    spec = lattice_core.lattice_from_id(args.lattice)
     if not spec.full_grid or spec.dim != 2:
         # refused before any work, so no partial output is left behind
         raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
@@ -213,7 +213,7 @@ def cmd_layers(args) -> int:
     primes = args.primes
     if not 1 <= len(primes) <= 3 or len(set(primes)) != len(primes):
         raise DomainError("need 1 to 3 distinct highlighted primes")
-    spec = lattice.lattice_from_id(args.lattice)
+    spec = lattice_core.lattice_from_id(args.lattice)
     config = colouring.sample_coset_config(spec, args.P, args.seed)
     table = arith.primes_up_to(max(2, *primes))
     for p in primes:
@@ -278,13 +278,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    spec = lattice.lattice_from_id(args.lattice)
+    spec = lattice_core.lattice_from_id(args.lattice)
     kind, d, kw, _ = _MODELS[args.adjacency]
-    S = lattice.standard_lattice(kind, d, **kw)[1]
+    S = lattice_core.standard_lattice(kind, d, **kw)[1]
     # an edge along a generator outside the lattice joins no two of its points
     if S.dim != spec.dim:
         raise DomainError(f"{args.adjacency} adjacency is {S.dim}-dimensional; {spec.name} is not")
-    inside = lattice.contains_bulk(spec, S.rows)
+    inside = lattice_core.contains_bulk(spec, S.rows)
     if not inside.all():
         v = tuple(S.rows[inside.argmin()].tolist())
         raise DomainError(f"{args.adjacency} generator {v} is not in {spec.name}")

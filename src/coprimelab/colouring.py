@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-import numpy as np
-
+# package modules before numpy (see coprimelab/__init__.py)
 from .arith import primes_up_to
 from .errors import CANDIDATE_BUDGET, SIZE_BUDGET, DomainError, ParseError
-from .lattice import LatticeSpec, basis_numerators, contains_bulk, lattice_from_id
+from .lattice_core import LatticeSpec, basis_numerators, contains_bulk, lattice_from_id
 from .rng import RNG_ID, below_lanes, stream_seeds
+
+import numpy as np
 
 _U64 = (1 << 64) - 1
 _CHUNK_ENTRIES = 1 << 20

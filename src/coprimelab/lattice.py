@@ -1,26 +1,42 @@
-"""Lattice constructions, the binary Golay code, and Cayley-structure checkers.
+"""The binary Golay code, the Leech lattice, and Cayley-structure checkers.
 
 Everything here is exact integer arithmetic: Hermite normal forms, adjugate
-solves and codeword enumeration never touch floating point.  The named
-lattices (triangular model, D_d, E_8, Leech) come with their minimal-vector
-generating sets and with decidable checkers for the two structural conditions
-used by the percolation arguments: coordinate-crossing adjacency, and
-connectivity of coordinate slices of the Cayley graph.
+solves and codeword enumeration never touch floating point.  The specs and
+generating sets of the named lattices come from coprimelab.lattice_core,
+re-exported here; this module adds the Leech lattice (its spec, its 196,560
+minimal vectors and its membership rule), span indices, and decidable
+checkers for the two structural conditions used by the percolation
+arguments: coordinate-crossing adjacency, and connectivity of coordinate
+slices of the Cayley graph.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
-import re
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
+
+# package modules before numpy (see coprimelab/__init__.py)
+from .errors import SIZE_BUDGET, DomainError
+from .lattice_core import (
+    GenSet,
+    LatticeSpec,
+    _bezout,
+    _d_lattice_columns,
+    _enumerate_box_points,
+    _HnfAccumulator,
+    _spec_from_generators,
+    basis_numerators,
+    contains_bulk,
+    lattice_from_id,
+    minimal_vectors,
+    norm_sq,
+    standard_lattice,
+)
+from .rng import below_lanes, stream_seeds
 
 import numpy as np
-
-from .errors import SIZE_BUDGET, DomainError
-from .rng import below_lanes, stream_seeds
 
 # ---------------------------------------------------------------------------
 # the extended binary Golay code, built from the icosahedron
@@ -149,229 +165,7 @@ def dodecad_decomposition(code: GolayCode, dodecad: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# exact integer linear algebra
-
-
-def _bareiss(matrix) -> tuple[int, list[list[int]] | None]:
-    """Determinant and adjugate of a square integer matrix, adj @ M = det * I.
-
-    Fraction-free Gauss-Jordan elimination on [M | I] (Bareiss, Math. Comp.
-    22, 1968): after pivot k every entry is a minor of order k + 1 of the
-    row-swapped augmented matrix, so each division by the previous pivot is
-    exact.  It ends at [d I | d M^-1], d the determinant up to the sign of
-    the swaps.  A singular matrix gives (0, None).
-    """
-    n = len(matrix)
-    a = [[int(e) for e in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            return 0, None
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
-        prev = p
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
-
-
-class _HnfAccumulator:
-    """Running row-style Hermite form of the integer span of added vectors.
-
-    Tracks one pivot row per leading column; the product of pivot entries is
-    the index of the span inside Z^d once the rank is full.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.pivots: dict[int, list[int]] = {}
-
-    def add(self, vector) -> None:
-        w = list(vector)
-        for j in range(self.dim):
-            if w[j] == 0:
-                continue
-            if j not in self.pivots:
-                if w[j] < 0:
-                    w = [-t for t in w]
-                self.pivots[j] = w
-                return
-            r = self.pivots[j]
-            g = math.gcd(r[j], w[j])
-            a, b = _bezout(r[j], w[j])
-            new_r = [a * ri + b * wi for ri, wi in zip(r, w)]
-            u, v = r[j] // g, w[j] // g
-            w = [u * wi - v * ri for ri, wi in zip(r, w)]
-            self.pivots[j] = new_r
-        # w reduced to zero: already in the span
-
-    def index(self) -> int | None:
-        if len(self.pivots) < self.dim:
-            return None
-        out = 1
-        for j, row in self.pivots.items():
-            out *= abs(row[j])
-        return out
-
-    def rows(self) -> list[list[int]]:
-        """Normalized HNF rows (pivot-positive, entries above pivots reduced)."""
-        cols = sorted(self.pivots)
-        rows = [self.pivots[j][:] for j in cols]
-        for idx in range(len(rows) - 1, -1, -1):
-            j = cols[idx]
-            p = rows[idx][j]
-            for upper in rows[:idx]:
-                q = upper[j] // p
-                if q:
-                    for c in range(self.dim):
-                        upper[c] -= q * rows[idx][c]
-        return rows
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_s, old_t
-
-
-# ---------------------------------------------------------------------------
-# lattice specifications
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """An integer lattice: a basis (columns) plus a direct membership rule.
-
-    form is the norm convention for minimal-vector searches: "euclidean", or
-    "hexagonal" for the integer model of the triangular lattice.
-    """
-
-    name: str
-    dim: int
-    columns: tuple[tuple[int, ...], ...]
-    membership_id: str
-    form: str = "euclidean"
-
-    @property
-    def determinant(self) -> int:
-        # covolume of the lattice; basis column order must not leak a sign
-        return abs(_bareiss(self.matrix_rows())[0])
-
-    def matrix_rows(self) -> list[list[int]]:
-        return [[self.columns[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    @property
-    def full_grid(self) -> bool:
-        """Whether every integer point is a lattice point (the basis is the
-        identity), so a window's colours fill a dense array."""
-        return self.columns == _identity_columns(self.dim)
-
-
-class GenSet:
-    """A finite generating set: one lexicographically sorted, duplicate-free
-    (n, dim) signed integer array, rows.
-
-    A signed integer array keeps its dtype (Leech's is int8) unless it holds
-    the dtype's minimum, which negates to itself; other input becomes int64.
-    """
-
-    def __init__(self, vectors):
-        arr = np.asarray(vectors if isinstance(vectors, np.ndarray) else list(vectors))
-        if arr.ndim != 2 or not len(arr):
-            raise DomainError("a generating set is a non-empty list of vectors")
-        if arr.dtype.kind != "i" or arr.min() == np.iinfo(arr.dtype).min:
-            arr = arr.astype(np.int64)
-        arr = arr[np.lexsort(arr.T[::-1])]
-        distinct = np.ones(len(arr), dtype=bool)
-        distinct[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-        self.rows = arr[distinct]
-
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """The rows as tuples of Python ints, built on first request."""
-        return tuple(map(tuple, self.rows.tolist()))
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def is_symmetric(self) -> bool:
-        # negation reverses lexicographic order, so -S sorted is -rows[::-1];
-        # row i's condition is row n-1-i's, so the first half decides
-        half = (len(self.rows) + 1) // 2
-        return bool(np.array_equal(self.rows[:half], -self.rows[::-1][:half]))
-
-    def has_zero(self) -> bool:
-        return bool((~self.rows.any(axis=1)).any())
-
-
-def norm_sq(spec: LatticeSpec, v):
-    """Squared norm of a vector, or of each row of an (n, dim) array."""
-    coords = v.T if isinstance(v, np.ndarray) else v
-    if spec.form == "hexagonal":
-        a, b = coords
-        return a * a - a * b + b * b
-    return sum(c * c for c in coords)
-
-
-def _identity_columns(d: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for i in range(d)) for j in range(d))
-
-
-def _d_lattice_columns(d: int) -> tuple[tuple[int, ...], ...]:
-    cols = []
-    for i in range(d - 1):
-        col = [0] * d
-        col[i] = 1
-        col[i + 1] = -1
-        cols.append(tuple(col))
-    last = [0] * d
-    last[d - 2] = 1
-    last[d - 1] = 1
-    cols.append(tuple(last))
-    return tuple(cols)
-
-
-def _spec_from_generators(name: str, gens: list, det: int, rule: str) -> LatticeSpec:
-    """The lattice spanned by integer vectors, with its HNF rows as basis.
-
-    Asserts full rank, the expected covolume det, and that every basis
-    vector passes the membership rule.
-    """
-    acc = _HnfAccumulator(len(gens[0]))
-    for g in gens:
-        acc.add(g)
-    if acc.index() != det:
-        raise AssertionError(f"{name} generators span index {acc.index()}, expected {det}")
-    columns = tuple(tuple(row) for row in acc.rows())
-    spec = LatticeSpec(name, len(columns), columns, rule)
-    if not contains_bulk(spec, np.array(columns)).all():
-        raise AssertionError(f"{name} basis column fails its membership rule")
-    return spec
-
-
-@lru_cache(maxsize=1)
-def _e8_spec() -> LatticeSpec:
-    gens = [[2 * c for c in col] for col in _d_lattice_columns(8)]
-    return _spec_from_generators("E8", gens + [[1] * 7 + [-3]], 256, "e8")
+# the Leech lattice: spec, minimal vectors, membership via binary digits
 
 
 @lru_cache(maxsize=1)
@@ -379,152 +173,6 @@ def _leech_spec() -> LatticeSpec:
     gens = (2 * _bit_rows(build_golay().generators)).tolist()
     gens += [[4 * c for c in col] for col in _d_lattice_columns(24)]
     return _spec_from_generators("Leech", gens + [[-3] + [1] * 23], 8**12, "leech")
-
-
-def contains_bulk(spec: LatticeSpec, pts: np.ndarray) -> np.ndarray:
-    """Membership of each row of an (n, dim) integer array under the spec's rule.
-
-    The array may hold int64 or Python ints (dtype=object); sums may wrap in
-    int64 since the rules only read them mod 4.  Rows of another width than
-    the spec's dimension are refused.
-    """
-    if np.shape(pts)[1:] != (spec.dim,):
-        raise DomainError(f"{spec.name} membership needs rows of {spec.dim} coordinates, "
-                          f"got an array of shape {np.shape(pts)}")
-    rule = spec.membership_id
-    if rule == "all":
-        return np.ones(len(pts), dtype=bool)
-    if rule == "sum-even":
-        return pts.sum(axis=1) % 2 == 0
-    if rule == "e8":
-        same_parity = (pts & 1 == pts[:, :1] & 1).all(axis=1)
-        return same_parity & (pts.sum(axis=1) % 4 == 0)
-    if rule == "leech":
-        return leech_contains_bulk(pts, build_golay())
-    if rule == "basis":
-        numerators, det = basis_numerators(spec, pts)
-        return (numerators % det == 0).all(axis=1)
-    raise DomainError(f"unknown membership rule {rule!r}")
-
-
-@lru_cache(maxsize=32)
-def _adjugate_and_det(spec: LatticeSpec):
-    det, adj = _bareiss(spec.matrix_rows())
-    if det == 0:
-        raise DomainError("singular basis")
-    return adj, det
-
-
-def basis_numerators(spec: LatticeSpec, pts: np.ndarray) -> tuple[np.ndarray, int]:
-    """adj(B) @ v for each row v of pts, and det(B).
-
-    A row is a lattice point iff all its numerators divide by det, and its
-    basis coordinates are then the quotients.  The product is int64 while
-    max row-sum |adj| * max |coordinate| stays below 2^62, Python ints
-    (dtype=object) beyond that, so it is exact for any input.
-    """
-    adj, det = _adjugate_and_det(spec)
-    bound = max(sum(abs(a) for a in row) for row in adj) * int(np.abs(pts).max(initial=0))
-    dtype = np.int64 if bound < 1 << 62 else object
-    return pts.astype(dtype, copy=False) @ np.array(adj, dtype=dtype).T, det
-
-
-# a window on a d-dimensional lattice is a rank-d array, and numpy 1.x caps
-# array rank at 32 (numpy 2 at 64)
-_MAX_GRID_DIM = 32
-
-
-def lattice_from_id(lattice_id: str) -> LatticeSpec:
-    """The spec named lattice_id: Z{d} (1 <= d <= 32), D{d} (2 <= d <= 32),
-    E8, Leech or triangular.
-
-    Each lattice has one id: d is written in ASCII digits without a leading
-    zero, and is refused above _MAX_GRID_DIM before any basis is built.
-    """
-    if lattice_id == "triangular":
-        return LatticeSpec("triangular", 2, _identity_columns(2), "all", "hexagonal")
-    if lattice_id == "E8":
-        return _e8_spec()
-    if lattice_id == "Leech":
-        return _leech_spec()
-    m = re.fullmatch(r"([ZD])([1-9][0-9]*)", lattice_id)
-    if m is None:
-        raise DomainError(f"unknown lattice id {lattice_id!r}")
-    kind, digits = m.groups()
-    # the length test keeps int() off ids of thousands of digits
-    if len(digits) > 2 or int(digits) > _MAX_GRID_DIM:
-        raise DomainError(f"dimension {digits} exceeds the supported maximum {_MAX_GRID_DIM}")
-    d = int(digits)
-    if kind == "Z":
-        return LatticeSpec(lattice_id, d, _identity_columns(d), "all")
-    if d < 2:
-        raise DomainError("D-lattice needs dimension >= 2")
-    return LatticeSpec(lattice_id, d, _d_lattice_columns(d), "sum-even")
-
-
-# standard_lattice kind (case-folded, "-" read as "_") -> lattice id, {d}
-# standing for the dimension; spread_out is hypercubic
-_KIND_IDS = {"square": "Z2", "hypercubic": "Z{d}", "spread_out": "Z{d}", "d": "D{d}",
-             "e8": "E8", "leech": "Leech", "triangular": "triangular"}
-
-
-def standard_lattice(kind: str, d: int | None = None,
-                     alpha: int = 1) -> tuple[LatticeSpec, GenSet]:
-    """A named lattice together with its standard generating set.
-
-    kinds: those of _KIND_IDS; the generating set is the minimal vectors,
-    except for "spread_out": the nonzero points of the box [-alpha, alpha]^d.
-    """
-    kind_l = kind.lower().replace("-", "_")
-    template = _KIND_IDS.get(kind_l)
-    if template is None:
-        raise DomainError(f"unknown lattice kind {kind!r}")
-    if "{d}" in template and (d is None or d < 1):
-        raise DomainError(f"{kind} lattice needs a dimension")
-    spec = lattice_from_id(template.format(d=d))
-    if kind_l != "spread_out":
-        return spec, minimal_vectors(spec)
-    if alpha < 1:
-        raise DomainError("spread_out needs dimension and alpha >= 1")
-    pts = _enumerate_box_points(spec, alpha)
-    return spec, GenSet(pts[pts.any(axis=1)])
-
-
-def minimal_vectors(spec: LatticeSpec) -> GenSet:
-    """All nonzero lattice vectors of minimal norm, chosen by membership rule.
-
-    Z_d ("all"), D_d ("sum-even") and E_8 ("e8") are written down from their
-    forced shapes; the triangular model ("all" with the hexagonal form) is
-    found by exhaustive search over a box that provably contains every
-    candidate; the Leech set ("leech") is built from its three shape families
-    and verified by membership and norm (completeness of the three families
-    is classical).  A generic "basis" rule has no enumeration here.
-    """
-    rule = spec.membership_id
-    if rule == "leech":
-        return _leech_minimal_set()
-    if rule == "all" and spec.form == "hexagonal":
-        pts = _enumerate_box_points(spec, 1)
-        pts = pts[pts.any(axis=1)]
-        q = norm_sq(spec, pts)
-        return GenSet(pts[q == q.min()])
-    if rule not in ("all", "sum-even", "e8"):
-        raise DomainError(f"no feasible enumeration for {spec.name!r}")
-    # one entry +-1 for Z_d, two for D_d: an entry of size >= 2 already
-    # exceeds the norm of these.  E_8 in doubled coordinates (norm 8): two
-    # entries +-2, or all eight +-1 with an even number of minus signs
-    # (SPLAG ch. 4 sec. 8.1)
-    k, scale = {"all": (1, 1), "sum-even": (2, 1), "e8": (2, 2)}[rule]
-    vectors = []
-    for support in itertools.combinations(range(spec.dim), k):
-        for signs in itertools.product((scale, -scale), repeat=k):
-            v = [0] * spec.dim
-            for i, s in zip(support, signs):
-                v[i] = s
-            vectors.append(v)
-    if rule == "e8":
-        vectors += [v for v in itertools.product((1, -1), repeat=8) if v.count(-1) % 2 == 0]
-    return GenSet(vectors)
 
 
 @lru_cache(maxsize=1)
@@ -561,10 +209,6 @@ def _leech_minimal_set() -> GenSet:
     if len(S) != 196_560:
         raise AssertionError(f"built {len(S)} Leech vectors, wanted 196560")
     return S
-
-
-# ---------------------------------------------------------------------------
-# Leech membership via binary digits
 
 
 def leech_contains_bulk(arr: np.ndarray, code: GolayCode) -> np.ndarray:
@@ -745,19 +389,6 @@ class SliceCertificate:
     unreached: tuple[int, ...] | None = None
 
 
-def _enumerate_box_points(spec: LatticeSpec, radius: int, axis: int | None = None) -> np.ndarray:
-    """All lattice points with every coordinate in [-radius, radius], in
-    lexicographic order; given an axis, only those whose axis coordinate is 0."""
-    free = spec.dim - (axis is not None)
-    side = 2 * radius + 1
-    if side ** free * spec.dim > SIZE_BUDGET:
-        raise DomainError("box too large to enumerate pointwise")
-    # built in the smallest signed type that holds the box; members are int64
-    pts = np.indices((side,) * free, dtype=np.min_scalar_type(-side))
-    pts = pts.reshape(free, side ** free).T - radius
-    if axis is not None:
-        pts = np.insert(pts, axis, 0, axis=1)
-    return pts[contains_bulk(spec, pts)].astype(np.int64)
 
 
 def _bfs_slice_certificate(spec: LatticeSpec, S: GenSet, axis: int,

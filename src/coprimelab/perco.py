@@ -16,13 +16,14 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
+# package modules before numpy (see coprimelab/__init__.py)
 from .arith import decimal_str, primes_up_to
 from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
 from .errors import SIZE_BUDGET, DomainError
-from .lattice import GenSet, lattice_from_id, minimal_vectors
+from .lattice_core import GenSet, lattice_from_id, minimal_vectors
 from .rng import stream_seed, stream_seeds
+
+import numpy as np
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 

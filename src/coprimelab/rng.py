@@ -9,13 +9,25 @@ that records randomness.
 SplitMix64 is the readable reference generator.  stream_seeds and below_lanes
 run the same derivation and the same draws over numpy uint64 arrays, one lane
 per stream, bit for bit equal to it.
+
+SHA-256 comes from the interpreter's built-in module (_sha2 on Python 3.12+,
+_sha256 before), the one hashlib falls back to without OpenSSL: importing
+hashlib would load OpenSSL's libcrypto into every process.  An interpreter
+built without that module falls back to hashlib.sha256.  The digests are
+SHA-256 either way.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 RNG_ID = "splitmix64/sha256-streams/v1"
 
@@ -28,7 +40,7 @@ _MIX2 = 0x94D049BB133111EB
 def stream_seed(master_seed: int, tag: str, index: int = 0) -> int:
     """64-bit substream key for (master seed, purpose tag, index)."""
     data = f"{master_seed & _MASK64}\x1f{tag}\x1f{index}".encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
+    return int.from_bytes(sha256(data).digest()[:8], "little")
 
 
 class SplitMix64:
@@ -75,7 +87,7 @@ def stream_seeds(master_seeds, tag: str, indices) -> np.ndarray:
     tails = [str(int(i)).encode() for i in indices]
     out = np.empty((len(master_seeds), len(tails)), dtype=np.uint64)
     for row, m in zip(out, master_seeds):
-        head = hashlib.sha256(f"{int(m) & _MASK64}\x1f{tag}\x1f".encode())
+        head = sha256(f"{int(m) & _MASK64}\x1f{tag}\x1f".encode())
         digests = []
         for t in tails:
             h = head.copy()

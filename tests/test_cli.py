@@ -467,6 +467,35 @@ print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.mo
     assert fresh_stdout(probe) == "[]"
 
 
+def test_commands_load_neither_openssl_nor_the_certifiers(tmp_path):
+    # the RNG hashes with the interpreter's own SHA-256, and the window and
+    # Monte Carlo commands reach only lattice_core; a LazyLoader module keeps
+    # its lazy type until its first attribute access runs it
+    windows = [
+        ["sample", "--extents", "16,16", "--out", str(tmp_path / "s")],
+        ["infer", "--pgm", str(tmp_path / "s" / "colouring.pgm")],
+        ["layers", "--extents", "16,16", "--out", str(tmp_path / "l")],
+        ["clusters", "--lattice", "triangular", "--adjacency", "triangular",
+         "--extents", "16,16"],
+        ["crossing", "--n", "4", "--x", "4", "--trials", "20"],
+        ["annulus", "--k", "3", "--trials", "5"],
+        ["staircase", "--n-max", "3", "--trials", "5"],
+        ["spanning", "--length", "10", "--trials", "5"],
+    ]
+    certifiers = [["check", "--lattice", "E8", "--theorem", "setup"],
+                  ["lattice", "info", "--lattice", "E8"]]
+    probe = """
+import contextlib, io, sys
+from coprimelab.cli import main
+for argv in {!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(type(sys.modules["coprimelab.lattice"]).__name__, "_hashlib" in sys.modules)
+"""
+    assert fresh_stdout(probe.format(windows)) == "_LazyModule False"
+    assert fresh_stdout(probe.format(certifiers)) == "module False"
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_workers_below_one_rejected(capsys, workers):
     code, _, err = run(capsys, "crossing", "--n", "4", "--x", "4", "--trials",

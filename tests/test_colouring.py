@@ -103,7 +103,7 @@ def test_every_accepted_lattice_id_is_its_spec_name(lattice_id):
 
 
 def test_lattice_from_id_is_the_standard_spec_without_minimal_vectors(monkeypatch):
-    from coprimelab import lattice
+    from coprimelab import lattice, lattice_core
 
     kinds = {"Z2": ("hypercubic", 2), "Z3": ("hypercubic", 3), "D4": ("D", 4),
              "E8": ("E8", None), "Leech": ("Leech", None),
@@ -113,7 +113,7 @@ def test_lattice_from_id_is_the_standard_spec_without_minimal_vectors(monkeypatc
     def forbidden(spec):
         raise AssertionError(f"minimal vectors of {spec.name} enumerated")
 
-    monkeypatch.setattr(lattice, "minimal_vectors", forbidden)
+    monkeypatch.setattr(lattice_core, "minimal_vectors", forbidden)
     for lattice_id, spec in expected.items():
         assert lattice_from_id(lattice_id) == spec
 

@@ -19,7 +19,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coprimelab import lattice
+from coprimelab import lattice, lattice_core
 from coprimelab.errors import DomainError
 from coprimelab.lattice import (
     GenSet,
@@ -674,7 +674,7 @@ def test_bareiss_det_and_adjugate_match_sympy():
         M = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.2:
             M[-1] = [3 * a for a in M[0]]
-        det, adj = lattice._bareiss(M)
+        det, adj = lattice_core._bareiss(M)
         assert det == sympy.Matrix(M).det()
         if det == 0:
             singular += 1
@@ -724,6 +724,25 @@ def test_genset_keeps_signed_integer_dtypes():
     assert S.rows.dtype == np.int64 and not S.is_symmetric()
 
 
+@pytest.mark.parametrize("vectors", [
+    [(2**63 + 2,), (0,)],  # numpy alone reads float64 and casts to -2^63
+    [(2**63 + 2,)],  # uint64, wrapped to -2^63 + 2
+    [(2**70,), (0,)],  # a bare OverflowError
+    [(-2**63 - 1, 0)],
+    np.array([[2**63]], dtype=np.uint64),
+    np.array([[2.0**63], [0.0]]),
+])
+def test_genset_refuses_entries_outside_int64(vectors):
+    with pytest.raises(DomainError, match="fit in int64"):
+        GenSet(vectors)
+
+
+def test_genset_keeps_the_int64_extremes():
+    S = GenSet([(2**63 - 1,), (-2**63,), (0,)])
+    assert S.rows.dtype == np.int64
+    assert S.rows.tolist() == [[-2**63], [0], [2**63 - 1]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     vectors=st.integers(1, 4).flatmap(lambda d: st.lists(
@@ -762,7 +781,7 @@ def test_lattice_ids_are_parsed_beside_their_names():
     cases = [("hypercubic", 1, "Z1"), ("HYPERCUBIC", 5, "Z5"), ("square", None, "Z2"),
              ("spread-out", 3, "Z3"), ("D", 2, "D2"), ("d", 32, "D32"), ("E8", None, "E8"),
              ("leech", None, "Leech"), ("triangular", None, "triangular")]
-    assert {kind.lower().replace("-", "_") for kind, _, _ in cases} == set(lattice._KIND_IDS)
+    assert {kind.lower().replace("-", "_") for kind, _, _ in cases} == set(lattice_core._KIND_IDS)
     for kind, d, lattice_id in cases:
         spec = standard_lattice(kind, d)[0]
         assert spec.name == lattice_id

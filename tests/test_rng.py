@@ -1,9 +1,15 @@
 import collections
+import hashlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coprimelab import rng
 from coprimelab.arith import primes_up_to
 from coprimelab.rng import (
     RNG_ID,
@@ -36,6 +42,35 @@ def test_splitmix_reference_vectors():
 def test_stream_seed_frozen():
     for (master, tag, index), expect in FROZEN_STREAM_SEEDS.items():
         assert stream_seed(master, tag, index) == expect
+
+
+@given(st.binary(max_size=300), st.integers(0, 300))
+def test_sha256_is_hashlibs(data, split):
+    # the interpreter's built-in SHA-256, fed whole or in two parts through a copy
+    assert rng.sha256(data).digest() == hashlib.sha256(data).digest()
+    head = rng.sha256(data[:split])
+    tail = head.copy()
+    tail.update(data[split:])
+    assert tail.digest() == hashlib.sha256(data).digest()
+
+
+def test_frozen_streams_through_the_hashlib_fallback():
+    # an interpreter built without _sha2 / _sha256 gets SHA-256 from hashlib
+    probe = f"""
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from coprimelab import rng
+assert rng.sha256 is hashlib.sha256
+for (master, tag, index), expect in {FROZEN_STREAM_SEEDS!r}.items():
+    assert rng.stream_seed(master, tag, index) == expect
+    assert rng.stream_seeds([master], tag, [index])[0, 0] == expect
+print("fallback")
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "fallback"
 
 
 def test_rng_id_frozen():
