@@ -13,13 +13,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 __version__ = "0.1.0"
 
 
-# Each module imports its package siblings before numpy, and the cli reaches
-# `check` and `lattice` through lattice, not lattice_core.  Without cached
-# bytecode (PYTHONDONTWRITEBYTECODE) a module is compiled from source on its
-# first import; compiled before numpy loads, the memory the parser frees is
-# reused by numpy's import, and compiled after, it stays unused in the heap:
-# 0.8-0.9 MB of peak RSS per module, measured on `check` and the Monte Carlo
-# commands.
+# Each module imports its package siblings before numpy, and each command
+# first touches the module that does its work (perco for the Monte Carlo
+# commands and clusters, colouring for sample, layers and infer, lattice for
+# check, lattice and golay), so every module a command loads compiles before
+# numpy does, except rng: it imports numpy at its top and loads after
+# lattice_core, and deferring that import would save only 0.1-0.2 MB.
+# Without cached bytecode (PYTHONDONTWRITEBYTECODE) a module is compiled from
+# source on its first import; compiled before numpy loads, the memory the
+# parser frees is reused by numpy's import, and compiled after, it stays
+# unused in the heap: 0.8-0.9 MB of peak RSS per module, measured on `check`
+# and the Monte Carlo commands.
 def _lazy(name: str):
     """Register submodule `name` in sys.modules now and run it on its first
     attribute access, so a command loads only the modules it uses (bounds,

@@ -182,7 +182,7 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
 def cmd_sample(args) -> int:
     if args.oracle is not None and args.lattice != "Z2":
         raise DomainError("the gcd oracle is defined on the Z2 grid")
-    spec = lattice_core.lattice_from_id(args.lattice)
+    spec = colouring.lattice_from_id(args.lattice)
     if not spec.full_grid or spec.dim != 2:
         # refused before any work, so no partial output is left behind
         raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
@@ -204,8 +204,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    import numpy as np
-
     if args.out is None:
         raise ParseError("layers writes files; --out is required")
     if args.lattice != "Z2":
@@ -213,7 +211,7 @@ def cmd_layers(args) -> int:
     primes = args.primes
     if not 1 <= len(primes) <= 3 or len(set(primes)) != len(primes):
         raise DomainError("need 1 to 3 distinct highlighted primes")
-    spec = lattice_core.lattice_from_id(args.lattice)
+    spec = colouring.lattice_from_id(args.lattice)
     config = colouring.sample_coset_config(spec, args.P, args.seed)
     table = arith.primes_up_to(max(2, *primes))
     for p in primes:
@@ -223,6 +221,8 @@ def cmd_layers(args) -> int:
             raise DomainError(f"highlighted prime {p} exceeds the cutoff P={args.P}")
     window = colouring.Window(args.origin, args.extents)
     col = colouring.colour_window(config, window)
+    import numpy as np  # only once colouring has loaded (see coprimelab/__init__.py)
+
     rgb = np.zeros(window.array_shape() + (3,), dtype=np.uint8)
     rgb[col.white] = (255, 255, 255)
     subset = np.zeros(window.array_shape(), dtype=np.uint8)
@@ -278,7 +278,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_clusters(args) -> int:
-    spec = lattice_core.lattice_from_id(args.lattice)
+    # perco first: it compiles its siblings before lattice_core imports numpy
+    spec = perco.lattice_from_id(args.lattice)
     kind, d, kw, _ = _MODELS[args.adjacency]
     S = lattice_core.standard_lattice(kind, d, **kw)[1]
     # an edge along a generator outside the lattice joins no two of its points
@@ -404,7 +405,7 @@ _COMMANDS = {
         *_sampled((256, 256)), ("--primes", _ints, (2, 3, 5), "up to 3 highlighted primes"))),
     "crossing": (cmd_monte_carlo, "Monte Carlo crossing probability", (
         *_NX, _trials(10000), ("--P", int, None,
-         "prime truncation cutoff (default: 2x; truncation only raises the estimate)"),
+         "prime truncation cutoff (default: max(5, 2x); truncation only raises the estimate)"),
         _SEED, _WORKERS)),
     "bounds": (cmd_bounds, "second-moment crossing bound as CSV", (
         *_NX, ("--P", int, None, "prime cutoff (default: 32x)"))),

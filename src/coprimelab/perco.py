@@ -109,8 +109,6 @@ class ClusterLabels:
     the low/high window face along coordinate axis k.
     """
 
-    window: Window
-    colour: str
     labels: np.ndarray
     count: int
     sizes: np.ndarray
@@ -232,22 +230,11 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
         for side, index in ((0, 0), (1, -1)):
             face = np.take(labels, index, axis=ax)
             touches[face[face >= 0], k, side] = True
-    return ClusterLabels(colouring.window, colour, labels, count, sizes, touches)
+    return ClusterLabels(labels, count, sizes, touches)
 
 
 # ---------------------------------------------------------------------------
 # crossing events
-
-
-@dataclass(frozen=True)
-class CrossingResult:
-    """Outcome of scanning a rectangle for fully-white lines."""
-
-    kind: str
-    rect: tuple[int, int, int, int]
-    crossed: bool
-    line_count: int
-    witness: int | None
 
 
 def _lines(rect: tuple[int, int, int, int], kind: str) -> tuple[int, int, int, int, int]:
@@ -260,8 +247,9 @@ def _lines(rect: tuple[int, int, int, int], kind: str) -> tuple[int, int, int, i
 
 
 def crossing(colouring: Colouring, rect: tuple[int, int, int, int],
-             kind: str = "horizontal") -> CrossingResult:
-    """Count fully-white rows (kind=horizontal) or columns (vertical) of rect.
+             kind: str = "horizontal") -> int | None:
+    """The first fully-white row (kind=horizontal) or column (vertical) of
+    rect, by its coordinate, or None if there is none.
 
     rect = (i1, i2, j1, j2), axis-1 range then axis-2 range, inclusive, in
     lattice coordinates.
@@ -282,10 +270,7 @@ def crossing(colouring: Colouring, rect: tuple[int, int, int, int],
     sub = colouring.white[j1 - oj : j2 - oj + 1, i1 - oi : i2 - oi + 1]
     axis, first, *_ = _lines(rect, kind)
     full = sub.all(axis=axis)  # in 2-D, array axis `axis` runs along the lines
-    count = int(full.sum())
-    if count == 0:
-        return CrossingResult(kind, rect, False, 0, None)
-    return CrossingResult(kind, rect, True, count, first + int(np.argmax(full)))
+    return first + int(np.argmax(full)) if full.any() else None
 
 
 @dataclass(frozen=True)
@@ -298,6 +283,10 @@ class AnnulusResult:
     right_column: int | None = None
     bottom_row: int | None = None
     top_row: int | None = None
+
+    @property
+    def succeeded(self) -> bool:
+        return self.occurred
 
     def witness_lines(self) -> list[str]:
         if not self.occurred:
@@ -324,10 +313,10 @@ def _annulus_crossings(k: int) -> list:
 
 def annulus_event(colouring: Colouring, k: int) -> AnnulusResult:
     """White circuit event at scale k: all four of _annulus_crossings(k)."""
-    results = [crossing(colouring, *c) for c in _annulus_crossings(k)]
-    if all(r.crossed for r in results):
-        return AnnulusResult(k, True, *(r.witness for r in results))
-    return AnnulusResult(k, False)
+    lines = [crossing(colouring, *c) for c in _annulus_crossings(k)]
+    if None in lines:
+        return AnnulusResult(k, False)
+    return AnnulusResult(k, True, *lines)
 
 
 def check_annulus_consequences(colouring: Colouring, k: int) -> None:
@@ -363,8 +352,6 @@ def check_annulus_consequences(colouring: Colouring, k: int) -> None:
 
 @dataclass(frozen=True)
 class StaircaseResult:
-    n_min: int
-    n_max: int
     witnesses: tuple[tuple[int, str, int], ...]  # (n, kind, line coordinate)
     path: tuple[tuple[int, int], ...] | None
 
@@ -404,11 +391,11 @@ def staircase(colouring: Colouring, n_min: int, n_max: int) -> StaircaseResult:
     if n_min < 0 or n_min > n_max:
         raise DomainError("need 0 <= n_min <= n_max")
     witnesses = []
-    for n, c in enumerate(_staircase_crossings(n_min, n_max), n_min):
-        res = crossing(colouring, *c)
-        if not res.crossed:
-            return StaircaseResult(n_min, n_max, tuple(witnesses), None)
-        witnesses.append((n, res.kind, res.witness))
+    for n, (rect, kind) in enumerate(_staircase_crossings(n_min, n_max), n_min):
+        line = crossing(colouring, rect, kind)
+        if line is None:
+            return StaircaseResult(tuple(witnesses), None)
+        witnesses.append((n, kind, line))
 
     # corners: the first line's start, where each line meets the next, the
     # last line's far end; corner i lies on line on[i] at position at[i]
@@ -425,24 +412,18 @@ def staircase(colouring: Colouring, n_min: int, n_max: int) -> StaircaseResult:
     for p in points:
         if not colouring.white_at(p):
             raise AssertionError(f"path point {p} is not white")
-    return StaircaseResult(n_min, n_max, tuple(witnesses), tuple(points))
+    return StaircaseResult(tuple(witnesses), tuple(points))
 
 
 # ---------------------------------------------------------------------------
 # spanning
 
 
-@dataclass(frozen=True)
-class SpanningStats:
-    points: int
-    all_white: bool
-
-
-def spanning_stats(colouring: Colouring) -> SpanningStats:
+def spanning_stats(colouring: Colouring) -> bool:
     """Whether the whole window (typically a 1x1xL column) is white."""
     if colouring.in_lattice is not None:
         raise DomainError("spanning summary needs full-grid windows")
-    return SpanningStats(colouring.window.point_count, bool(colouring.white.all()))
+    return bool(colouring.white.all())
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +509,19 @@ def _trial_chunk(args):
     return successes, first
 
 
-def _run_trials(kernel, event, P: int, dim: int, lines: int, trials: int,
-                master_seed: int, workers: int):
-    """Success count and index of the first success over all trials.
+def _run_trials(row: tuple[str, int, int], kernel, event, dim: int, lines: int,
+                trials: int, P: int, master_seed: int, workers: int,
+                window: Window | None = None, window_event=None) -> McStats:
+    """The McStats of experiment row = (name, n, x) over all trials; its
+    witness is the lowest successful trial's index and event result.
 
-    Trial t always uses seed trial_seed(master_seed, t), and the first
-    success is the lowest such t, so neither depends on the worker count or
-    the chunking.  Trials run in chunks of at least _CHUNK_ENTRIES entries,
-    at most one worker process per core this process may run on; a run too
-    small to pay for a worker makes one chunk and runs in this process.
+    Trial t always uses seed trial_seed(master_seed, t), so neither the count
+    nor the witness depends on the worker count or the chunking.  Trials run
+    in chunks of at least _CHUNK_ENTRIES entries, at most one worker process
+    per core this process may run on; a run too small to pay for a worker
+    makes one chunk and runs in this process.  The event result is True
+    unless window_event is given: it is then window_event of the witness
+    trial's Z2 colouring of window, which must succeed too.
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
@@ -561,20 +546,15 @@ def _run_trials(kernel, event, P: int, dim: int, lines: int, trials: int,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial_chunk, chunks))
-    firsts = [first for _, first in results if first is not None]
-    return sum(n for n, _ in results), min(firsts, default=None)
-
-
-def _witness(first, master_seed: int, P: int, window: Window, event, succeeded):
-    """(first, event result) evaluated on trial first's Z2 colouring of the
-    window, or None without a success; the result must be a success too."""
-    if first is None:
-        return None
-    config = sample_coset_config(lattice_from_id("Z2"), P, trial_seed(master_seed, first))
-    result = event(colour_window(config, window))
-    if not succeeded(result):
-        raise AssertionError(f"trial {first}: line kernel and window colouring disagree")
-    return first, result
+    first = min((first for _, first in results if first is not None), default=None)
+    witness = None if first is None else (first, True)
+    if first is not None and window_event is not None:
+        config = sample_coset_config(lattice_from_id("Z2"), P, trial_seed(master_seed, first))
+        result = window_event(colour_window(config, window))
+        if not result.succeeded:
+            raise AssertionError(f"trial {first}: line kernel and window colouring disagree")
+        witness = first, result
+    return McStats(*row, P, trials, sum(n for n, _ in results), master_seed, witness)
 
 
 def estimate_crossing(n: int, x: int, trials: int, P: int | None, master_seed: int,
@@ -591,10 +571,8 @@ def estimate_crossing(n: int, x: int, trials: int, P: int | None, master_seed: i
     if P is None:
         P = max(5, 2 * x)
     crossings = _box_crossings(n, x)
-    successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
-                                   master_seed, workers)
-    witness = None if first is None else (first, True)
-    return McStats("crossing", n, x, P, trials, successes, master_seed, witness)
+    return _run_trials(("crossing", n, x), _crossed, crossings, 2, _line_count(crossings),
+                       trials, P, master_seed, workers)
 
 
 def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
@@ -605,11 +583,8 @@ def estimate_annulus(k: int, trials: int, P: int, master_seed: int,
     window = Window((-k, -k), (2 * k + 1, 2 * k + 1))
     # checked before any trial, so a refusal does not depend on a success
     window.require_budget()
-    successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
-                                   master_seed, workers)
-    witness = _witness(first, master_seed, P, window, lambda col: annulus_event(col, k),
-                       lambda result: result.occurred)
-    return McStats("annulus", k, k, P, trials, successes, master_seed, witness)
+    return _run_trials(("annulus", k, k), _crossed, crossings, 2, _line_count(crossings),
+                       trials, P, master_seed, workers, window, lambda col: annulus_event(col, k))
 
 
 def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
@@ -625,11 +600,9 @@ def estimate_staircase(n_max: int, trials: int, P: int, master_seed: int,
     window = Window((0, 0), (side + 1, side + 1))
     window.require_budget()
     crossings = _staircase_crossings(0, n_max)
-    successes, first = _run_trials(_crossed, crossings, P, 2, _line_count(crossings), trials,
-                                   master_seed, workers)
-    witness = _witness(first, master_seed, P, window, lambda col: staircase(col, 0, n_max),
-                       lambda result: result.succeeded)
-    return McStats("staircase", side, side, P, trials, successes, master_seed, witness)
+    return _run_trials(("staircase", side, side), _crossed, crossings, 2,
+                       _line_count(crossings), trials, P, master_seed, workers, window,
+                       lambda col: staircase(col, 0, n_max))
 
 
 def estimate_spanning(length: int, trials: int, P: int, master_seed: int,
@@ -637,6 +610,5 @@ def estimate_spanning(length: int, trials: int, P: int, master_seed: int,
     """Frequency of an all-white vertical column {0}^2 x [0, length] in dimension 3."""
     if length < 1:
         raise DomainError("column length >= 1 required")
-    successes, first = _run_trials(_spanning_kernel, length, P, 3, 0, trials, master_seed, workers)
-    witness = None if first is None else (first, True)
-    return McStats("spanning", length, 1, P, trials, successes, master_seed, witness)
+    return _run_trials(("spanning", length, 1), _spanning_kernel, length, 3, 0, trials, P,
+                       master_seed, workers)

@@ -6,6 +6,12 @@ from pathlib import Path
 
 import pytest
 
+# Set before any test module loads numpy: test_acceptance.py imports numpy
+# before coprimelab, whose own setting would then come too late to keep
+# OpenBLAS's idle helper thread from starting.  The fresh-interpreter probes
+# in test_cli.py drop the variable.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # `python -m coprimelab.cli` and `python -c` subprocesses find src/ the way
 # pytest's own `pythonpath` setting does, with or without an install
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

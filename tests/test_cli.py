@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -494,6 +495,60 @@ print(type(sys.modules["coprimelab.lattice"]).__name__, "_hashlib" in sys.module
 """
     assert fresh_stdout(probe.format(windows)) == "_LazyModule False"
     assert fresh_stdout(probe.format(certifiers)) == "module False"
+
+
+# every command but bounds, which never imports numpy
+_NUMPY_COMMANDS = {
+    "sample": ["sample", "--extents", "16,16", "--out", "{tmp}/s"],
+    "infer": ["infer", "--pgm", "{tmp}/colouring.pgm"],
+    "layers": ["layers", "--extents", "16,16", "--out", "{tmp}/l"],
+    "clusters": ["clusters", "--lattice", "triangular", "--adjacency", "triangular",
+                 "--extents", "16,16"],
+    "crossing": ["crossing", "--n", "4", "--x", "4", "--trials", "20"],
+    "annulus": ["annulus", "--k", "3", "--trials", "5"],
+    "staircase": ["staircase", "--n-max", "3", "--trials", "5"],
+    "spanning": ["spanning", "--length", "10", "--trials", "5"],
+    "check": ["check", "--lattice", "D4", "--theorem", "setupblack"],
+    "lattice": ["lattice", "info", "--lattice", "D4"],
+    "golay": ["golay"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NUMPY_COMMANDS))
+def test_commands_compile_their_modules_before_numpy(tmp_path, command):
+    # Without cached bytecode, a module compiled after numpy's import leaves
+    # the parser's freed memory unused in the heap (coprimelab/__init__.py).
+    # A copy of the package without __pycache__, run with bytecode writes
+    # off, compiles every module it loads; the audit hook records each
+    # compile and numpy's import in order.  rng imports numpy at its top and
+    # is the one module allowed to compile after it.
+    shutil.copytree(ROOT / "src" / "coprimelab", tmp_path / "pkg" / "coprimelab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if command == "infer":
+        assert main(["sample", "--extents", "16,16", "--out", str(tmp_path)]) == 0
+    argv = [a.format(tmp=tmp_path) for a in _NUMPY_COMMANDS[command]]
+    package = str(tmp_path / "pkg" / "coprimelab") + os.sep
+    probe = f"""
+import contextlib, io, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, {str(tmp_path / "pkg")!r})
+order = []
+
+def hook(event, args):
+    if event == "compile" and isinstance(args[1], str) and args[1].startswith({package!r}):
+        order.append(args[1][{len(package)}:])
+    elif event == "import" and args[0] == "numpy":
+        order.append("numpy")
+
+sys.addaudithook(hook)
+from coprimelab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(code, *order)
+"""
+    code, *order = fresh_stdout(probe).split()
+    assert code == "0" and "numpy" in order and "cli.py" in order
+    assert [m for m in order[order.index("numpy"):] if m not in ("numpy", "rng.py")] == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

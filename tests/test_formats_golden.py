@@ -207,7 +207,7 @@ HELP = {
     "coprimelab": "7ed8c9762bd0ec02160964b55d597ddf3dd1477b6c6282dd6cbb5eaddd0fffa6",
     "coprimelab sample": "c6ed40d5c31b3f3f70b662f44eb3174349003b6674473fa1dc3c1dd7bb80715d",
     "coprimelab layers": "ec59f2b703cc957538c33bdc39ecb87336cec11ce3206c0937219d357d401697",
-    "coprimelab crossing": "92875ff05e7ebe316beaab8610279ae97e1c5b71d3d6a01d8c5b3e825f678c70",
+    "coprimelab crossing": "a52e172ff54ad1c226e7291e2879e390a010fef76ab31afab4f983e347b6f8d6",
     "coprimelab bounds": "f1afdde92b8d1eb44526dacbb897969a9d34a186a05947a35f1ba4298b62fa17",
     "coprimelab annulus": "716b7ee95dbb40e2f436b3c7af5d5e8eb8f929a7c5175e931b42b444e271efcc",
     "coprimelab staircase": "bc757548a7b31a64b7e3fde61fbc791c4fb2e38f8f6f9b92e648308615e19d5f",

@@ -170,13 +170,10 @@ def test_crossing_fixture():
         "##..",
         "....",
     ])
-    res = crossing(col, (0, 3, 0, 3), "horizontal")
-    assert res.crossed and res.line_count == 2 and res.witness == 1
-    res = crossing(col, (0, 3, 0, 3), "vertical")
-    assert res.crossed and res.line_count == 1 and res.witness == 3
-    sub = crossing(col, (2, 3, 0, 2), "horizontal")
-    assert sub.line_count == 2 and sub.witness == 1
-    assert not crossing(col, (0, 1, 0, 2), "vertical").crossed
+    assert crossing(col, (0, 3, 0, 3), "horizontal") == 1
+    assert crossing(col, (0, 3, 0, 3), "vertical") == 3
+    assert crossing(col, (2, 3, 0, 2), "horizontal") == 1
+    assert crossing(col, (0, 1, 0, 2), "vertical") is None
 
 
 def test_crossing_rect_validation():
@@ -236,7 +233,7 @@ def test_row_shortcut_equals_full_window():
         fast = _crossed(*coset_residues([seed], 53, 2), _box_crossings(17, 23))[0]
         config = sample_coset_config(Z2, 53, seed)
         col = colour_window(config, Window((1, 1), (23, 17)))
-        assert fast == crossing(col, (1, 23, 1, 17), "horizontal").crossed
+        assert fast == (crossing(col, (1, 23, 1, 17), "horizontal") is not None)
 
 
 # Each kernel against its event on full window colourings.  P = 31 puts
@@ -248,7 +245,7 @@ _KERNEL_CASES = {
     "staircase": (_crossed, _staircase_crossings(0, 3), 31, "square", Window((0, 0), (17, 17)),
                   lambda col: staircase(col, 0, 3).succeeded),
     "spanning": (_spanning_kernel, 12, 31, "spread3", Window((0, 0, 0), (1, 1, 13)),
-                 lambda col: spanning_stats(col).all_white),
+                 spanning_stats),
 }
 
 
@@ -426,6 +423,19 @@ def test_estimators_return_first_success_as_witness(workers):
     assert stairs == bare and stairs.csv_row() == bare.csv_row()
 
 
+def test_witness_window_must_agree_with_the_line_kernel(monkeypatch):
+    # a line kernel that calls every trial a success is caught on the first
+    # trial, whose window holds no white circuit
+    from coprimelab import perco
+
+    config = sample_coset_config(Z2, 97, trial_seed(1, 0))
+    assert not annulus_event(colour_window(config, Window((-9, -9), (19, 19))), 9).occurred
+    monkeypatch.setattr(perco, "_crossed", lambda primes, residues, crossings:
+                        np.ones(len(residues), dtype=bool))
+    with pytest.raises(AssertionError, match="trial 0: line kernel and window colouring"):
+        estimate_annulus(9, 4, 97, 1)
+
+
 def test_rotation_symmetry_within_ci():
     # a quarter turn swaps the roles of the axes without changing the law
     horizontal = estimate_crossing(12, 24, 4000, 59, 31)
@@ -435,7 +445,7 @@ def test_rotation_symmetry_within_ci():
     for t in range(trials):
         config = sample_coset_config(spec, 59, trial_seed(77, t))
         col = colour_window(config, Window((1, 1), (12, 24)))
-        successes += crossing(col, (1, 12, 1, 24), "vertical").crossed
+        successes += crossing(col, (1, 12, 1, 24), "vertical") is not None
     lo_h, hi_h = horizontal.ci
     lo_v, hi_v = wilson_interval(successes, trials)
     assert lo_h <= hi_v and lo_v <= hi_h
@@ -686,16 +696,16 @@ def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
 # consecutive lines miss the chosen classes of 2, 3 and 5), so it runs at k = 3.
 _EXHAUSTIVE_CASES = {
     "crossing": (_crossed, _box_crossings(3, 4), Window((1, 1), (4, 3)),
-                 lambda col: crossing(col, (1, 4, 1, 3), "horizontal").crossed),
+                 lambda col: crossing(col, (1, 4, 1, 3), "horizontal") is not None),
     # columns shorter than P, which no estimator's event has at P = 5
     "columns": (_crossed, [((1, 3, 1, 4), "vertical")], Window((1, 1), (3, 4)),
-                lambda col: crossing(col, (1, 3, 1, 4), "vertical").crossed),
+                lambda col: crossing(col, (1, 3, 1, 4), "vertical") is not None),
     "annulus": (_crossed, _annulus_crossings(3), Window((-3, -3), (7, 7)),
                 lambda col: annulus_event(col, 3).occurred),
     "staircase": (_crossed, _staircase_crossings(0, 3), Window((0, 0), (17, 17)),
                   lambda col: staircase(col, 0, 3).succeeded),
     "spanning": (_spanning_kernel, 6, Window((0, 0, 0), (1, 1, 7)),
-                 lambda col: spanning_stats(col).all_white),
+                 spanning_stats),
 }
 
 
