@@ -22,7 +22,6 @@ from .errors import SIZE_BUDGET, DomainError
 from .lattice_core import (
     GenSet,
     LatticeSpec,
-    _bezout,
     _d_lattice_columns,
     _enumerate_box_points,
     _HnfAccumulator,
@@ -283,31 +282,19 @@ def _require_normalized(spec: LatticeSpec) -> None:
 
 
 def _point_with_coordinate(spec: LatticeSpec, axis: int, value: int) -> tuple[int, ...]:
-    """Some lattice point whose axis-th coordinate equals value."""
-    rows = spec.matrix_rows()
-    row = rows[axis]
-    # running extended gcd across the row gives coefficients with combo = gcd
-    g = 0
-    coeff = [0] * spec.dim
-    for j, e in enumerate(row):
-        if e == 0:
-            continue
-        if g == 0:
-            g = abs(e)
-            coeff = [0] * spec.dim
-            coeff[j] = 1 if e > 0 else -1
-        else:
-            a, b = _bezout(g, e)
-            coeff = [a * c for c in coeff]
-            coeff[j] += b
-            g = math.gcd(g, e)
-    if g != 1:
+    """Some lattice point whose axis-th coordinate equals value.
+
+    A Hermite form of the basis columns, each prefixed by its axis-th
+    coordinate, has a first pivot row (g, v): v is a lattice vector with
+    v[axis] = g = +-gcd of the axis row, so value * g * v is the point.
+    """
+    acc = _HnfAccumulator(spec.dim + 1)
+    for col in spec.columns:
+        acc.add((col[axis],) + col)
+    g, *v = acc.pivots.get(0, (0,))
+    if abs(g) != 1:
         raise DomainError("coordinate map not onto the integers")
-    point = [0] * spec.dim
-    for j, c in enumerate(coeff):
-        for i in range(spec.dim):
-            point[i] += value * c * spec.columns[j][i]
-    return tuple(point)
+    return tuple(value * g * c for c in v)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-import numpy as np
-
+# package modules before numpy (see coprimelab/__init__.py)
 from .errors import SIZE_BUDGET, DomainError
+
+import numpy as np
 
 # ---------------------------------------------------------------------------
 # exact integer linear algebra
@@ -57,8 +58,10 @@ def _bareiss(matrix) -> tuple[int, list[list[int]] | None]:
 class _HnfAccumulator:
     """Running row-style Hermite form of the integer span of added vectors.
 
-    Tracks one pivot row per leading column; the product of pivot entries is
-    the index of the span inside Z^d once the rank is full.
+    Tracks one pivot row per leading column; the product of |pivot| entries
+    is the index of the span inside Z^d once the rank is full.  A new pivot
+    enters positive, but a merge keeps _bezout's combination, which may give
+    -gcd, so a pivot may be negative (E8's basis ends with (0, ..., 0, -4)).
     """
 
     def __init__(self, dim: int):
@@ -93,7 +96,8 @@ class _HnfAccumulator:
         return out
 
     def rows(self) -> list[list[int]]:
-        """Normalized HNF rows (pivot-positive, entries above pivots reduced)."""
+        """HNF rows, pivots signed as add() left them and each entry above a
+        pivot p reduced by floor division: into [0, p), or (p, 0] if p < 0."""
         cols = sorted(self.pivots)
         rows = [self.pivots[j][:] for j in cols]
         for idx in range(len(rows) - 1, -1, -1):
@@ -108,6 +112,8 @@ class _HnfAccumulator:
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
+    """(s, t) with a*s + b*t = +-gcd(a, b): the sign is that of Euclid's last
+    nonzero remainder under floor division, so _bezout(3, -2) = (1, 2) gives -1."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1

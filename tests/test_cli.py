@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from itertools import permutations
 from math import gcd
 from pathlib import Path
@@ -762,7 +763,7 @@ CHECK_DIGESTS = {
     ("D4", "setup"): (0, "55c52caba4b414c6237348bd0f1a7c145738a288fc92931262cce103c34a58d1"),
     ("D4", "setupblack"): (0, "b1da4662aef6e88cea0608299ecf23535df2aacd2b8091f8136b2fc451567635"),
     ("E8", "setup"): (0, "427e54dbbaa3f3b38b65f1775f7faea0f45977494e2d7d25e460965236fb9fae"),
-    ("E8", "setupblack"): (1, "d9598438938422aa66f4be879ae75aeee3f8175f745cb602f1358990b059d2a0"),
+    ("E8", "setupblack"): (1, "571c3aea16da813991988baeb175c1958bb32c5941295f986d5e78b20d15c01e"),
     ("spread2", "setup"): (0, "4eb87eeeda9b0546a573241bf0a8b339a048c0cf56b7bafc98714d2cd10b11ae"),
     ("spread2", "setupblack"): (1, "354fada15b6c2e6aa9d542993473673a763ce0c1811732ac9bbb52a385bf0a7b"),
 }
@@ -994,6 +995,18 @@ def test_every_public_src_member_has_a_caller():
                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
                and item.name not in reached]
     assert set(orphans) <= set(_MEMBERS_KEPT_WITHOUT_CALLER), orphans
+
+
+def test_every_src_module_compiles_from_one_parser_token_array():
+    # CPython's parser doubles its token array past 8,192 tokens, which costs
+    # about half a megabyte of peak RSS; comments and blank lines are not
+    # parser tokens
+    skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    counts = {}
+    for path in _SOURCES:
+        with path.open("rb") as f:
+            counts[path.name] = sum(t.type not in skipped for t in tokenize.tokenize(f.readline))
+    assert max(counts.values()) < 8192, counts
 
 
 def test_monte_carlo_table_matches_the_commands_and_the_estimators():

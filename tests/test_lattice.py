@@ -8,6 +8,7 @@ from the module under test.
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coprimelab import lattice, lattice_core
+from coprimelab import cli, lattice, lattice_core
 from coprimelab.errors import DomainError
 from coprimelab.lattice import (
     GenSet,
@@ -639,6 +640,40 @@ def test_crossing_adjacency_matches_a_generator_scan():
             witness = _reference_crossing_witness(spec, S, axis, mode)
             assert res.witness == witness
             assert res.passed == (witness is None)
+
+
+@pytest.mark.parametrize("model", list(cli._MODELS))
+def test_every_failing_witness_crosses_its_slice(model):
+    # the pair must be adjacent lattice points on either side of the slice;
+    # the generator scan above builds its x with the function under test
+    kind, d, kw, _ = cli._MODELS[model]
+    spec, S = standard_lattice(kind, d, **kw)
+    for mode in ("strict", "weak"):
+        for axis in range(spec.dim):
+            res = check_crossing_adjacency(spec, S, axis, mode)
+            if res.passed:
+                continue
+            x, z, s, a = (res.witness[k] for k in ("x", "z", "s", "a"))
+            assert (S.rows == s).all(axis=1).any()
+            assert lattice.contains_bulk(spec, np.array([x])).all()
+            assert x[axis] == a < 0 < z[axis]
+            assert z == tuple(xi + si for xi, si in zip(x, s))
+
+
+def test_point_with_coordinate_on_random_bases():
+    rng = random.Random(29)
+    checked = 0
+    while checked < 300:
+        d = rng.randrange(2, 5)
+        columns = tuple(tuple(rng.randrange(-6, 7) for _ in range(d)) for _ in range(d))
+        spec = lattice.LatticeSpec("random", d, columns, "basis")
+        axis = rng.randrange(d)
+        if spec.determinant == 0 or math.gcd(*spec.matrix_rows()[axis]) != 1:
+            continue
+        x = lattice._point_with_coordinate(spec, axis, -2)
+        assert x[axis] == -2
+        assert lattice.contains_bulk(spec, np.array([x])).all()
+        checked += 1
 
 
 @pytest.mark.parametrize("certify,search,what", [
