@@ -223,16 +223,16 @@ def cmd_layers(args) -> int:
     col = colouring.colour_window(config, window)
     import numpy as np  # only once colouring has loaded (see coprimelab/__init__.py)
 
-    rgb = np.zeros(window.array_shape() + (3,), dtype=np.uint8)
-    rgb[col.white] = (255, 255, 255)
-    subset = np.zeros(window.array_shape(), dtype=np.uint8)
+    # index bit i: in the coset of primes[i]; bit 3: white
+    index = col.white.view(np.uint8) << 3
     for i, p in enumerate(primes):
-        subset[colouring.coset_slice(config.reps[p], p, window)] |= 1 << i
+        index[colouring.coset_slice(config.reps[p], p, window)] |= 1 << i
+    palette = np.zeros((16, 3), dtype=np.uint8)
+    palette[8:] = 255
     for bits, colour in LAYER_PALETTE.items():
-        if bits < 1 << len(primes):
-            rgb[subset == bits] = colour
-    header = colouring.pnm_header("P6", col, "primes=" + " ".join(str(p) for p in primes))
-    _write(args, "layers.ppm", lambda path: path.write_bytes(header + rgb.tobytes()))
+        palette[bits] = palette[bits | 8] = colour
+    comment = "primes=" + " ".join(str(p) for p in primes)
+    _write(args, "layers.ppm", lambda path: colouring.save_pnm(path, col, index, palette, comment))
     _write(args, "config.txt", lambda path: colouring.save_config(config, path))
     print(f"layers.ppm written, {len(primes)} highlighted primes")
     return 0

@@ -28,6 +28,12 @@ import numpy as np
 _U64 = (1 << 64) - 1
 _CHUNK_ENTRIES = 1 << 20
 
+# Most entries of one temporary array in a loop over a big array: a raster
+# run of save_pnm, an edge slab or forest run of perco.label_clusters, or a
+# Monte Carlo sub-batch (residues plus tested lines, per trial), so memory
+# stays flat whatever the window, the trial count or P.
+_BATCH_ENTRIES = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # types
@@ -276,13 +282,15 @@ class InferResult:
 
 def _fold(white: np.ndarray, p: int) -> np.ndarray:
     """hit[j] says whether a white point sits at an array index congruent to j
-    mod p, every axis folded mod p (padded with black)."""
+    mod p, every axis folded mod p."""
     hit = white
     for axis in range(white.ndim):
-        pad = [(0, 0)] * white.ndim
-        pad[axis] = (0, -hit.shape[axis] % p)
-        hit = np.pad(hit, pad)
-        hit = hit.reshape(hit.shape[:axis] + (-1, p) + hit.shape[axis + 1:]).any(axis=axis)
+        n, at = hit.shape[axis], (slice(None),) * axis
+        whole = n - n % p  # the whole blocks of p, then the n % p left over
+        blocks = hit[at + (slice(whole),)]
+        folded = blocks.reshape(hit.shape[:axis] + (-1, p) + hit.shape[axis + 1:]).any(axis=axis)
+        folded[at + (slice(n - whole),)] |= hit[at + (slice(whole, None),)]
+        hit = folded
     return hit
 
 
@@ -395,17 +403,26 @@ def load_config(path) -> CosetConfig:
 # colouring files (binary PGM)
 
 
-def pnm_header(magic: str, colouring: Colouring, *comments: str) -> bytes:
-    """Binary PNM header for a raster over a 2-D colouring's window.
+def save_pnm(path, colouring: Colouring, index: np.ndarray, palette: np.ndarray,
+             *comments: str) -> None:
+    """Write palette[index] over a 2-D colouring's window as binary PNM.
 
-    Origin, extents and provenance comments, then `# comment` lines as
-    given, then the size and maxval 255; load_colouring reads it back.
+    A palette of bytes makes a PGM (P5), one of RGB triples a PPM (P6).  The
+    header holds origin, extents and provenance comments, then `# comment`
+    lines as given, then the size and maxval 255; load_colouring reads it
+    back.  The raster is written in runs of at most _BATCH_ENTRIES bytes, so
+    no image of the whole window is built.
     """
     (o1, o2), (e1, e2) = colouring.window.origin, colouring.window.extents
-    lines = [magic, f"# origin={o1} {o2}", f"# extents={e1} {e2}",
-             f"# provenance={colouring.provenance}", *(f"# {c}" for c in comments),
-             f"{e1} {e2}", "255"]
-    return ("\n".join(lines) + "\n").encode()
+    lines = ["P5" if palette.ndim == 1 else "P6", f"# origin={o1} {o2}",
+             f"# extents={e1} {e2}", f"# provenance={colouring.provenance}",
+             *(f"# {c}" for c in comments), f"{e1} {e2}", "255"]
+    flat = index.reshape(-1)
+    step = _BATCH_ENTRIES // palette[0].size  # points a run; an entry is 1 or 3 bytes
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        for lo in range(0, len(flat), step):
+            fh.write(palette[flat[lo:lo + step]])
 
 
 def save_colouring(colouring: Colouring, path) -> None:
@@ -417,10 +434,7 @@ def save_colouring(colouring: Colouring, path) -> None:
         raise DomainError("PGM export is two-dimensional")
     if colouring.in_lattice is not None:
         raise DomainError("PGM export covers full-grid windows only")
-    raster = np.where(colouring.white, np.uint8(255), np.uint8(0))
-    with open(path, "wb") as fh:
-        fh.write(pnm_header("P5", colouring))
-        fh.write(raster.tobytes())
+    save_pnm(path, colouring, colouring.white.view(np.uint8), np.array([0, 255], dtype=np.uint8))
 
 
 def load_colouring(path) -> Colouring:
@@ -469,10 +483,9 @@ def load_colouring(path) -> Colouring:
     lineno += 1
     if take_line(lineno) != b"255":
         raise ParseError("expected maxval 255", line=lineno)
-    raster = data[pos:]
-    if len(raster) != width * height:
+    if len(data) - pos != width * height:
         raise ParseError(
-            f"raster holds {len(raster)} bytes, expected {width * height}", line=lineno
+            f"raster holds {len(data) - pos} bytes, expected {width * height}", line=lineno
         )
     if "origin" not in meta or "extents" not in meta:
         raise ParseError("missing origin/extents comments", line=2)
@@ -482,11 +495,11 @@ def load_colouring(path) -> Colouring:
         raise ParseError("extents comment disagrees with raster size", line=meta["extents"][1])
     if len(origin) != 2:
         raise ParseError("origin comment needs two coordinates", line=meta["origin"][1])
-    arr = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    bad = (arr != 0) & (arr != 255)
-    if bad.any():
+    arr = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
+    white = arr == 255
+    if np.count_nonzero(arr) != np.count_nonzero(white):
         raise ParseError("raster contains values other than 0 and 255", line=lineno)
     provenance, line = meta.get("provenance", ("unknown", None))
     if provenance.startswith("config "):
         parse_fields(provenance.removeprefix("config "), line)
-    return Colouring(Window(origin, extents), arr == 255, provenance)
+    return Colouring(Window(origin, extents), white, provenance)

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 # package modules before numpy (see coprimelab/__init__.py)
 from .arith import decimal_str, primes_up_to
-from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
+from .colouring import (_BATCH_ENTRIES, Colouring, Window, colour_window, coset_residues,
+                        sample_coset_config)
 from .errors import SIZE_BUDGET, DomainError
 from .lattice_core import GenSet, lattice_from_id, minimal_vectors
 from .rng import stream_seed, stream_seeds
@@ -119,7 +120,7 @@ class ClusterLabels:
 
 
 def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Roots of the given point ids."""
+    """Roots of the given positions."""
     while True:
         up = parent[ids]
         if (up == ids).all():
@@ -132,17 +133,18 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
 
     Edges are contracted one offset pair {s, -s} at a time, by root hooking
     and pointer jumping (Shiloach-Vishkin): a component's root is the
-    smallest raster point id it holds, and each edge joining two roots hooks
-    the larger onto the smaller.  Roots ordered by id are then components in
-    first-visit order.
+    smallest raster position it holds, and each edge joining two roots hooks
+    the larger onto the smaller.  Roots in raster order are then components
+    in first-visit order.
 
-    Memory: the int64 grid returned as `labels` holds each position's point
-    id, then its root as of the last offset pair, and `parent` holds one
-    int64 per point of the colour.  A pair's edges are taken in slabs of the
-    outer array axis of at most _BATCH_ENTRIES positions (a slab's grid
-    roots that an earlier slab hooked are followed up `parent`), and
-    `parent` is flattened in runs of that length, so the working set beyond
-    the two arrays is bounded whatever the window or the size of S.
+    Memory: the int64 grid returned as `labels` is the union-find forest
+    until it takes the ids: each position is a node named by its raster
+    index, and its entry is its parent, every position's root after each
+    offset pair.  A pair's edges are taken in slabs of the outer array axis
+    of at most _BATCH_ENTRIES positions (entries that an earlier slab hooked
+    are followed up to their roots), and the forest is flattened, relabelled
+    and counted in runs of that length, so the working set beyond the grid
+    and the colour's mask is bounded whatever the window or the size of S.
     """
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")
@@ -154,14 +156,11 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     mask = colouring.white if colour == "white" else ~colouring.white
     if colouring.in_lattice is not None:
         mask = mask & colouring.in_lattice
-    shape = mask.shape
-    # point ids in raster order; `points` marks the other positions
-    labels = np.empty(shape, dtype=np.int64)
-    np.cumsum(mask, out=labels.reshape(-1))
-    points = int(labels.flat[-1])
-    labels -= 1
-    np.copyto(labels, points, where=~mask)
-    parent = np.arange(points + 1, dtype=np.int64)
+    shape, size = mask.shape, mask.size
+    # the union-find forest over grid positions: position i's parent is
+    # labels.flat[i]; no edge reaches a position of the other colour
+    labels = np.arange(size, dtype=np.int64).reshape(shape)
+    parent, coloured = labels.reshape(-1), mask.reshape(-1)
     step = _BATCH_ENTRIES
     rows = max(1, step // math.prod(shape[1:]))  # outer-axis rows per slab
     # the lexicographically positive half of a symmetric set, one per pair
@@ -174,7 +173,7 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
             hi = min(src[0].stop, lo + rows)
             a_at = (slice(lo, hi), *src[1:])
             b_at = (slice(lo + offset[0], hi + offset[0]), *dst[1:])
-            # the grid held roots when the pair began; equal ones are joined
+            # the grid held roots when the pair began; equal entries are joined
             a, b = labels[a_at], labels[b_at]
             joined = (a != b) & mask[a_at] & mask[b_at]
             if not joined.any():
@@ -202,27 +201,35 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
                 a, b = a[joined], b[joined]
         if not hooked:
             continue
-        for lo in range(0, points + 1, step):  # point every id at its root
+        for lo in range(0, size, step):  # point every position at its root
             run = parent[lo:lo + step]
-            while True:
-                top = parent[run]
-                if (top == run).all():
-                    break
-                run[...] = top
-        np.take(parent, labels, out=labels, mode="clip")
-    # each root takes the next id in raster order, every other point its root's
+            up = parent[run]
+            # one gather over the run; then only entries whose parent is not
+            # a root are followed up
+            at = np.flatnonzero(up != run)
+            up = up[at]
+            while len(at):
+                run[at] = up
+                top = parent[up]
+                keep = top != up
+                at, up = at[keep], top[keep]
+    # each root takes the next id in raster order, every other point its
+    # root's, and each position of the other colour -1
     count = 0
-    for lo in range(0, points, step):
-        run = parent[lo:min(points, lo + step)]
-        first = run == np.arange(lo, lo + len(run))
-        ids = np.cumsum(first) + (count - 1)
-        count = int(ids[-1]) + 1
-        run[first] = ids[first]
-        rest = ~first
-        run[rest] = parent[run[rest]]
-    parent[points] = -1
-    np.take(parent, labels, out=labels, mode="clip")
-    sizes = np.bincount(parent[:points], minlength=count).astype(np.int64, copy=False)
+    for lo in range(0, size, step):
+        run, inside = parent[lo:lo + step], coloured[lo:lo + step]
+        top = run.copy()  # each position's root
+        roots = np.flatnonzero((top == np.arange(lo, lo + len(run))) & inside)
+        run[roots] = np.arange(count, count + len(roots))
+        count += len(roots)
+        # the roots of this run and of earlier ones now hold their ids
+        np.take(parent, top, out=top, mode="clip")
+        np.add(top, 1, out=run)
+        run *= inside  # 0, then -1, off the colour
+        run -= 1
+    sizes = np.zeros(count, dtype=np.int64)
+    for lo in range(0, size, step):
+        np.add.at(sizes, parent[lo:lo + step][coloured[lo:lo + step]], 1)
     d = colouring.window.dim
     touches = np.zeros((count, d, 2), dtype=bool)
     for k in range(d):
@@ -432,11 +439,6 @@ def spanning_stats(colouring: Colouring) -> bool:
 # (primes, residues, event), returns every trial's success from the survival
 # of white lines alone, without colouring a window: _crossed for the (rect,
 # kind) crossings of a 2-D event, _spanning_kernel for a column length.
-
-# Most entries (residues plus tested lines, per trial) of one sub-batch, so
-# memory stays flat whatever the trial count or P; label_clusters takes its
-# edge slabs and parent runs in the same size.
-_BATCH_ENTRIES = 1 << 16
 
 # Fewest entries of one chunk of trials.  An entry costs about 0.3-0.4 us in
 # process, so a chunk is about 0.3-0.4 s of work, some ten times the CPU a

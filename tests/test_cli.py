@@ -5,12 +5,14 @@ import hashlib
 import importlib
 import inspect
 import os
+import random
 import resource
 import shutil
 import subprocess
 import sys
 import tempfile
 import tokenize
+import tracemalloc
 from itertools import permutations
 from math import gcd
 from pathlib import Path
@@ -651,6 +653,60 @@ def test_layers_palette(capsys, tmp_path):
                 if (x - r[0]) % p == 0 and (y - r[1]) % p == 0:
                     bits |= 1 << idx
             assert pixel == (PALETTE[bits] if bits else (0, 0, 0))
+
+
+def _layers_by_masks(P, seed, origin, extents, primes) -> bytes:
+    """layers.ppm as the mask-assignment renderer wrote it: a 3-byte image
+    painted white, then one boolean mask per palette entry."""
+    config = sample_coset_config(lattice_from_id("Z2"), P, seed)
+    window = Window(origin, extents)
+    col = colour_window(config, window)
+    rgb = np.zeros(window.array_shape() + (3,), dtype=np.uint8)
+    rgb[col.white] = (255, 255, 255)
+    subset = np.zeros(window.array_shape(), dtype=np.uint8)
+    for i, p in enumerate(primes):
+        subset[colouring.coset_slice(config.reps[p], p, window)] |= 1 << i
+    for bits, colour in PALETTE.items():
+        if bits < 1 << len(primes):
+            rgb[subset == bits] = colour
+    (o1, o2), (e1, e2) = origin, extents
+    header = (f"P6\n# origin={o1} {o2}\n# extents={e1} {e2}\n# provenance={col.provenance}\n"
+              f"# primes={' '.join(map(str, primes))}\n{e1} {e2}\n255\n")
+    return header.encode() + rgb.tobytes()
+
+
+def test_layers_match_the_mask_renderer(capsys, tmp_path):
+    # 1, 2 and 3 primes; 2, 3 and 5 have overlapping cosets in every window
+    # of 30 x 30 points, and 210 x 150 points cross a 2^16-byte run
+    cases = [(31, 3, (-2, -2), (30, 30), (2, 3, 5)), (13, 0, (0, 0), (210, 150), (3, 2)),
+             (97, 2**64 - 1, (-100, 7), (150, 210), (5,))]
+    rng = random.Random(30)
+    for trial in range(18):
+        primes = tuple(rng.sample([2, 3, 5, 7, 11, 13], trial % 3 + 1))
+        origin = (rng.randint(-50, 50), rng.randint(-50, 50))
+        extents = (rng.randint(1, 40), rng.randint(1, 40))
+        cases.append((rng.choice([13, 31, 97]), rng.randrange(2**64), origin, extents, primes))
+    for k, (P, seed, origin, extents, primes) in enumerate(cases):
+        out = tmp_path / str(k)
+        code, _, _ = run(capsys, "layers", "--P", str(P), "--seed", str(seed),
+                         "--origin={},{}".format(*origin), "--extents={},{}".format(*extents),
+                         "--primes", ",".join(map(str, primes)), "--out", str(out))
+        assert code == 0
+        want = _layers_by_masks(P, seed, origin, extents, primes)
+        assert (out / "layers.ppm").read_bytes() == want, k
+
+
+def test_layers_memory_stays_near_the_window_mask(capsys, tmp_path):
+    # the white mask and the palette index take 1 byte a position each, and
+    # the image is written in runs; the 3-byte image of the whole window that
+    # the mask renderer built would pass the bound by itself
+    tracemalloc.start()
+    code, _, _ = run(capsys, "layers", "--extents", "1024,1024", "--primes", "2,3,5",
+                     "--out", str(tmp_path))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3 * 1024 * 1024
 
 
 def test_layers_rejects_prime_beyond_cutoff(capsys, tmp_path):

@@ -468,6 +468,53 @@ def test_pgm_load_errors(tmp_path):
         load_colouring(tmp_path / "maxval.pgm")
 
 
+@pytest.mark.parametrize("value", [0x01, 0x7F, 0xFE])
+def test_pgm_refuses_raster_values_other_than_0_and_255(tmp_path, value):
+    col = colour_window(sample_coset_config(Z2, 7, 2), Window((0, 0), (6, 5)))
+    save_colouring(col, tmp_path / "w.pgm")
+    data = bytearray((tmp_path / "w.pgm").read_bytes())
+    # P5, origin, extents, provenance, size, then maxval on line 6
+    raster = len(data) - 30
+    for at in (raster, raster + 17, len(data) - 1):
+        bad = data.copy()
+        bad[at] = value
+        (tmp_path / "bad.pgm").write_bytes(bad)
+        with pytest.raises(ParseError) as info:
+            load_colouring(tmp_path / "bad.pgm")
+        assert str(info.value) == "line 6: raster contains values other than 0 and 255"
+
+
+@pytest.mark.parametrize("white", [False, True])
+def test_pgm_of_one_colour_loads(tmp_path, white):
+    window = Window((2, -1), (7, 3))
+    col = Colouring(window, np.full(window.array_shape(), white), "test")
+    save_colouring(col, tmp_path / "w.pgm")
+    data = (tmp_path / "w.pgm").read_bytes()
+    assert data.endswith(bytes([255 if white else 0]) * 21)
+    again = load_colouring(tmp_path / "w.pgm")
+    assert again.window == window and again.provenance == "test"
+    assert again.white.dtype == bool and np.array_equal(again.white, col.white)
+
+
+def test_pgm_round_trips_in_about_the_file_and_its_mask(tmp_path):
+    # the PGM is written in runs of 2^16 bytes, and read where it lies in the
+    # file's bytes: a whole-window copy of either would pass the bounds
+    window = Window((0, 0), (1024, 1024))
+    col = colour_window(sample_coset_config(Z2, 997, 0), window)
+    path = tmp_path / "w.pgm"
+    tracemalloc.start()
+    save_colouring(col, path)
+    saved = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    result = infer_cosets(load_colouring(path), 13)
+    loaded = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert saved <= window.point_count // 4
+    # the file's bytes and the white mask take 1 byte a position each
+    assert loaded <= 2.25 * window.point_count
+    assert result.candidates == infer_cosets(col, 13).candidates
+
+
 def test_pgm_rejects_non_full_grid(tmp_path):
     d2 = lattice_from_id("D2")
     col = colour_window(sample_coset_config(d2, 5, 1), Window((0, 0), (6, 6)))

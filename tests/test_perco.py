@@ -639,15 +639,17 @@ def test_labels_do_not_depend_on_the_batch_budget(monkeypatch, spec, S, window):
 @pytest.mark.parametrize("S", [SQUARE, SPREAD2], ids=["square", "spread2"])
 @pytest.mark.parametrize("colour", ["white", "black"])
 def test_label_clusters_memory_stays_near_the_label_grid(S, colour):
-    # the int64 labels take 8 bytes a position and `parent` 8 a point of the
-    # colour; one more grid-sized int64 array would pass 24
-    window = Window((0, 0), (512, 512))
+    # the int64 labels, which are the union-find forest, take 8 bytes a
+    # position, the colour's mask 1 and the slabs, sizes and touches about 1-3
+    # at 1024^2 (about 5 at 512^2, too near the bound); an int64 parent per
+    # point of the colour, or a grid-sized int64 temporary, would pass 13
+    window = Window((0, 0), (1024, 1024))
     col = colour_window(sample_coset_config(Z2, 997, 0), window)
     tracemalloc.start()
     label_clusters(col, S, colour)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= 24 * window.point_count
+    assert peak <= 13 * window.point_count
 
 
 # ---------------------------------------------------------------------------
