@@ -189,6 +189,7 @@ def cmd_sample(args) -> int:
     if args.out is None:
         raise ParseError("sample writes files; --out is required")
     window = colouring.Window(args.origin, args.extents)
+    window.require_budget()  # before a config of every prime up to P is drawn
     if args.oracle is not None:
         col = colouring.oracle_from_origin(args.oracle, window)
     else:
@@ -212,7 +213,6 @@ def cmd_layers(args) -> int:
     if not 1 <= len(primes) <= 3 or len(set(primes)) != len(primes):
         raise DomainError("need 1 to 3 distinct highlighted primes")
     spec = colouring.lattice_from_id(args.lattice)
-    config = colouring.sample_coset_config(spec, args.P, args.seed)
     table = arith.primes_up_to(max(2, *primes))
     for p in primes:
         if p not in table:
@@ -220,6 +220,8 @@ def cmd_layers(args) -> int:
         if p > args.P:
             raise DomainError(f"highlighted prime {p} exceeds the cutoff P={args.P}")
     window = colouring.Window(args.origin, args.extents)
+    window.require_budget()  # like the primes, before the config is drawn
+    config = colouring.sample_coset_config(spec, args.P, args.seed)
     col = colouring.colour_window(config, window)
     import numpy as np  # only once colouring has loaded (see coprimelab/__init__.py)
 
@@ -289,8 +291,10 @@ def cmd_clusters(args) -> int:
     if not inside.all():
         v = tuple(S.rows[inside.argmin()].tolist())
         raise DomainError(f"{args.adjacency} generator {v} is not in {spec.name}")
+    window = colouring.Window(args.origin, args.extents)
+    window.require_budget()
     config = colouring.sample_coset_config(spec, args.P, args.seed)
-    col = colouring.colour_window(config, colouring.Window(args.origin, args.extents))
+    col = colouring.colour_window(config, window)
     labels = perco.label_clusters(col, S, args.colour)
     _emit_csv(args, "key,value", [
         f"colour,{args.colour}",

@@ -26,12 +26,12 @@ from .rng import RNG_ID, below_lanes, stream_seeds
 import numpy as np
 
 _U64 = (1 << 64) - 1
-_CHUNK_ENTRIES = 1 << 20
 
-# Most entries of one temporary array in a loop over a big array: a raster
-# run of save_pnm, an edge slab or forest run of perco.label_clusters, or a
-# Monte Carlo sub-batch (residues plus tested lines, per trial), so memory
-# stays flat whatever the window, the trial count or P.
+# Most entries of one temporary array in a loop over a big array: a slab of
+# the gcd oracle, a run of the sublattice colouring, a raster run of
+# save_pnm, an edge slab or forest run of perco.label_clusters, or a Monte
+# Carlo sub-batch (residues plus tested lines, per trial), so memory stays
+# flat whatever the window, the trial count or P.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -217,8 +217,8 @@ def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
     white = np.zeros(n, dtype=bool)
     in_lattice = np.zeros(n, dtype=bool)
     # a run of flat C-order positions at a time keeps every temporary below
-    # _CHUNK_ENTRIES coordinates, whatever the window size
-    step = max(1, _CHUNK_ENTRIES // d)
+    # _BATCH_ENTRIES coordinates, whatever the window size
+    step = max(1, _BATCH_ENTRIES // d)
     for start in range(0, n, step):
         flat = np.arange(start, min(start + step, n))
         pts = np.stack(np.unravel_index(flat, shape)[::-1], axis=1).astype(dtype) + origin
@@ -243,13 +243,17 @@ def oracle_from_origin(X, window: Window) -> Colouring:
     if len(X) != window.dim:
         raise DomainError("base point dimension mismatch")
     window.require_budget()
-    shift = [o - x for o, x in zip(window.origin, X)]
-    dtype = _box_dtype(shift, window.extents)
-    axes = np.indices(window.array_shape(), dtype=np.int64).astype(dtype, copy=False)
-    g = np.zeros(window.array_shape(), dtype=dtype)
-    for k in range(window.dim):
-        g = np.gcd(g, axes[window.dim - 1 - k] + shift[k])
-    white = g == 1
+    shape, shift = window.array_shape(), [o - x for o, x in zip(window.origin, X)][::-1]
+    dtype = _box_dtype(shift, shape)
+    white = np.empty(shape, dtype=bool)
+    rows = max(1, _BATCH_ENTRIES // math.prod(shape[1:]))  # outer-axis rows per slab
+    for lo in range(0, shape[0], rows):
+        g = 0  # gcd(0, c) = |c|, so a 1-D window's c = -1 is white
+        for a, n in enumerate(shape):  # v - X along array axis a, shaped to broadcast
+            run = np.arange(lo, min(lo + rows, n)) if a == 0 else np.arange(n)
+            run = run.astype(dtype, copy=False) + shift[a]
+            g = np.gcd(g, run.reshape((-1,) + (1,) * (len(shape) - 1 - a)))
+        white[lo:lo + rows] = g == 1
     provenance = "oracle X=" + ",".join(str(c) for c in X)
     return Colouring(window, white, provenance)
 

@@ -1,7 +1,9 @@
 """Collects one summary line per acceptance criterion for the terminal report,
-and lets the tests' subprocesses import coprimelab from this checkout."""
+lets the tests' subprocesses import coprimelab from this checkout, and holds
+the memory contract: the one tracemalloc helper and its two checks."""
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # pytest's own `pythonpath` setting does, with or without an install
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+from coprimelab.errors import DomainError
 
 _LINES = []
 
@@ -48,3 +52,42 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for _, line in sorted(_LINES):
             terminalreporter.write_line(line)
+
+
+# ---------------------------------------------------------------------------
+# memory contract
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while call() runs; tracing stops even if it raises."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def memory_contract():
+    """check(per_unit, allowance, calls): calls maps a count of units (window
+    points, vectors, ...) to a call, which peaks at most units x per_unit
+    bytes plus a fixed allowance for its slabs and runs."""
+    def check(per_unit, allowance, calls):
+        for units, call in calls.items():
+            peak = traced_peak(call)
+            assert peak <= units * per_unit + allowance, f"{peak} bytes for {units} units"
+    return check
+
+
+@pytest.fixture
+def cheap_refusal():
+    """check(match, *calls): each call, traced from its first run, raises a
+    DomainError that matches within 1 MiB."""
+    def check(match, *calls):
+        for call in calls:
+            def refuse():
+                with pytest.raises(DomainError, match=match):
+                    call()
+            assert traced_peak(refuse) < 1 << 20, match
+    return check

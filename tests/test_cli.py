@@ -12,7 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tokenize
-import tracemalloc
+from functools import partial
 from itertools import permutations
 from math import gcd
 from pathlib import Path
@@ -31,7 +31,7 @@ from coprimelab.colouring import (
     sample_coset_config,
     lattice_from_id,
 )
-from coprimelab.errors import ParseError
+from coprimelab.errors import DomainError, ParseError
 from coprimelab.lattice import GenSet, hypothesis_report, standard_lattice
 
 CROSSING_GOLDEN = "crossing,4,4,11,200,165,0.825,0.766355688518,0.871394849337,5"
@@ -696,17 +696,27 @@ def test_layers_match_the_mask_renderer(capsys, tmp_path):
         assert (out / "layers.ppm").read_bytes() == want, k
 
 
-def test_layers_memory_stays_near_the_window_mask(capsys, tmp_path):
+def test_layers_memory_stays_near_the_window_mask(capsys, tmp_path, memory_contract):
     # the white mask and the palette index take 1 byte a position each, and
     # the image is written in runs; the 3-byte image of the whole window that
     # the mask renderer built would pass the bound by itself
-    tracemalloc.start()
-    code, _, _ = run(capsys, "layers", "--extents", "1024,1024", "--primes", "2,3,5",
-                     "--out", str(tmp_path))
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert code == 0
-    assert peak <= 3 * 1024 * 1024
+    argv = ["layers", "--primes", "2,3,5", "--out", str(tmp_path)]
+    memory_contract(2, 0.75 * 2**20,
+                    {n * n: partial(run, capsys, *argv, f"--extents={n},{n}") for n in (512, 1024)})
+
+
+def test_window_and_primes_are_checked_before_the_config_is_drawn(capsys, tmp_path,
+                                                                  cheap_refusal):
+    # a config of every prime up to 2^22, drawn first, would take some 100 MB
+    def refused(*argv):
+        code, _, err = run(capsys, *argv, "--P", "4194304", "--out", str(tmp_path))
+        assert code == 2
+        raise DomainError(err)
+
+    wide = ("--extents", "100000,100000")
+    cheap_refusal("window of 10000000000 points exceeds the budget",
+                  partial(refused, "sample", *wide), partial(refused, "clusters", *wide))
+    cheap_refusal("highlighted value 4 is not a prime", partial(refused, "layers", "--primes", "4"))
 
 
 def test_layers_rejects_prime_beyond_cutoff(capsys, tmp_path):

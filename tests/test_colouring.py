@@ -9,7 +9,7 @@ import itertools
 import math
 import random
 import tempfile
-import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +64,7 @@ def brute_white(config, window):
     return out
 
 
-def test_lattice_registry():
+def test_lattice_registry(cheap_refusal):
     assert lattice_from_id("Z3").dim == 3
     assert lattice_from_id("D4").dim == 4
     assert lattice_from_id("Leech").dim == 24
@@ -72,16 +72,10 @@ def test_lattice_registry():
     with pytest.raises(DomainError):
         lattice_from_id("Q17")
     assert lattice_from_id("Z32").dim == lattice_from_id("D32").dim == 32
-    # refused before any basis is built, however large the id
-    tracemalloc.start()
-    # int() refuses strings of more than 4300 digits with a plain ValueError
-    for lattice_id in ("Z33", "D33", "Z20000", "D" + "9" * 30, "D" + "9" * 4400,
-                       "Z" + "1" * 5000):
-        with pytest.raises(DomainError, match="exceeds the supported maximum 32"):
-            lattice_from_id(lattice_id)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 1 << 20
+    # refused before any basis is built, however large the id; int() refuses
+    # strings of more than 4300 digits with a plain ValueError
+    ids = ("Z33", "D33", "Z20000", "D" + "9" * 30, "D" + "9" * 4400, "Z" + "1" * 5000)
+    cheap_refusal("exceeds the supported maximum 32", *(partial(lattice_from_id, i) for i in ids))
 
 
 @settings(max_examples=400, deadline=None)
@@ -194,25 +188,30 @@ def test_white_at_respects_coordinates():
         assert col.white_at(point) == expected
 
 
-def test_oracle_matches_gcd_loop():
-    X = (3, 5)
-    window = Window((-4, -4), (12, 12))
+def oracle_matches_gcd(X, window):
     col = oracle_from_origin(X, window)
     for idx in np.ndindex(*window.array_shape()):
-        point = (window.origin[0] + idx[1], window.origin[1] + idx[0])
-        g = math.gcd(point[0] - X[0], point[1] - X[1])
-        assert col.white_at(point) == (g == 1)
-    assert not col.white_at(X)  # gcd 0 counts as black
+        v = [o + i for o, i in zip(window.origin, reversed(idx))]
+        assert col.white[idx] == (math.gcd(*(c - x for c, x in zip(v, X))) == 1), (X, v)
+
+
+def test_oracle_matches_gcd_loop(monkeypatch):
+    from coprimelab import colouring
+
+    assert not oracle_from_origin((3, 5), Window((3, 5), (1, 1))).white_at((3, 5))  # gcd 0: black
+    for entries in (1, 300, 1 << 16):  # slabs of one outer row, of a few, of the whole window
+        monkeypatch.setattr(colouring, "_BATCH_ENTRIES", entries)
+        oracle_matches_gcd((3, 5), Window((-4, -4), (12, 12)))
+        oracle_matches_gcd((4,), Window((-300,), (1000,)))  # gcd(0, c) = |c|: c = -1 is white
+        oracle_matches_gcd((10**20, 3), Window((-2, 1), (50, 40)))  # Python ints
+        oracle_matches_gcd((0, 0), Window((2**62 - 20, -7), (40, 30)))  # straddles 2^62
+        oracle_matches_gcd((3, -2, 5), Window((-9, 4, -6), (14, 9, 11)))
 
 
 @pytest.mark.parametrize("X", [(10**20, 0), (0, -(10**20)), (3, 2**62)])
 def test_oracle_far_from_the_window(X):
     # coordinates beyond int64 are taken as Python ints, not wrapped or refused
-    window = Window((-2, 1), (5, 4))
-    col = oracle_from_origin(X, window)
-    for idx in np.ndindex(*window.array_shape()):
-        point = (window.origin[0] + idx[1], window.origin[1] + idx[0])
-        assert col.white_at(point) == (math.gcd(point[0] - X[0], point[1] - X[1]) == 1)
+    oracle_matches_gcd(X, Window((-2, 1), (5, 4)))
 
 
 def test_sublattice_window_membership():
@@ -292,7 +291,7 @@ def test_sublattice_colouring_is_chunk_independent(monkeypatch, chunk_entries):
     config = sample_coset_config(spec, 31, 1)
     window = Window((-4, -3, -5), (9, 7, 8))
     whole = colour_window(config, window)
-    monkeypatch.setattr(colouring, "_CHUNK_ENTRIES", chunk_entries)
+    monkeypatch.setattr(colouring, "_BATCH_ENTRIES", chunk_entries)
     chunked = colour_window(config, window)
     assert np.array_equal(chunked.in_lattice, whole.in_lattice)
     assert np.array_equal(chunked.white, whole.white)
@@ -496,23 +495,18 @@ def test_pgm_of_one_colour_loads(tmp_path, white):
     assert again.white.dtype == bool and np.array_equal(again.white, col.white)
 
 
-def test_pgm_round_trips_in_about_the_file_and_its_mask(tmp_path):
+def test_pgm_round_trips_in_about_the_file_and_its_mask(tmp_path, memory_contract):
     # the PGM is written in runs of 2^16 bytes, and read where it lies in the
     # file's bytes: a whole-window copy of either would pass the bounds
-    window = Window((0, 0), (1024, 1024))
-    col = colour_window(sample_coset_config(Z2, 997, 0), window)
-    path = tmp_path / "w.pgm"
-    tracemalloc.start()
-    save_colouring(col, path)
-    saved = tracemalloc.get_traced_memory()[1]
-    tracemalloc.reset_peak()
-    result = infer_cosets(load_colouring(path), 13)
-    loaded = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert saved <= window.point_count // 4
+    cols = {n * n: colour_window(sample_coset_config(Z2, 997, 0), Window((0, 0), (n, n)))
+            for n in (512, 1024)}
+    paths = {units: tmp_path / f"{units}.pgm" for units in cols}
+    memory_contract(0, 0.25 * 2**20, {u: partial(save_colouring, cols[u], paths[u]) for u in cols})
     # the file's bytes and the white mask take 1 byte a position each
-    assert loaded <= 2.25 * window.point_count
-    assert result.candidates == infer_cosets(col, 13).candidates
+    memory_contract(2, 0.25 * 2**20,
+                    {u: lambda p=paths[u]: infer_cosets(load_colouring(p), 13) for u in cols})
+    for units, col in cols.items():  # 1024^2 is a raster of 16 runs
+        assert np.array_equal(load_colouring(paths[units]).white, col.white)
 
 
 def test_pgm_rejects_non_full_grid(tmp_path):
@@ -595,19 +589,24 @@ def test_load_colouring_raises_only_parse_errors(data):
     assert col is None or isinstance(col, Colouring)
 
 
-def test_window_budget_is_checked_before_allocation():
+def test_window_budget_is_checked_before_allocation(cheap_refusal):
     from fractions import Fraction
 
     huge = Window((0, 0), (100_000, 100_000))
     config = sample_coset_config(lattice_from_id("Z2"), 5, 1)
     d2 = sample_coset_config(lattice_from_id("D2"), 5, 1)
-    tracemalloc.start()
-    for call in (lambda: colour_window(config, huge), lambda: colour_window(d2, huge),
-                 lambda: oracle_from_origin((0, 0), huge)):
-        with pytest.raises(DomainError, match="exceeds the budget"):
-            call()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 1 << 20
+    cheap_refusal("exceeds the budget", partial(colour_window, config, huge),
+                  partial(colour_window, d2, huge), partial(oracle_from_origin, (0, 0), huge))
     # windows that are only counted, never allocated, stay unbounded
     assert truncation_error_bound(huge, 7) == Fraction(10**10, 7)
+
+
+def test_window_colourings_fill_their_masks_in_slabs(memory_contract):
+    def squares(colour, *sides):
+        return {n * n: partial(colour, Window((-5, -5), (n, n))) for n in sides}
+
+    # the bool mask, then one slab of int64 gcds at a time
+    memory_contract(1, 2**20, squares(partial(oracle_from_origin, (3, 5)), 512, 2048))
+    # the white and in-lattice masks, then one run of coordinates at a time
+    d2 = sample_coset_config(lattice_from_id("D2"), 31, 0)
+    memory_contract(2, 3 * 2**20, squares(partial(colour_window, d2), 256, 512))

@@ -12,7 +12,7 @@ import math
 import random
 import subprocess
 import sys
-import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -282,7 +282,7 @@ def test_span_index_matches_an_hnf_of_every_row(lattice_id, coeffs, scales):
         assert span_index(rows, spec) == want
 
 
-def test_leech_span_index_solves_in_blocks(monkeypatch):
+def test_leech_span_index_solves_in_blocks(monkeypatch, memory_contract):
     # the first interleaved block of the sorted minimal set reaches index 1
     spec, S = standard_lattice("Leech")
     assert S.rows.dtype == np.int8
@@ -293,25 +293,20 @@ def test_leech_span_index_solves_in_blocks(monkeypatch):
         added.append(vector)
         add(self, vector)
 
+    def solve():
+        assert span_index(S.rows, spec) == 1
+
     monkeypatch.setattr(lattice._HnfAccumulator, "add", counting_add)
-    tracemalloc.start()
-    assert span_index(S.rows, spec) == 1
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    memory_contract(120, 2**19, {len(S): solve})
     assert len(added) <= 100
-    assert peak < 40 << 20
     with pytest.raises(DomainError, match="full rank"):
         span_index([], spec)
 
 
-def test_leech_minimal_set_is_built_in_bounded_memory():
-    standard_lattice("Leech")  # the Golay code and octad tables are cached
-    tracemalloc.start()
-    S = lattice._leech_minimal_set.__wrapped__()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+def test_leech_minimal_set_is_built_in_bounded_memory(memory_contract):
+    S = standard_lattice("Leech")[1]  # the Golay code and octad tables are cached
     assert S.rows.dtype == np.int8 and len(S) == 196_560
-    assert peak < 40 << 20
+    memory_contract(165, 2**19, {len(S): lattice._leech_minimal_set.__wrapped__})
 
 
 def test_leech_minimal_vectors_against_coordinate_oracle():
@@ -680,14 +675,9 @@ def test_point_with_coordinate_on_random_bases():
     (7, None, "visited map"),         # 15^7 strided visited bytes
     (5, 5, "enumerate pointwise"),    # 11^7 slice candidates of 8 coordinates
 ])
-def test_bfs_slice_certificate_refuses_oversized_grids(certify, search, what):
+def test_bfs_slice_certificate_refuses_oversized_grids(cheap_refusal, certify, search, what):
     e8, s8 = standard_lattice("E8")
-    tracemalloc.start()
-    with pytest.raises(DomainError, match=what):
-        check_slice_connectivity(e8, s8, 0, certify, search)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 1 << 20
+    cheap_refusal(what, partial(check_slice_connectivity, e8, s8, 0, certify, search))
 
 
 def test_bfs_slice_certificate_budgets_the_strided_map():
@@ -938,14 +928,11 @@ def test_hypothesis_report_certifies_one_axis_per_orbit(monkeypatch):
     assert calls == {"adjacency": 2, "slices": 2}
 
 
-def test_e8_slice_certificate_visits_only_the_generators_grid():
+def test_e8_slice_certificate_visits_only_the_generators_grid(memory_contract):
     # every E8 slice generator has even coordinates: the visited map covers
-    # the 5^7 even points of the 9^7 search box
+    # the (2r + 1)^7 even points of the (4r + 1)^7 search box
     e8, s8 = standard_lattice("E8")
-    check_slice_connectivity(e8, s8, 0, 2)
-    tracemalloc.start()
     cert = check_slice_connectivity(e8, s8, 0, 2)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
     assert cert.passed and cert.points_certified == 1093
-    assert peak < 2.5 * (1 << 20)
+    memory_contract(26, 0.25 * 2**20, {(2 * r + 1) ** 7: partial(check_slice_connectivity,
+                                                                 e8, s8, 0, r) for r in (1, 2)})

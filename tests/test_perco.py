@@ -6,8 +6,8 @@ exactly computable truncated probability (adjacent rows cannot both be white
 because the p=2 coset always covers one parity class).
 """
 
-import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -495,17 +495,12 @@ def test_estimator_input_validation():
         estimate_spanning(0, 10, 97, 1)
 
 
-def test_label_clusters_checks_the_window_budget():
+def test_label_clusters_checks_the_window_budget(cheap_refusal):
     huge = Window((0, 0), (100_000, 100_000))
     # a broadcast view: the colouring's bits take no memory
     col = Colouring(huge, np.broadcast_to(np.True_, huge.array_shape()), "test", None)
-    tracemalloc.start()
-    for colour in ("white", "black"):
-        with pytest.raises(DomainError, match="exceeds the budget"):
-            label_clusters(col, SQUARE, colour)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 1 << 20
+    cheap_refusal("exceeds the budget", *(partial(label_clusters, col, SQUARE, colour)
+                                          for colour in ("white", "black")))
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +633,15 @@ def test_labels_do_not_depend_on_the_batch_budget(monkeypatch, spec, S, window):
 
 @pytest.mark.parametrize("S", [SQUARE, SPREAD2], ids=["square", "spread2"])
 @pytest.mark.parametrize("colour", ["white", "black"])
-def test_label_clusters_memory_stays_near_the_label_grid(S, colour):
+def test_label_clusters_memory_stays_near_the_label_grid(memory_contract, S, colour):
     # the int64 labels, which are the union-find forest, take 8 bytes a
-    # position, the colour's mask 1 and the slabs, sizes and touches about 1-3
-    # at 1024^2 (about 5 at 512^2, too near the bound); an int64 parent per
-    # point of the colour, or a grid-sized int64 temporary, would pass 13
-    window = Window((0, 0), (1024, 1024))
-    col = colour_window(sample_coset_config(Z2, 997, 0), window)
-    tracemalloc.start()
-    label_clusters(col, S, colour)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak <= 13 * window.point_count
+    # position, the colour's mask 1 and the slabs, sizes and touches about
+    # 1-3; an int64 parent per point of the colour, or a grid-sized int64
+    # temporary, would pass the bound
+    config = sample_coset_config(Z2, 997, 0)
+    memory_contract(11, 1.5 * 2**20, {n * n: partial(
+        label_clusters, colour_window(config, Window((0, 0), (n, n))), S, colour)
+        for n in (512, 1024)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """The prime table: one flag byte per odd number, sieved once per limit; its
 int64 array is built on first use."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import sympy
@@ -64,15 +62,13 @@ def test_crossing_run_sieves_once():
     assert primes_up_to.cache_info().misses == 1
 
 
-def test_largest_table_stays_compact():
-    # the limit + 1 sieve bytes plus the 8-byte primes, with no tuple beside them
-    primes_up_to.cache_clear()
-    tracemalloc.start()
-    try:
-        table = primes_up_to(2**26)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def test_largest_table_stays_compact(memory_contract):
+    # a flag byte per odd number and the 8-byte primes, with no tuple beside them
+    def fresh_table():
         primes_up_to.cache_clear()
-    assert len(table) == 3_957_809
-    assert peak < 128 * 2**20
+        try:
+            assert len(primes_up_to(2**26)) == 3_957_809
+        finally:
+            primes_up_to.cache_clear()
+
+    memory_contract(1, 2**20, {2**26: fresh_table})

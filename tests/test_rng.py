@@ -2,7 +2,7 @@ import collections
 import hashlib
 import subprocess
 import sys
-import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -114,18 +114,13 @@ def test_stream_seeds_match_the_scalar_derivation():
     assert np.array_equal(lanes, got[:4])
 
 
-def test_stream_seeds_hold_one_row_of_digests_at_a_time():
-    # 140 trial seeds x the 168 primes <= 997: the 188 KB output and one row
-    # of digests, not every pair's 32-byte digest at once
+def test_stream_seeds_hold_one_row_of_digests_at_a_time(memory_contract):
+    # trial seeds x the 168 primes <= 997: the 8-byte seeds and one row of
+    # digests, not every pair's 32-byte digest at once
     primes = primes_up_to(997).array
     assert len(primes) == 168
-    tracemalloc.start()
-    try:
-        stream_seeds(list(range(140)), "coset", primes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10**6
+    memory_contract(8, 0.125 * 2**20, {trials * len(primes): partial(
+        stream_seeds, list(range(trials)), "coset", primes) for trials in (70, 140)})
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
