@@ -27,11 +27,11 @@ import numpy as np
 
 _U64 = (1 << 64) - 1
 
-# Most entries of one temporary array in a loop over a big array: a slab of
-# the gcd oracle, a run of the sublattice colouring, a raster run of
-# save_pnm, an edge slab or forest run of perco.label_clusters, or a Monte
-# Carlo sub-batch (residues plus tested lines, per trial), so memory stays
-# flat whatever the window, the trial count or P.
+# Most entries of one temporary array in a loop over a big array: a _blocks
+# box of the gcd oracle or of perco.label_clusters' edges and faces, a run of
+# the sublattice colouring, a raster run of save_pnm, a forest run of
+# label_clusters, or a Monte Carlo sub-batch (residues plus tested lines,
+# per trial), so memory stays flat whatever the window, the trial count or P.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -207,6 +207,20 @@ def _box_dtype(origin, extents):
     return np.int64 if reach < 1 << 62 else object
 
 
+def _blocks(box, limit):
+    """Boxes of at most limit positions that tile box, slices with explicit
+    starts, in C order: whole outer rows while a row fits, else rows cut up."""
+    outer, inner = box[0], box[1:]
+    row = math.prod(max(0, s.stop - s.start) for s in inner)
+    if row > limit:
+        for i in range(outer.start, outer.stop):
+            yield from ((slice(i, i + 1), *sub) for sub in _blocks(inner, limit))
+    elif row:
+        rows = limit // row
+        for lo in range(outer.start, outer.stop, rows):
+            yield (slice(lo, min(lo + rows, outer.stop)), *inner)
+
+
 def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
     shape = window.array_shape()
     d = window.dim
@@ -246,14 +260,12 @@ def oracle_from_origin(X, window: Window) -> Colouring:
     shape, shift = window.array_shape(), [o - x for o, x in zip(window.origin, X)][::-1]
     dtype = _box_dtype(shift, shape)
     white = np.empty(shape, dtype=bool)
-    rows = max(1, _BATCH_ENTRIES // math.prod(shape[1:]))  # outer-axis rows per slab
-    for lo in range(0, shape[0], rows):
+    for block in _blocks(tuple(slice(0, n) for n in shape), _BATCH_ENTRIES):
         g = 0  # gcd(0, c) = |c|, so a 1-D window's c = -1 is white
-        for a, n in enumerate(shape):  # v - X along array axis a, shaped to broadcast
-            run = np.arange(lo, min(lo + rows, n)) if a == 0 else np.arange(n)
-            run = run.astype(dtype, copy=False) + shift[a]
+        for a, (s, o) in enumerate(zip(block, shift)):  # v - X along array axis a
+            run = np.arange(s.start + o, s.stop + o, dtype=dtype)
             g = np.gcd(g, run.reshape((-1,) + (1,) * (len(shape) - 1 - a)))
-        white[lo:lo + rows] = g == 1
+        white[block] = g == 1
     provenance = "oracle X=" + ",".join(str(c) for c in X)
     return Colouring(window, white, provenance)
 

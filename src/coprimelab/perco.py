@@ -18,8 +18,8 @@ from fractions import Fraction
 
 # package modules before numpy (see coprimelab/__init__.py)
 from .arith import decimal_str, primes_up_to
-from .colouring import (_BATCH_ENTRIES, Colouring, Window, colour_window, coset_residues,
-                        sample_coset_config)
+from .colouring import (_BATCH_ENTRIES, Colouring, Window, _blocks, colour_window,
+                        coset_residues, sample_coset_config)
 from .errors import SIZE_BUDGET, DomainError
 from .lattice_core import GenSet, lattice_from_id, minimal_vectors
 from .rng import stream_seed, stream_seeds
@@ -140,11 +140,12 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     Memory: the int64 grid returned as `labels` is the union-find forest
     until it takes the ids: each position is a node named by its raster
     index, and its entry is its parent, every position's root after each
-    offset pair.  A pair's edges are taken in slabs of the outer array axis
-    of at most _BATCH_ENTRIES positions (entries that an earlier slab hooked
-    are followed up to their roots), and the forest is flattened, relabelled
-    and counted in runs of that length, so the working set beyond the grid
-    and the colour's mask is bounded whatever the window or the size of S.
+    offset pair.  A pair's edges and each face that `touches` reads are taken
+    in colouring._blocks of at most _BATCH_ENTRIES positions (entries that an
+    earlier block hooked are followed up to their roots), and the forest is
+    flattened, relabelled and counted in runs of that length, so the working
+    set beyond the grid, the colour's mask, `sizes` and `touches` is bounded
+    whatever the window's shape or the size of S.
     """
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")
@@ -162,24 +163,20 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     labels = np.arange(size, dtype=np.int64).reshape(shape)
     parent, coloured = labels.reshape(-1), mask.reshape(-1)
     step = _BATCH_ENTRIES
-    rows = max(1, step // math.prod(shape[1:]))  # outer-axis rows per slab
     # the lexicographically positive half of a symmetric set, one per pair
     for s in S.rows[len(S) // 2:].tolist():
         offset = tuple(reversed(s))  # array-axis order
-        src = [slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape)]
-        dst = [slice(max(0, o), n - max(0, -o)) for o, n in zip(offset, shape)]
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offset, shape))
         hooked = False
-        for lo in range(src[0].start, src[0].stop, rows):
-            hi = min(src[0].stop, lo + rows)
-            a_at = (slice(lo, hi), *src[1:])
-            b_at = (slice(lo + offset[0], hi + offset[0]), *dst[1:])
+        for a_at in _blocks(src, step):
+            b_at = tuple(slice(a.start + o, a.stop + o) for a, o in zip(a_at, offset))
             # the grid held roots when the pair began; equal entries are joined
             a, b = labels[a_at], labels[b_at]
             joined = (a != b) & mask[a_at] & mask[b_at]
             if not joined.any():
                 continue
             a, b = a[joined], b[joined]
-            if hooked:  # an earlier slab of the pair may have hooked these roots
+            if hooked:  # an earlier block of the pair may have hooked these roots
                 a, b = _find(parent, a), _find(parent, b)
                 joined = a != b
                 a, b = a[joined], b[joined]
@@ -232,11 +229,14 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
         np.add.at(sizes, parent[lo:lo + step][coloured[lo:lo + step]], 1)
     d = colouring.window.dim
     touches = np.zeros((count, d, 2), dtype=bool)
+    full = tuple(slice(0, n) for n in shape)
     for k in range(d):
         ax = d - 1 - k  # array axis for coordinate k
-        for side, index in ((0, 0), (1, -1)):
-            face = np.take(labels, index, axis=ax)
-            touches[face[face >= 0], k, side] = True
+        for side, index in ((0, 0), (1, shape[ax] - 1)):
+            face = (*full[:ax], slice(index, index + 1), *full[ax + 1:])
+            for at in _blocks(face, step):
+                ids = labels[at]
+                touches[ids[ids >= 0], k, side] = True
     return ClusterLabels(labels, count, sizes, touches)
 
 

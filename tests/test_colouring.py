@@ -199,7 +199,8 @@ def test_oracle_matches_gcd_loop(monkeypatch):
     from coprimelab import colouring
 
     assert not oracle_from_origin((3, 5), Window((3, 5), (1, 1))).white_at((3, 5))  # gcd 0: black
-    for entries in (1, 300, 1 << 16):  # slabs of one outer row, of a few, of the whole window
+    # runs of a row, slabs of one outer row, of a few, of the whole window
+    for entries in (1, 7, 300, 1 << 16):
         monkeypatch.setattr(colouring, "_BATCH_ENTRIES", entries)
         oracle_matches_gcd((3, 5), Window((-4, -4), (12, 12)))
         oracle_matches_gcd((4,), Window((-300,), (1000,)))  # gcd(0, c) = |c|: c = -1 is white
@@ -212,6 +213,24 @@ def test_oracle_matches_gcd_loop(monkeypatch):
 def test_oracle_far_from_the_window(X):
     # coordinates beyond int64 are taken as Python ints, not wrapped or refused
     oracle_matches_gcd(X, Window((-2, 1), (5, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 5)), min_size=1, max_size=3),
+       st.integers(1, 40))
+def test_blocks_tile_their_box_in_c_order(axes, limit):
+    from coprimelab.colouring import _blocks
+
+    def points(box):
+        return list(itertools.product(*(range(s.start, s.stop) for s in box)))
+
+    box = tuple(slice(start, start + n) for start, n in axes)  # n <= 0 is an empty axis
+    tiled = []
+    for block in _blocks(box, limit):
+        assert 0 < len(points(block)) <= limit, block
+        tiled += points(block)
+    # disjoint, covering and in C order; an empty box yields no block
+    assert tiled == points(box)
 
 
 def test_sublattice_window_membership():
@@ -605,8 +624,12 @@ def test_window_colourings_fill_their_masks_in_slabs(memory_contract):
     def squares(colour, *sides):
         return {n * n: partial(colour, Window((-5, -5), (n, n))) for n in sides}
 
-    # the bool mask, then one slab of int64 gcds at a time
+    # the bool mask, then one block of int64 gcds at a time
     memory_contract(1, 2**20, squares(partial(oracle_from_origin, (3, 5)), 512, 2048))
+    # a one-row window's row is cut into runs, each an int64 coordinate run
+    # and its gcds: two temporaries of 0.5 MiB, over the squares' 1 MiB
+    memory_contract(1, 1.25 * 2**20, {n: partial(
+        oracle_from_origin, (3, 5), Window((-5, -5), (n, 1))) for n in (2**18, 2**20)})
     # the white and in-lattice masks, then one run of coordinates at a time
     d2 = sample_coset_config(lattice_from_id("D2"), 31, 0)
     memory_contract(2, 3 * 2**20, squares(partial(colour_window, d2), 256, 512))

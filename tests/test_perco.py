@@ -105,8 +105,9 @@ def bfs_labels(mask, S):
         (Z2, SPREAD2, Window((-6, -6), (13, 13))),
         (Z3, SPREAD3, Window((-4, -3, -5), (9, 7, 8))),
         (D2, SQUARE, Window((-7, -5), (14, 13))),
+        (Z2, SPREAD2, Window((-6, -1), (13, 1))),  # offsets reach past the window
     ],
-    ids=["square", "triangular", "spread2", "spread3", "D2-square"],
+    ids=["square", "triangular", "spread2", "spread3", "D2-square", "spread2-line"],
 )
 def test_labels_match_bfs_oracle(spec, S, window):
     for seed in range(25):
@@ -274,6 +275,17 @@ def test_estimates_do_not_depend_on_the_batch_budget(monkeypatch, entries):
     assert batched == whole
     assert [s.witness for s in batched] == [s.witness for s in whole]
     assert all(s.witness is not None for s in whole)
+
+
+def test_monte_carlo_memory_is_flat_in_trials(memory_contract):
+    # trials are drawn and tested in sub-batches of about _BATCH_ENTRIES
+    # entries, so ten times the trials peak no higher
+    memory_contract(0, 2 * 2**20, {t: partial(estimate_crossing, 128, 256, t, 512, 0)
+                                   for t in (200, 2000)})
+    memory_contract(0, 2.5 * 2**20, {t: partial(estimate_spanning, 1000, t, 997, 0)
+                                     for t in (200, 2000)})
+    memory_contract(0, 3 * 2**20, {t: partial(estimate_annulus, 27, t, 997, 0)
+                                   for t in (200, 2000)})
 
 
 def test_two_by_two_crossing_has_exact_truncated_probability():
@@ -635,13 +647,18 @@ def test_labels_do_not_depend_on_the_batch_budget(monkeypatch, spec, S, window):
 @pytest.mark.parametrize("colour", ["white", "black"])
 def test_label_clusters_memory_stays_near_the_label_grid(memory_contract, S, colour):
     # the int64 labels, which are the union-find forest, take 8 bytes a
-    # position, the colour's mask 1 and the slabs, sizes and touches about
+    # position, the colour's mask 1 and the blocks, sizes and touches about
     # 1-3; an int64 parent per point of the colour, or a grid-sized int64
     # temporary, would pass the bound
     config = sample_coset_config(Z2, 997, 0)
     memory_contract(11, 1.5 * 2**20, {n * n: partial(
         label_clusters, colour_window(config, Window((0, 0), (n, n))), S, colour)
         for n in (512, 1024)})
+    # a line has about 0.35-0.47 components a point, and each takes 8 bytes
+    # of sizes and 4 of touches; its rows and faces are cut into blocks too
+    memory_contract(16, 1.5 * 2**20, {e[0] * e[1]: partial(
+        label_clusters, colour_window(config, Window((0, 0), e)), S, colour)
+        for e in ((2**18, 1), (1, 2**20))})
 
 
 # ---------------------------------------------------------------------------
