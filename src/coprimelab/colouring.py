@@ -20,7 +20,7 @@ from functools import reduce
 # package modules before numpy (see coprimelab/__init__.py)
 from .arith import primes_up_to
 from .errors import CANDIDATE_BUDGET, SIZE_BUDGET, DomainError, ParseError
-from .lattice_core import LatticeSpec, basis_numerators, contains_bulk, lattice_from_id
+from .lattice_core import LatticeSpec, contains_bulk, lattice_from_id
 from .rng import RNG_ID, below_lanes, stream_seeds
 
 import numpy as np
@@ -28,9 +28,9 @@ import numpy as np
 _U64 = (1 << 64) - 1
 
 # Most entries of one temporary array in a loop over a big array: a _blocks
-# box of the gcd oracle or of perco.label_clusters' edges and faces, a run of
-# the sublattice colouring, a raster run of save_pnm, a forest run of
-# label_clusters, or a Monte Carlo sub-batch (residues plus tested lines,
+# box of the gcd oracle or of perco.label_clusters' edges and faces, the
+# coordinates of a _box_members block, a raster run of save_pnm, a forest run
+# of label_clusters, or a Monte Carlo sub-batch (residues plus tested lines,
 # per trial), so memory stays flat whatever the window, the trial count or P.
 _BATCH_ENTRIES = 1 << 16
 
@@ -182,10 +182,10 @@ def sample_coset_config(spec: LatticeSpec, P: int, seed: int) -> CosetConfig:
 def colour_window(config: CosetConfig, window: Window) -> Colouring:
     """Evaluate the truncated colouring on a window.
 
-    A point is black when its basis-coefficient vector matches some prime's
-    representative mod p.  Full-grid lattices (Z_d and the triangular model)
-    take the dense slicing path; others test every grid
-    point of the window for membership and solve for its coefficients.
+    Prime p blackens the coset B rep + p Gamma: on a full grid (Z_d and the
+    triangular model) the whole slice of points congruent to rep mod p, on a
+    sublattice the points v of the slice through the anchor B rep whose
+    (v - anchor)/p, a box of consecutive integer points, lies in the lattice.
     """
     spec = lattice_from_id(config.lattice_id)
     if window.dim != spec.dim:
@@ -197,7 +197,18 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
         for p, rep in config.reps.items():
             white[coset_slice(rep, p, window)] = False
         return Colouring(window, white, provenance)
-    return _colour_sublattice_window(spec, config, window, provenance)
+    in_lattice = np.empty(window.array_shape(), dtype=bool)
+    for block, member in _box_members(spec, window.origin, in_lattice.shape):
+        in_lattice[block] = member
+    white = in_lattice.copy()
+    reps = np.array(list(config.reps.values()), dtype=object).reshape(-1, spec.dim)
+    for p, anchor in zip(config.reps, (reps @ np.array(spec.columns, dtype=object)).tolist()):
+        view = white[coset_slice(anchor, p, window)]
+        if view.size:  # on axis k, (v - anchor)/p starts at -((anchor_k - origin_k) // p)
+            start = [-((a - o) // p) for a, o in zip(anchor, window.origin)]
+            for block, member in _box_members(spec, start, view.shape):
+                view[block] &= ~member
+    return Colouring(window, white, provenance, in_lattice)
 
 
 def _box_dtype(origin, extents):
@@ -221,30 +232,17 @@ def _blocks(box, limit):
             yield (slice(lo, min(lo + rows, outer.stop)), *inner)
 
 
-def _colour_sublattice_window(spec, config, window, provenance) -> Colouring:
-    shape = window.array_shape()
-    d = window.dim
-    dtype = _box_dtype(window.origin, window.extents)
-    origin = np.array(window.origin, dtype=dtype)
-    reps = [(p, np.array(rep)) for p, rep in config.reps.items()]
-    n = window.point_count
-    white = np.zeros(n, dtype=bool)
-    in_lattice = np.zeros(n, dtype=bool)
-    # a run of flat C-order positions at a time keeps every temporary below
-    # _BATCH_ENTRIES coordinates, whatever the window size
-    step = max(1, _BATCH_ENTRIES // d)
-    for start in range(0, n, step):
-        flat = np.arange(start, min(start + step, n))
-        pts = np.stack(np.unravel_index(flat, shape)[::-1], axis=1).astype(dtype) + origin
-        member = contains_bulk(spec, pts)
-        numerators, det = basis_numerators(spec, pts[member])
-        coeff = numerators // det
-        black = np.zeros(len(coeff), dtype=bool)
-        for p, rep in reps:
-            black |= ((coeff - rep) % p == 0).all(axis=1)
-        in_lattice[flat] = member
-        white[flat[member]] = ~black
-    return Colouring(window, white.reshape(shape), provenance, in_lattice.reshape(shape))
+def _box_members(spec, origin, shape):
+    """(block, in-lattice mask) for each _blocks box of an array whose index 0
+    is the point origin; a block's coordinates take at most _BATCH_ENTRIES entries."""
+    d = len(shape)
+    dtype = _box_dtype(origin, shape[::-1])
+    for block in _blocks(tuple(slice(0, n) for n in shape), max(1, _BATCH_ENTRIES // d)):
+        pts = np.empty((d, *(s.stop - s.start for s in block)), dtype=dtype)
+        for a, (s, o) in enumerate(zip(block, origin[::-1])):  # coordinate d-1-a along axis a
+            run = np.arange(s.start + o, s.stop + o, dtype=dtype)
+            pts[d - 1 - a] = run.reshape((-1,) + (1,) * (d - 1 - a))
+        yield block, contains_bulk(spec, pts.reshape(d, -1).T).reshape(pts.shape[1:])
 
 
 def oracle_from_origin(X, window: Window) -> Colouring:

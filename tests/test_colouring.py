@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import tempfile
+import time
 from functools import partial
 from pathlib import Path
 
@@ -289,6 +290,8 @@ def per_point_colouring(spec, config, window):
         ("D4", (10, -20, 7, 1), (4, 4, 3, 4), 31, 4),
         ("E8", (-1,) * 8, (3,) * 8, 97, 0),
         ("E8", (-3, -1, -2, -4, -1, -2, -3, -2), (3,) * 8, 31, 2),
+        # most coset slices miss the window or hold one point
+        ("D2", (-1000, -713), (37, 29), 997, 5),
     ],
 )
 def test_sublattice_colouring_matches_per_point_rule(lattice_id, origin, extents, P, seed):
@@ -300,6 +303,42 @@ def test_sublattice_colouring_matches_per_point_rule(lattice_id, origin, extents
     assert np.array_equal(col.in_lattice, in_lattice)
     assert np.array_equal(col.white, white)
     assert in_lattice.any() and (white & in_lattice).any() and (~white & in_lattice).any()
+
+
+@pytest.mark.parametrize(
+    "lattice_id,X,extents",
+    [
+        ("E8", (3, -1, 1, 1, 1, 1, 1, -3), (3,) * 8),
+        ("Leech", (1, 5) + (1,) * 22, (9,) * 4 + (1,) * 20),
+    ],
+)
+def test_coupled_sublattice_colouring_matches_per_point_rule(lattice_id, X, extents):
+    # every prime's representative is X's basis coordinates mod p, so every
+    # coset passes through X, while another lattice point v of the window is
+    # black only for the primes p with (v - X)/p in the lattice
+    from coprimelab.lattice import basis_numerators
+
+    spec = lattice_from_id(lattice_id)
+    numerators, det = basis_numerators(spec, np.array([X], dtype=object))
+    coords = (numerators // det)[0].tolist()
+    config = CosetConfig(lattice_id, 97, 0, RNG_ID,
+                         {p: tuple(c % p for c in coords) for p in primes_up_to(97)})
+    window = Window(tuple(x - e // 2 for x, e in zip(X, extents)), extents)
+    col = colour_window(config, window)
+    white, in_lattice = per_point_colouring(spec, config, window)
+    assert np.array_equal(col.in_lattice, in_lattice)
+    assert np.array_equal(col.white, white)
+    assert not col.white_at(X)
+    assert (white & in_lattice).any() and int(in_lattice.sum()) > 8
+
+
+def test_sublattice_colouring_costs_its_coset_slices():
+    # comparing every point with every prime's coset took about 2 s of CPU
+    # on a 2-core x86 host, painting the coset slices under 0.01 s
+    config = sample_coset_config(lattice_from_id("D2"), 9973, 0)
+    start = time.process_time()
+    colour_window(config, Window((-150, -150), (301, 301)))
+    assert time.process_time() - start < 0.5
 
 
 @pytest.mark.parametrize("chunk_entries", [1, 7, 40])
@@ -347,6 +386,16 @@ def test_infer_warns_beyond_cutoff():
     config = sample_coset_config(Z2, 13, 1)
     col = colour_window(config, Window((0, 0), (60, 60)))
     assert infer_cosets(col, 31).truncation_warning
+
+
+def test_infer_candidate_tables_take_96_bytes_a_candidate(memory_contract):
+    # a candidate is a tuple of two ints in a per-prime list; primes above the
+    # window's side leave nearly all p^2 residues as candidates
+    col = colour_window(sample_coset_config(Z2, 997, 0), Window((0, 0), (64, 64)))
+    calls = {32_232: partial(infer_cosets, col, 100), 157_692: partial(infer_cosets, col, 150)}
+    memory_contract(96, 0.25 * 2**20, calls)
+    for units, call in calls.items():
+        assert sum(map(len, call().candidates.values())) == units
 
 
 def _infer_by_product(col, p_max):
@@ -630,6 +679,10 @@ def test_window_colourings_fill_their_masks_in_slabs(memory_contract):
     # and its gcds: two temporaries of 0.5 MiB, over the squares' 1 MiB
     memory_contract(1, 1.25 * 2**20, {n: partial(
         oracle_from_origin, (3, 5), Window((-5, -5), (n, 1))) for n in (2**18, 2**20)})
-    # the white and in-lattice masks, then one run of coordinates at a time
+    # the in-lattice and white masks, then the coordinates of one _blocks
+    # box and their membership test at a time (about 1 MiB)
     d2 = sample_coset_config(lattice_from_id("D2"), 31, 0)
-    memory_contract(2, 3 * 2**20, squares(partial(colour_window, d2), 256, 512))
+    memory_contract(2, 2 * 2**20, squares(partial(colour_window, d2), 256, 512))
+    d3 = sample_coset_config(lattice_from_id("D3"), 97, 0)
+    memory_contract(2, 2 * 2**20, {n**3: partial(
+        colour_window, d3, Window((-5, -5, -5), (n, n, n))) for n in (64, 100)})
