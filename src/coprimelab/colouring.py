@@ -32,6 +32,8 @@ _U64 = (1 << 64) - 1
 # coordinates of a _box_members block, a raster run of save_pnm, a forest run
 # of label_clusters, or a Monte Carlo sub-batch (residues plus tested lines,
 # per trial), so memory stays flat whatever the window, the trial count or P.
+# A sub-batch's residues are drawn in place: a lane (trial x prime) holds its
+# state, its dim residues and one draw with its scratch, 24 + 8 dim bytes.
 _BATCH_ENTRIES = 1 << 16
 
 
@@ -166,8 +168,10 @@ def coset_residues(seeds, P: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     primes = primes_up_to(P).array
     states = stream_seeds(seeds, "coset", primes)
-    residues = [below_lanes(states, primes) for _ in range(dim)]
-    return primes, np.stack(residues, axis=-1).astype(np.int64)
+    residues = np.empty((*states.shape, dim), dtype=np.int64)
+    for k in range(dim):
+        residues[..., k] = below_lanes(states, primes)
+    return primes, residues
 
 
 def sample_coset_config(spec: LatticeSpec, P: int, seed: int) -> CosetConfig:

@@ -440,10 +440,11 @@ def spanning_stats(colouring: Colouring) -> bool:
 # of white lines alone, without colouring a window: _crossed for the (rect,
 # kind) crossings of a 2-D event, _spanning_kernel for a column length.
 
-# Fewest entries of one chunk of trials.  An entry costs about 0.3-0.4 us in
-# process, so a chunk is about 0.3-0.4 s of work, some ten times the CPU a
-# worker process takes to start and stop (0.03-0.04 s, 2-core host); a run of
-# one chunk starts no pool.
+# Fewest entries of one chunk of trials.  An entry costs about 0.1-0.3 us in
+# process (0.12 for a crossing, 0.28 for a staircase, 2-core host), so a chunk
+# is about 0.1-0.3 s of work, well above the start and stop of a worker
+# process (4-6 ms of wall time for a forked pool of one); a run of one chunk
+# starts no pool.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -457,9 +458,15 @@ def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
     line c iff (c - r_line) % p == 0 and (r_across - across_lo) % p < across_len.
     """
     rows = np.arange(len(r_line))[:, None]
-    # the first line each prime blackens, or the spare column `length` if none
-    first = np.minimum((r_line - line_lo) % primes, length)
-    first[(r_across - across_lo) % primes >= across_len] = length
+    # the first line each prime blackens, or the spare column `length` if
+    # none, built in place beside one (trials, primes) scratch array
+    first = r_line - line_lo
+    first %= primes
+    np.minimum(first, length, out=first)
+    across = r_across - across_lo
+    across %= primes
+    first[across >= across_len] = length
+    del across
     white = np.ones((len(r_line), length + 1), dtype=bool)
     small = int(np.searchsorted(primes, length))
     for j, p in enumerate(primes[:small].tolist()):

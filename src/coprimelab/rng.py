@@ -98,31 +98,50 @@ def stream_seeds(master_seeds, tag: str, indices) -> np.ndarray:
     return out
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function of every lane of z, in place through one
+    scratch buffer; returns z."""
+    scratch = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
+
+
 def below_lanes(states: np.ndarray, n) -> np.ndarray:
     """SplitMix64.below(n) in every lane of a uint64 state array.
 
     Advances states in place exactly as the scalar generator would, a
     rejected lane drawing again, and returns the draws as uint64.  n is a
     positive bound per lane (broadcast to the states' shape).
+
+    The first draw advances and mixes the whole state array in place; only
+    the lanes it rejects (a draw at or above the largest multiple of n below
+    2^64) are gathered and drawn again.  For a bound far below 2^64, such as
+    a prime, that is almost never; near 2^63 it is about half of them.
     """
-    n = np.broadcast_to(np.asarray(n, dtype=np.uint64), states.shape).ravel()
+    n = np.asarray(n, dtype=np.uint64)
     if (n == 0).any():
         raise ValueError("below() needs n >= 1")
-    # largest accepted draw, 2^64 - (2^64 mod n) - 1, without leaving uint64
-    top = _LANE_MAX - (_LANE_MAX % n + np.uint64(1)) % n
     if not states.flags.c_contiguous:
         raise ValueError("below_lanes() advances a C-contiguous state array")
-    flat = states.reshape(-1)
-    out = np.empty(flat.shape, dtype=np.uint64)
-    lanes = np.arange(flat.size)
-    while lanes.size:
-        z = flat[lanes] + np.uint64(_GAMMA)
-        flat[lanes] = z
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        ok = z <= top[lanes]
-        done = lanes[ok]
-        out[done] = z[ok] % n[done]
-        lanes = lanes[~ok]
-    return out.reshape(states.shape)
+    # largest accepted draw, 2^64 - (2^64 mod n) - 1, without leaving uint64,
+    # once per bound and broadcast over the lanes
+    top = np.broadcast_to(_LANE_MAX - (_LANE_MAX % n + np.uint64(1)) % n, states.shape)
+    n = np.broadcast_to(n, states.shape)
+    states += np.uint64(_GAMMA)
+    out = _mix(states.copy())
+    redraw = np.flatnonzero(out > top)
+    np.remainder(out, n, out=out)
+    flat, drawn = states.reshape(-1), out.reshape(-1)
+    while redraw.size:
+        z = flat[redraw] + np.uint64(_GAMMA)
+        flat[redraw] = z
+        ok = _mix(z) <= top.flat[redraw]
+        done = redraw[ok]
+        drawn[done] = z[ok] % n.flat[done]
+        redraw = redraw[~ok]
+    return out

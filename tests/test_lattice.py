@@ -38,6 +38,7 @@ from coprimelab.lattice import (
     standard_lattice,
     word_line,
 )
+from coprimelab.rng import SplitMix64, stream_seed
 
 GOLAY_WEIGHTS = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
@@ -405,6 +406,23 @@ def test_leech_replay_checks_each_step_is_a_minimal_vector(code):
     for bad in (odd, double):
         with pytest.raises(AssertionError, match="not a slice generator"):
             lattice._replay(bad[None, None], bad[None], 23)
+
+
+def test_leech_sign_patterns_are_the_scalar_draws(code):
+    # support s's 8 minus sets on axis a are draws below 2^24 of the stream
+    # (7, "leech-slice-a", s), kept on s, their first point dropped when odd
+    supports = np.array(list(code.dodecads[:3]) + [((1 << 24) - 1) ^ w for w in code.octads[:3]])
+    rows = np.repeat(lattice._bit_rows(supports), 8, axis=0)
+    for axis in (0, 5, 23):
+        expect = []
+        for s in supports.tolist():
+            stream = SplitMix64(stream_seed(7, f"leech-slice-{axis}", s))
+            for _ in range(8):
+                minus = stream.below(1 << 24) & s
+                if bin(minus).count("1") % 2:
+                    minus &= minus - 1
+                expect.append([minus >> k & 1 for k in range(24)])
+        assert lattice._sampled_minus_sets(supports, rows, axis).tolist() == expect
 
 
 def test_leech_slice_certificate_refuses_other_generating_sets():

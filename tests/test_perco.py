@@ -280,12 +280,20 @@ def test_estimates_do_not_depend_on_the_batch_budget(monkeypatch, entries):
 def test_monte_carlo_memory_is_flat_in_trials(memory_contract):
     # trials are drawn and tested in sub-batches of about _BATCH_ENTRIES
     # entries, so ten times the trials peak no higher
-    memory_contract(0, 2 * 2**20, {t: partial(estimate_crossing, 128, 256, t, 512, 0)
-                                   for t in (200, 2000)})
-    memory_contract(0, 2.5 * 2**20, {t: partial(estimate_spanning, 1000, t, 997, 0)
+    memory_contract(0, 1.25 * 2**20, {t: partial(estimate_crossing, 128, 256, t, 512, 0)
+                                      for t in (200, 2000)})
+    memory_contract(0, 1.5 * 2**20, {t: partial(estimate_spanning, 1000, t, 997, 0)
                                      for t in (200, 2000)})
-    memory_contract(0, 3 * 2**20, {t: partial(estimate_annulus, 27, t, 997, 0)
-                                   for t in (200, 2000)})
+    memory_contract(0, 1.75 * 2**20, {t: partial(estimate_annulus, 27, t, 997, 0)
+                                      for t in (200, 2000)})
+    memory_contract(0, 1.5 * 2**20, {t: partial(estimate_staircase, 6, t, 997, 0)
+                                     for t in (200, 2000)})
+    # a sub-batch draws in place: per lane (trial x prime) its state, its dim
+    # int64 residues and one draw with its scratch, at most 64 bytes
+    lanes = len(primes_up_to(997))
+    for dim in (1, 2, 3):
+        memory_contract(64, 0, {t * lanes: partial(coset_residues, range(t), 997, dim)
+                                for t in (70, 140)})
 
 
 def test_two_by_two_crossing_has_exact_truncated_probability():

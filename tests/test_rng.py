@@ -143,17 +143,33 @@ def test_below_lanes_equals_scalar_draws(bound, dim):
 
 
 def test_below_lanes_takes_a_bound_per_lane():
+    # dim consecutive draws: the 2^63 + 1 lane's second draw is rejected
+    # twice, so at dim 3 a lane drawn again in one call draws on in the next
     seeds = [stream_seed(9, "per-lane", i) for i in range(6)]
     bounds = [2, 3, 5, 7, 2**63 + 1, 11]
-    states = np.array([seeds] * 4, dtype=np.uint64)
-    got = below_lanes(states, np.array(bounds, dtype=np.uint64))
-    assert got.shape == (4, 6)
-    expect = [SplitMix64(s).below(n) for s, n in zip(seeds, bounds)]
-    assert got.tolist() == [expect] * 4
+    for dim in (1, 2, 3):
+        states = np.array([seeds] * 4, dtype=np.uint64)
+        got = np.stack([below_lanes(states, np.array(bounds, dtype=np.uint64))
+                        for _ in range(dim)], axis=-1)
+        assert got.shape == (4, 6, dim)
+        streams = [SplitMix64(s) for s in seeds]
+        expect = [[g.below(n) for _ in range(dim)] for g, n in zip(streams, bounds)]
+        assert got.tolist() == [expect] * 4
+        assert states.tolist() == [[g.state for g in streams]] * 4
+        plain = SplitMix64(seeds[4])
+        for _ in range(dim):
+            plain.next_u64()
+        assert (plain.state != streams[4].state) == (dim >= 2)
 
 
 def test_below_lanes_rejects_bad_input():
+    # refused before any lane advances
+    states = np.arange(1, 7, dtype=np.uint64)
+    for n in (0, [5, 0, 7, 1, 2, 3], [5, 7]):
+        with pytest.raises(ValueError):
+            below_lanes(states, n)
+        assert states.tolist() == [1, 2, 3, 4, 5, 6]
+    grid = states.reshape(3, 2)
     with pytest.raises(ValueError):
-        below_lanes(np.zeros(3, dtype=np.uint64), 0)
-    with pytest.raises(ValueError):
-        below_lanes(np.zeros((3, 2), dtype=np.uint64)[:, 0], 5)
+        below_lanes(grid[:, 0], 5)
+    assert states.tolist() == [1, 2, 3, 4, 5, 6]
