@@ -179,56 +179,62 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
 # commands
 
 
+def _export_spec(args):
+    """The lattice of a command that writes a PNM: anything but a full 2-D grid,
+    and a missing --out, are refused before any work, so no partial output is left."""
+    spec = colouring.lattice_from_id(args.lattice)
+    if not spec.full_grid or spec.dim != 2:
+        raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
+    if args.out is None:
+        raise ParseError(f"{args.command} writes files; --out is required")
+    return spec
+
+
+def _sampled_window(args, spec):
+    """(config, colouring) of the sampled window: its budget is checked
+    before a config of every prime up to P is drawn."""
+    window = colouring.Window(args.origin, args.extents)
+    window.require_budget()
+    config = colouring.sample_coset_config(spec, args.P, args.seed)
+    return config, colouring.colour_window(config, window)
+
+
 def cmd_sample(args) -> int:
     if args.oracle is not None and args.lattice != "Z2":
         raise DomainError("the gcd oracle is defined on the Z2 grid")
-    spec = colouring.lattice_from_id(args.lattice)
-    if not spec.full_grid or spec.dim != 2:
-        # refused before any work, so no partial output is left behind
-        raise DomainError(f"PGM export covers full 2-D grids; {args.lattice} is not one")
-    if args.out is None:
-        raise ParseError("sample writes files; --out is required")
-    window = colouring.Window(args.origin, args.extents)
-    window.require_budget()  # before a config of every prime up to P is drawn
+    spec = _export_spec(args)
     if args.oracle is not None:
+        window = colouring.Window(args.origin, args.extents)
         col = colouring.oracle_from_origin(args.oracle, window)
     else:
-        config = colouring.sample_coset_config(spec, args.P, args.seed)
-        col = colouring.colour_window(config, window)
+        config, col = _sampled_window(args, spec)
         _write(args, "config.txt", lambda path: colouring.save_config(config, path))
     _write(args, "colouring.pgm", lambda path: colouring.save_colouring(col, path))
     print(f"white fraction {col.white_fraction():.6f}")
     if args.oracle is None:
-        bound = colouring.truncation_error_bound(window, args.P)
+        bound = colouring.truncation_error_bound(col.window, args.P)
         print(f"truncation error bound {float(bound):.6g}")
     return 0
 
 
 def cmd_layers(args) -> int:
-    if args.out is None:
-        raise ParseError("layers writes files; --out is required")
-    if args.lattice != "Z2":
-        raise DomainError("layer rendering is defined on the Z2 grid")
+    spec = _export_spec(args)
     primes = args.primes
     if not 1 <= len(primes) <= 3 or len(set(primes)) != len(primes):
         raise DomainError("need 1 to 3 distinct highlighted primes")
-    spec = colouring.lattice_from_id(args.lattice)
     table = arith.primes_up_to(max(2, *primes))
     for p in primes:
         if p not in table:
             raise DomainError(f"highlighted value {p} is not a prime")
         if p > args.P:
             raise DomainError(f"highlighted prime {p} exceeds the cutoff P={args.P}")
-    window = colouring.Window(args.origin, args.extents)
-    window.require_budget()  # like the primes, before the config is drawn
-    config = colouring.sample_coset_config(spec, args.P, args.seed)
-    col = colouring.colour_window(config, window)
+    config, col = _sampled_window(args, spec)
     import numpy as np  # only once colouring has loaded (see coprimelab/__init__.py)
 
     # index bit i: in the coset of primes[i]; bit 3: white
     index = col.white.view(np.uint8) << 3
     for i, p in enumerate(primes):
-        index[colouring.coset_slice(config.reps[p], p, window)] |= 1 << i
+        index[colouring.coset_slice(config.reps[p], p, col.window)] |= 1 << i
     palette = np.zeros((16, 3), dtype=np.uint8)
     palette[8:] = 255
     for bits, colour in LAYER_PALETTE.items():
@@ -291,10 +297,7 @@ def cmd_clusters(args) -> int:
     if not inside.all():
         v = tuple(S.rows[inside.argmin()].tolist())
         raise DomainError(f"{args.adjacency} generator {v} is not in {spec.name}")
-    window = colouring.Window(args.origin, args.extents)
-    window.require_budget()
-    config = colouring.sample_coset_config(spec, args.P, args.seed)
-    col = colouring.colour_window(config, window)
+    _, col = _sampled_window(args, spec)
     labels = perco.label_clusters(col, S, args.colour)
     _emit_csv(args, "key,value", [
         f"colour,{args.colour}",

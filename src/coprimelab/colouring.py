@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -423,14 +424,18 @@ def load_config(path) -> CosetConfig:
 
 def save_pnm(path, colouring: Colouring, index: np.ndarray, palette: np.ndarray,
              *comments: str) -> None:
-    """Write palette[index] over a 2-D colouring's window as binary PNM.
+    """Write palette[index] over a full 2-D grid colouring's window as binary PNM.
 
     A palette of bytes makes a PGM (P5), one of RGB triples a PPM (P6).  The
     header holds origin, extents and provenance comments, then `# comment`
     lines as given, then the size and maxval 255; load_colouring reads it
-    back.  The raster is written in runs of at most _BATCH_ENTRIES bytes, so
-    no image of the whole window is built.
+    back.  Raster rows run along increasing axis-2 coordinate, columns along
+    axis 1, written in runs of at most _BATCH_ENTRIES bytes, so no image of
+    the whole window is built.  Other colourings are refused before the file
+    is opened.
     """
+    if colouring.window.dim != 2 or colouring.in_lattice is not None:
+        raise DomainError("PNM export covers full 2-D grid windows only")
     (o1, o2), (e1, e2) = colouring.window.origin, colouring.window.extents
     lines = ["P5" if palette.ndim == 1 else "P6", f"# origin={o1} {o2}",
              f"# extents={e1} {e2}", f"# provenance={colouring.provenance}",
@@ -444,33 +449,20 @@ def save_pnm(path, colouring: Colouring, index: np.ndarray, palette: np.ndarray,
 
 
 def save_colouring(colouring: Colouring, path) -> None:
-    """Write a 2-D full-grid colouring as binary PGM, white = 255.
-
-    Raster rows run along increasing axis-2 coordinate, columns along axis 1.
-    """
-    if colouring.window.dim != 2:
-        raise DomainError("PGM export is two-dimensional")
-    if colouring.in_lattice is not None:
-        raise DomainError("PGM export covers full-grid windows only")
+    """Write a colouring as binary PGM, white = 255."""
     save_pnm(path, colouring, colouring.white.view(np.uint8), np.array([0, 255], dtype=np.uint8))
 
 
 def load_colouring(path) -> Colouring:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read colouring file: {exc}") from None
-    pos = 0
+    """Read a PGM that save_colouring wrote.  The header is read a line at a
+    time, and the raster's length, checked against the file's size, and the
+    window's budget both come before any raster byte is read."""
 
-    def take_line(lineno):
-        nonlocal pos
-        end = data.find(b"\n", pos)
-        if end < 0:
+    def header_line(lineno):
+        line = fh.readline()
+        if not line.endswith(b"\n"):
             raise ParseError("truncated header", line=lineno)
-        out = data[pos:end]
-        pos = end + 1
-        return out
+        return line[:-1]
 
     def ints(text, lineno, what):
         try:
@@ -478,46 +470,49 @@ def load_colouring(path) -> Colouring:
         except ValueError:
             raise ParseError(f"non-integer {what}", line=lineno) from None
 
-    if take_line(1) != b"P5":
-        raise ParseError("not a binary PGM", line=1)
-    meta = {}  # comment key -> (value, line number)
-    lineno = 1
-    while True:
-        lineno += 1
-        line = take_line(lineno)
-        if line.startswith(b"#"):
-            try:
-                text = line[1:].strip().decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError("comment is not UTF-8", line=lineno) from None
-            key, _, value = text.partition("=")
-            meta[key.strip()] = (value, lineno)
-            continue
-        dims = ints(line, lineno, "width and height")
-        if len(dims) != 2 or min(dims) < 1:
-            raise ParseError("expected positive width and height", line=lineno)
-        width, height = dims
-        break
-    lineno += 1
-    if take_line(lineno) != b"255":
-        raise ParseError("expected maxval 255", line=lineno)
-    if len(data) - pos != width * height:
-        raise ParseError(
-            f"raster holds {len(data) - pos} bytes, expected {width * height}", line=lineno
-        )
-    if "origin" not in meta or "extents" not in meta:
-        raise ParseError("missing origin/extents comments", line=2)
-    origin = ints(*meta["origin"], "origin")
-    extents = ints(*meta["extents"], "extents")
-    if extents != (width, height):
-        raise ParseError("extents comment disagrees with raster size", line=meta["extents"][1])
-    if len(origin) != 2:
-        raise ParseError("origin comment needs two coordinates", line=meta["origin"][1])
-    arr = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
+    try:
+        with open(path, "rb") as fh:
+            if header_line(1) != b"P5":
+                raise ParseError("not a binary PGM", line=1)
+            meta = {}  # comment key -> (value, line number)
+            lineno = 2
+            while (line := header_line(lineno)).startswith(b"#"):
+                try:
+                    text = line[1:].strip().decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError("comment is not UTF-8", line=lineno) from None
+                key, _, value = text.partition("=")
+                meta[key.strip()] = (value, lineno)
+                lineno += 1
+            dims = ints(line, lineno, "width and height")
+            if len(dims) != 2 or min(dims) < 1:
+                raise ParseError("expected positive width and height", line=lineno)
+            width, height = dims
+            lineno += 1
+            if header_line(lineno) != b"255":
+                raise ParseError("expected maxval 255", line=lineno)
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held != width * height:
+                raise ParseError(f"raster holds {held} bytes, expected {width * height}",
+                                 line=lineno)
+            if "origin" not in meta or "extents" not in meta:
+                raise ParseError("missing origin/extents comments", line=2)
+            origin = ints(*meta["origin"], "origin")
+            extents = ints(*meta["extents"], "extents")
+            if extents != (width, height):
+                raise ParseError("extents comment disagrees with raster size",
+                                 line=meta["extents"][1])
+            if len(origin) != 2:
+                raise ParseError("origin comment needs two coordinates", line=meta["origin"][1])
+            window = Window(origin, extents)
+            window.require_budget()
+            arr = np.frombuffer(fh.read(held), dtype=np.uint8).reshape(height, width)
+    except OSError as exc:
+        raise ParseError(f"cannot read colouring file: {exc}") from None
     white = arr == 255
     if np.count_nonzero(arr) != np.count_nonzero(white):
         raise ParseError("raster contains values other than 0 and 255", line=lineno)
     provenance, line = meta.get("provenance", ("unknown", None))
     if provenance.startswith("config "):
         parse_fields(provenance.removeprefix("config "), line)
-    return Colouring(Window(origin, extents), white, provenance)
+    return Colouring(window, white, provenance)

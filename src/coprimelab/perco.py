@@ -525,12 +525,12 @@ def _run_trials(row: tuple[str, int, int], kernel, event, dim: int, lines: int,
     witness is the lowest successful trial's index and event result.
 
     Trial t always uses seed trial_seed(master_seed, t), so neither the count
-    nor the witness depends on the worker count or the chunking.  Trials run
-    in chunks of at least _CHUNK_ENTRIES entries, at most one worker process
-    per core this process may run on; a run too small to pay for a worker
-    makes one chunk and runs in this process.  The event result is True
-    unless window_event is given: it is then window_event of the witness
-    trial's Z2 colouring of window, which must succeed too.
+    nor the witness depends on the worker count or the chunking.  Workers are
+    capped at the cores this process may run on before the trials are cut into
+    4 chunks a worker or fewer, of at least _CHUNK_ENTRIES entries; a run too
+    small to pay for a worker makes one chunk and runs in this process.  The
+    event result is True unless window_event is given: it is then window_event
+    of the witness trial's Z2 colouring of window, which must succeed too.
     """
     if workers < 1:
         raise DomainError(f"need workers >= 1, got {workers}")
@@ -543,12 +543,12 @@ def _run_trials(row: tuple[str, int, int], kernel, event, dim: int, lines: int,
     # each trial draws dim residues per prime p <= P and tests at most `lines` lines
     entries = len(primes_up_to(P)) * dim + lines
     step = max(1, _BATCH_ENTRIES // entries)
+    workers = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
     size = max(math.ceil(trials / (workers * 4)), math.ceil(_CHUNK_ENTRIES / entries))
     chunks = [(kernel, event, P, dim, step, master_seed, lo, min(trials, lo + size))
               for lo in range(0, trials, size)]
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    processes = min(workers, len(chunks), cores)
+    processes = min(workers, len(chunks))
     if processes <= 1:
         results = [_trial_chunk(c) for c in chunks]
     else:

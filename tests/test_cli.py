@@ -734,6 +734,29 @@ def test_layers_refuses_a_value_that_is_not_prime(capsys, tmp_path, value):
     assert err == f"domain error: highlighted value {value} is not a prime\n"
 
 
+def test_sample_and_layers_share_one_export_rule(capsys, tmp_path):
+    # the triangular colouring is the Z2 colouring: only the provenance line
+    # (the fourth of the header) tells the two images apart
+    images = {}
+    for lattice in ("Z2", "triangular"):
+        code, _, _ = run(capsys, "layers", "--lattice", lattice, "--P", "13", "--origin", "-4,-4",
+                         "--extents", "24,16", "--out", str(tmp_path / lattice))
+        assert code == 0
+        images[lattice] = (tmp_path / lattice / "layers.ppm").read_bytes().split(b"\n", 4)
+    z2, tri = images["Z2"], images["triangular"]
+    assert tri[3] == z2[3].replace(b"lattice=Z2 ", b"lattice=triangular ") != z2[3]
+    assert tri[:3] + tri[4:] == z2[:3] + z2[4:]
+    refused = str(tmp_path / "no")
+    for command in ("sample", "layers"):
+        for lattice in ("D2", "Z3"):
+            code, out, err = run(capsys, command, "--lattice", lattice, "--out", refused)
+            assert (code, out) == (2, "")
+            assert err == f"domain error: PGM export covers full 2-D grids; {lattice} is not one\n"
+        code, _, err = run(capsys, command)
+        assert (code, err) == (3, f"parse error: {command} writes files; --out is required\n")
+    assert not (tmp_path / "no").exists()
+
+
 def test_infer_reports_truth(capsys, tmp_path):
     d = tmp_path / "s"
     assert main(["sample", "--out", str(d), "--origin", "-8,-8", "--extents",

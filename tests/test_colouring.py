@@ -36,6 +36,7 @@ from coprimelab.colouring import (
     sample_coset_config,
     save_colouring,
     save_config,
+    save_pnm,
     truncation_error_bound,
 )
 from coprimelab.errors import DomainError, ParseError
@@ -578,10 +579,34 @@ def test_pgm_round_trips_in_about_the_file_and_its_mask(tmp_path, memory_contrac
 
 
 def test_pgm_rejects_non_full_grid(tmp_path):
-    d2 = lattice_from_id("D2")
-    col = colour_window(sample_coset_config(d2, 5, 1), Window((0, 0), (6, 6)))
-    with pytest.raises(DomainError):
-        save_colouring(col, tmp_path / "no.pgm")
+    # the one writer owns the rule, and refuses before the file is opened
+    d2 = colour_window(sample_coset_config(lattice_from_id("D2"), 5, 1), Window((0, 0), (6, 6)))
+    z3 = colour_window(sample_coset_config(lattice_from_id("Z3"), 5, 1),
+                       Window((0, 0, 0), (3, 3, 3)))
+    palette = np.array([0, 255], dtype=np.uint8)
+    for col in (d2, z3):
+        with pytest.raises(DomainError, match="full 2-D grid"):
+            save_colouring(col, tmp_path / "no.pgm")
+        with pytest.raises(DomainError, match="full 2-D grid"):
+            save_pnm(tmp_path / "no.pgm", col, col.white.view(np.uint8), palette)
+    assert not (tmp_path / "no.pgm").exists()
+
+
+def test_pgm_over_the_budget_is_refused_before_its_raster_is_read(tmp_path, capsys,
+                                                                  cheap_refusal):
+    # 8193^2 points pass the 2^26 budget by 16,385; the raster has the
+    # declared length, held by the file system as a hole
+    from coprimelab.cli import main
+
+    path = tmp_path / "big.pgm"
+    header = b"P5\n# origin=0 0\n# extents=8193 8193\n8193 8193\n255\n"
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(len(header) + 8193 * 8193)
+    message = "window of 67125249 points exceeds the budget of 67108864"
+    cheap_refusal(message, partial(load_colouring, path))
+    assert main(["infer", "--pgm", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"domain error: {message}\n")
 
 
 def test_coupling_disagreements_match_direct_scan():

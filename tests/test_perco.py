@@ -6,6 +6,8 @@ exactly computable truncated probability (adjacent rows cannot both be white
 because the p=2 coset always covers one parity class).
 """
 
+import itertools
+import math
 from fractions import Fraction
 from functools import partial
 
@@ -335,31 +337,48 @@ def test_worker_count_does_not_change_counts():
     assert a1.successes == a3.successes
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: it maps in this process, so no
+    process starts whatever the requested count, and lists each pool's size
+    in `sizes`."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 def test_worker_processes_never_exceed_cores(monkeypatch):
-    # a stand-in pool that records its size and maps serially, so no
-    # process starts whatever the requested count
     import concurrent.futures
     import os
 
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
     many = estimate_crossing(8, 8, 40, 23, 99, workers=10**6)
-    assert all(n <= (os.cpu_count() or 1) for n in sizes)
+    assert all(n <= (os.cpu_count() or 1) for n in _SerialPool.sizes)
     assert many == estimate_crossing(8, 8, 40, 23, 99, workers=1)
+
+
+def test_workers_are_capped_at_the_cores_before_chunking(monkeypatch, memory_contract):
+    # 10^10 trials in at most 4 chunks a core: the chunk list no longer
+    # grows with the requested count (11.8 MiB at 10^6 when cut for it)
+    import concurrent.futures
+
+    from coprimelab import perco
+
+    monkeypatch.setattr(perco, "_trial_chunk", lambda chunk: (0, None))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    memory_contract(0, 2**20, {w: partial(estimate_crossing, 1, 1, 10**10, 5, 0, workers=w)
+                               for w in (2, 10**4, 10**6)})
 
 
 def _no_pool(*args, **kwargs):
@@ -389,8 +408,9 @@ def test_workers_are_capped_at_the_cores_this_process_may_use(monkeypatch):
 
 
 def test_worker_pool_gives_the_serial_counts_and_witnesses(monkeypatch):
-    # one-entry chunks, so every run splits into workers * 4 chunks and any
-    # worker count above 1 goes through a real pool (on a host with 2 or more cores)
+    # one-entry chunks, so every run splits into 4 chunks a worker (workers
+    # capped at the cores) and any worker count above 1 goes through a real
+    # pool (on a host with 2 or more cores)
     import concurrent.futures
     import os
 
@@ -708,6 +728,46 @@ def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
     moment = Fraction(int((N * N).sum()), len(rows))
     assert moment == n * line_white_trunc(x, P) + sum(
         2 * (n - d) * pair_line_trunc(d, x, P) for d in range(1, n))
+
+
+def exact_crossing(n, x, P, one=1.0):
+    """P(some row 1..n is white across the columns 1..x) at cutoff P, by
+    inclusion-exclusion over the row sets T: prime p leaves every row of T
+    white with probability 1 - |T mod p| min(x, p) / p^2, independently of
+    the other primes.  one = Fraction(1) makes it exact."""
+    primes = primes_up_to(P).primes
+
+    def factor(p, classes):
+        return 1 - classes * min(x, p) * one / (p * p)
+
+    # rows 1..n fall in distinct classes mod any p >= n, so |T mod p| = |T|
+    large = [math.prod(factor(p, k) for p in primes if p >= n) for k in range(n + 1)]
+    none_white = 0
+    for k in range(n + 1):
+        for T in itertools.combinations(range(1, n + 1), k):
+            small = math.prod(factor(p, len({r % p for r in T})) for p in primes if p < n)
+            none_white += (-1) ** k * large[k] * small
+    return 1 - none_white
+
+
+@pytest.mark.parametrize("P", [5, 7])
+@pytest.mark.parametrize("n,x", [(6, 8), (4, 3)])
+def test_exact_crossing_oracle_counts_every_configuration(P, n, x):
+    primes, residues = all_residues(P)
+    crossed = _crossed(primes, residues, _box_crossings(n, x))
+    assert Fraction(int(crossed.sum()), len(crossed)) == exact_crossing(n, x, P, Fraction(1))
+
+
+@pytest.mark.parametrize("n,x,P,value", [
+    (6, 16, 31, 0.76182), (10, 64, 127, 0.79426), (12, 256, 512, 0.75041)])
+def test_estimate_crossing_meets_the_exact_oracle_at_real_cutoffs(n, x, P, value):
+    # a bound of 4 standard errors, fixed before any run; seed 0 gives
+    # z = +1.52, +0.75 and +0.83
+    exact = exact_crossing(n, x, P)
+    assert round(exact, 5) == value
+    stats = estimate_crossing(n, x, 10_000, P, 0)
+    z = (stats.successes / stats.trials - exact) / math.sqrt(exact * (1 - exact) / stats.trials)
+    assert abs(z) < 4, z
 
 
 # Each kernel against its event on every configuration at P = 5: 900 in 2-D,
