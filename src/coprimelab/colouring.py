@@ -20,22 +20,13 @@ from functools import reduce
 
 # package modules before numpy (see coprimelab/__init__.py)
 from .arith import primes_up_to
-from .errors import CANDIDATE_BUDGET, SIZE_BUDGET, DomainError, ParseError
-from .lattice_core import LatticeSpec, contains_bulk, lattice_from_id
+from .errors import _BATCH_ENTRIES, CANDIDATE_BUDGET, SIZE_BUDGET, DomainError, ParseError
+from .lattice_core import LatticeSpec, _walk_box, contains_bulk, lattice_from_id
 from .rng import RNG_ID, below_lanes, stream_seeds
 
 import numpy as np
 
 _U64 = (1 << 64) - 1
-
-# Most entries of one temporary array in a loop over a big array: a _blocks
-# box of the gcd oracle or of perco.label_clusters' edges and faces, the
-# coordinates of a _box_members block, a raster run of save_pnm, a forest run
-# of label_clusters, or a Monte Carlo sub-batch (residues plus tested lines,
-# per trial), so memory stays flat whatever the window, the trial count or P.
-# A sub-batch's residues are drawn in place: a lane (trial x prime) holds its
-# state, its dim residues and one draw with its scratch, 24 + 8 dim bytes.
-_BATCH_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +125,8 @@ class Colouring:
 
     white[..., j2, j1] is the point origin + (j1, j2, ...).  For windows on a
     proper sublattice, in_lattice marks which grid positions are actual
-    lattice points; elsewhere it is None and every position is a point.
+    lattice points, and white is set only where in_lattice is; elsewhere
+    in_lattice is None and every position is a point.
     """
 
     window: Window
@@ -152,7 +144,7 @@ class Colouring:
         if self.in_lattice is None:
             return float(self.white.mean())
         n = int(self.in_lattice.sum())
-        return float((self.white & self.in_lattice).sum() / n) if n else float("nan")
+        return float(self.white.sum() / n) if n else float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -203,51 +195,18 @@ def colour_window(config: CosetConfig, window: Window) -> Colouring:
             white[coset_slice(rep, p, window)] = False
         return Colouring(window, white, provenance)
     in_lattice = np.empty(window.array_shape(), dtype=bool)
-    for block, member in _box_members(spec, window.origin, in_lattice.shape):
-        in_lattice[block] = member
+    for block, rows in _walk_box(window.origin, in_lattice.shape, _BATCH_ENTRIES, rows=True):
+        in_lattice[block].flat = contains_bulk(spec, rows)
     white = in_lattice.copy()
     reps = np.array(list(config.reps.values()), dtype=object).reshape(-1, spec.dim)
     for p, anchor in zip(config.reps, (reps @ np.array(spec.columns, dtype=object)).tolist()):
         view = white[coset_slice(anchor, p, window)]
         if view.size:  # on axis k, (v - anchor)/p starts at -((anchor_k - origin_k) // p)
             start = [-((a - o) // p) for a, o in zip(anchor, window.origin)]
-            for block, member in _box_members(spec, start, view.shape):
-                view[block] &= ~member
+            for block, rows in _walk_box(start, view.shape, _BATCH_ENTRIES, rows=True):
+                black = view[block]
+                black &= ~contains_bulk(spec, rows).reshape(black.shape)
     return Colouring(window, white, provenance, in_lattice)
-
-
-def _box_dtype(origin, extents):
-    """int64 while every coordinate of the box is below 2^62 in size, Python
-    ints (dtype=object) beyond that."""
-    reach = max(max(abs(o), abs(o + e - 1)) for o, e in zip(origin, extents))
-    return np.int64 if reach < 1 << 62 else object
-
-
-def _blocks(box, limit):
-    """Boxes of at most limit positions that tile box, slices with explicit
-    starts, in C order: whole outer rows while a row fits, else rows cut up."""
-    outer, inner = box[0], box[1:]
-    row = math.prod(max(0, s.stop - s.start) for s in inner)
-    if row > limit:
-        for i in range(outer.start, outer.stop):
-            yield from ((slice(i, i + 1), *sub) for sub in _blocks(inner, limit))
-    elif row:
-        rows = limit // row
-        for lo in range(outer.start, outer.stop, rows):
-            yield (slice(lo, min(lo + rows, outer.stop)), *inner)
-
-
-def _box_members(spec, origin, shape):
-    """(block, in-lattice mask) for each _blocks box of an array whose index 0
-    is the point origin; a block's coordinates take at most _BATCH_ENTRIES entries."""
-    d = len(shape)
-    dtype = _box_dtype(origin, shape[::-1])
-    for block in _blocks(tuple(slice(0, n) for n in shape), max(1, _BATCH_ENTRIES // d)):
-        pts = np.empty((d, *(s.stop - s.start for s in block)), dtype=dtype)
-        for a, (s, o) in enumerate(zip(block, origin[::-1])):  # coordinate d-1-a along axis a
-            run = np.arange(s.start + o, s.stop + o, dtype=dtype)
-            pts[d - 1 - a] = run.reshape((-1,) + (1,) * (d - 1 - a))
-        yield block, contains_bulk(spec, pts.reshape(d, -1).T).reshape(pts.shape[1:])
 
 
 def oracle_from_origin(X, window: Window) -> Colouring:
@@ -260,15 +219,11 @@ def oracle_from_origin(X, window: Window) -> Colouring:
     if len(X) != window.dim:
         raise DomainError("base point dimension mismatch")
     window.require_budget()
-    shape, shift = window.array_shape(), [o - x for o, x in zip(window.origin, X)][::-1]
-    dtype = _box_dtype(shift, shape)
-    white = np.empty(shape, dtype=bool)
-    for block in _blocks(tuple(slice(0, n) for n in shape), _BATCH_ENTRIES):
-        g = 0  # gcd(0, c) = |c|, so a 1-D window's c = -1 is white
-        for a, (s, o) in enumerate(zip(block, shift)):  # v - X along array axis a
-            run = np.arange(s.start + o, s.stop + o, dtype=dtype)
-            g = np.gcd(g, run.reshape((-1,) + (1,) * (len(shape) - 1 - a)))
-        white[block] = g == 1
+    shift = [o - x for o, x in zip(window.origin, X)]
+    white = np.empty(window.array_shape(), dtype=bool)
+    for block, runs in _walk_box(shift, white.shape, _BATCH_ENTRIES):
+        # v - X, outer array axis first; gcd(0, c) = |c|, so a 1-D window's c = -1 is white
+        white[block] = reduce(np.gcd, runs, 0) == 1
     provenance = "oracle X=" + ",".join(str(c) for c in X)
     return Colouring(window, white, provenance)
 
@@ -349,8 +304,6 @@ def infer_cosets(colouring: Colouring, p_max: int) -> InferResult:
 def has_full_white_block(colouring: Colouring) -> bool:
     """Whether some axis-aligned 2^d block of the window is entirely white."""
     W = colouring.white
-    if colouring.in_lattice is not None:
-        W = W & colouring.in_lattice
     if any(n < 2 for n in W.shape):
         return False
     views = []
@@ -454,12 +407,13 @@ def save_colouring(colouring: Colouring, path) -> None:
 
 
 def load_colouring(path) -> Colouring:
-    """Read a PGM that save_colouring wrote.  The header is read a line at a
-    time, and the raster's length, checked against the file's size, and the
-    window's budget both come before any raster byte is read."""
+    """Read a PGM that save_colouring wrote.  The header is read a line of at
+    most _BATCH_ENTRIES bytes at a time, and the raster's length, checked
+    against the file's size, and the window's budget both come before any
+    raster byte is read."""
 
     def header_line(lineno):
-        line = fh.readline()
+        line = fh.readline(_BATCH_ENTRIES)
         if not line.endswith(b"\n"):
             raise ParseError("truncated header", line=lineno)
         return line[:-1]

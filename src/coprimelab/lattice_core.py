@@ -2,8 +2,10 @@
 
 The part of the lattice layer that every command which colours a window
 needs: the spec of a lattice id and its membership rule, the standard
-generating sets, Bareiss adjugates and a running Hermite form.  The Golay
-code, the Leech lattice and the Cayley-structure certifiers live in
+generating sets, Bareiss adjugates, a running Hermite form, and the one walk
+over the points of a box (_walk_box over the _blocks tiling), which window
+colourings, the gcd oracle and box enumerations share.  The Golay code, the
+Leech lattice and the Cayley-structure certifiers live in
 coprimelab.lattice, which re-exports this module; the Leech rule, spec and
 minimal set are imported from there on first use, so the Monte Carlo and
 window commands never load it.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 # package modules before numpy (see coprimelab/__init__.py)
-from .errors import SIZE_BUDGET, DomainError
+from .errors import _BATCH_ENTRIES, SIZE_BUDGET, DomainError
 
 import numpy as np
 
@@ -414,15 +416,49 @@ def minimal_vectors(spec: LatticeSpec) -> GenSet:
 
 
 def _enumerate_box_points(spec: LatticeSpec, radius: int, axis: int | None = None) -> np.ndarray:
-    """All lattice points with every coordinate in [-radius, radius], in
-    lexicographic order; given an axis, only those whose axis coordinate is 0."""
-    free = spec.dim - (axis is not None)
-    side = 2 * radius + 1
-    if side ** free * spec.dim > SIZE_BUDGET:
+    """All lattice points with every coordinate in [-radius, radius], int64 rows
+    kept block by block from _walk_box; given an axis, only those 0 on it."""
+    side = [1 if k == axis else 2 * radius + 1 for k in range(spec.dim)]
+    if math.prod(side) * spec.dim > SIZE_BUDGET:
         raise DomainError("box too large to enumerate pointwise")
-    # built in the smallest signed type that holds the box; members are int64
-    pts = np.indices((side,) * free, dtype=np.min_scalar_type(-side))
-    pts = pts.reshape(free, side ** free).T - radius
-    if axis is not None:
-        pts = np.insert(pts, axis, 0, axis=1)
-    return pts[contains_bulk(spec, pts)].astype(np.int64)
+    corner = [0 if k == axis else -radius for k in range(spec.dim)]
+    kept = [rows[contains_bulk(spec, rows)]
+            for _, rows in _walk_box(corner, side[::-1], _BATCH_ENTRIES, rows=True)]
+    return np.concatenate(kept).astype(np.int64)
+
+
+def _blocks(box, limit):
+    """Boxes of at most limit positions that tile box, slices with explicit
+    starts, in C order: whole outer rows while a row fits, else rows cut up."""
+    outer, inner = box[0], box[1:]
+    row = math.prod(max(0, s.stop - s.start) for s in inner)
+    if row > limit:
+        for i in range(outer.start, outer.stop):
+            yield from ((slice(i, i + 1), *sub) for sub in _blocks(inner, limit))
+    elif row:
+        rows = limit // row
+        for lo in range(outer.start, outer.stop, rows):
+            yield (slice(lo, min(lo + rows, outer.stop)), *inner)
+
+
+def _walk_box(origin, shape, limit, rows=False):
+    """(block, coordinates) for each _blocks box of an array of shape whose
+    index 0 is the point origin, array axis a running along coordinate
+    d - 1 - a: per-axis runs, run a shaped to broadcast along array axis a,
+    in blocks of at most limit points, or with rows the block's points in C
+    order as (n, d) rows, a view of one coordinate after another, in blocks
+    of at most limit entries.  The dtype is the smallest signed one that
+    holds every coordinate of the box and its negation, and Python ints
+    (dtype=object) once the box reaches 2^62."""
+    d = len(shape)
+    reach = max(max(abs(o), abs(o + n - 1)) for o, n in zip(origin, shape[::-1]))
+    dtype = np.min_scalar_type(-1 - reach) if reach < 1 << 62 else object
+    for block in _blocks(tuple(slice(0, n) for n in shape), max(1, limit // d) if rows else limit):
+        runs = [np.arange(s.start + o, s.stop + o, dtype=dtype).reshape((-1,) + (1,) * (d - 1 - a))
+                for a, (s, o) in enumerate(zip(block, origin[::-1]))]
+        if rows:
+            pts = np.empty((d, *(len(r) for r in runs)), dtype=dtype)
+            for a, run in enumerate(runs):
+                pts[d - 1 - a] = run
+            runs = pts.reshape(d, -1).T
+        yield block, runs

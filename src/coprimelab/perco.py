@@ -18,10 +18,9 @@ from fractions import Fraction
 
 # package modules before numpy (see coprimelab/__init__.py)
 from .arith import decimal_str, primes_up_to
-from .colouring import (_BATCH_ENTRIES, Colouring, Window, _blocks, colour_window,
-                        coset_residues, sample_coset_config)
-from .errors import SIZE_BUDGET, DomainError
-from .lattice_core import GenSet, lattice_from_id, minimal_vectors
+from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
+from .errors import _BATCH_ENTRIES, SIZE_BUDGET, DomainError
+from .lattice_core import GenSet, _blocks, lattice_from_id, minimal_vectors
 from .rng import stream_seed, stream_seeds
 
 import numpy as np
@@ -140,12 +139,12 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     Memory: the int64 grid returned as `labels` is the union-find forest
     until it takes the ids: each position is a node named by its raster
     index, and its entry is its parent, every position's root after each
-    offset pair.  A pair's edges and each face that `touches` reads are taken
-    in colouring._blocks of at most _BATCH_ENTRIES positions (entries that an
-    earlier block hooked are followed up to their roots), and the forest is
-    flattened, relabelled and counted in runs of that length, so the working
-    set beyond the grid, the colour's mask, `sizes` and `touches` is bounded
-    whatever the window's shape or the size of S.
+    offset pair.  A pair's edges and each face that `touches` reads are
+    taken in lattice_core._blocks of at most _BATCH_ENTRIES positions
+    (entries that an earlier block hooked are followed up to their roots),
+    and the forest is flattened, relabelled and counted in runs of that
+    length, so the working set beyond the grid, the colour's mask, `sizes`
+    and `touches` is bounded whatever the window's shape or the size of S.
     """
     if colour not in ("white", "black"):
         raise DomainError(f"colour must be white or black, got {colour!r}")

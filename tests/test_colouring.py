@@ -41,6 +41,7 @@ from coprimelab.colouring import (
 )
 from coprimelab.errors import DomainError, ParseError
 from coprimelab.rng import RNG_ID, SplitMix64, stream_seed
+from conftest import traced_peak
 
 Z2 = lattice_from_id("Z2")
 
@@ -217,11 +218,32 @@ def test_oracle_far_from_the_window(X):
     oracle_matches_gcd(X, Window((-2, 1), (5, 4)))
 
 
+@pytest.mark.parametrize("reach,dtype", [
+    (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+    (2**31 - 1, np.int32), (2**31, np.int64), (2**62 - 1, np.int64), (2**62, object)])
+def test_box_coordinates_are_exact_at_each_dtype_step(reach, dtype):
+    # a box's coordinates take the smallest signed type that holds its reach,
+    # the largest coordinate size in it, and its negation: each pair
+    # straddles one step, on the positive and the negative side
+    from coprimelab.lattice_core import _walk_box
+
+    d2 = lattice_from_id("D2")
+    config = sample_coset_config(d2, 13, 7)
+    for window in (Window((reach - 5, -3), (6, 4)), Window((-3, -reach), (4, 6))):
+        _, runs = next(_walk_box(window.origin, window.array_shape(), 1 << 16))
+        assert runs[0].dtype == dtype
+        oracle_matches_gcd((0, 0), window)
+        col = colour_window(config, window)
+        white, in_lattice = per_point_colouring(d2, config, window)
+        assert np.array_equal(col.in_lattice, in_lattice)
+        assert np.array_equal(col.white, white)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 5)), min_size=1, max_size=3),
        st.integers(1, 40))
 def test_blocks_tile_their_box_in_c_order(axes, limit):
-    from coprimelab.colouring import _blocks
+    from coprimelab.lattice_core import _blocks
 
     def points(box):
         return list(itertools.product(*(range(s.start, s.stop) for s in box)))
@@ -303,6 +325,7 @@ def test_sublattice_colouring_matches_per_point_rule(lattice_id, origin, extents
     white, in_lattice = per_point_colouring(spec, config, window)
     assert np.array_equal(col.in_lattice, in_lattice)
     assert np.array_equal(col.white, white)
+    assert not (col.white & ~col.in_lattice).any()  # white lies inside in_lattice
     assert in_lattice.any() and (white & in_lattice).any() and (~white & in_lattice).any()
 
 
@@ -329,6 +352,7 @@ def test_coupled_sublattice_colouring_matches_per_point_rule(lattice_id, X, exte
     white, in_lattice = per_point_colouring(spec, config, window)
     assert np.array_equal(col.in_lattice, in_lattice)
     assert np.array_equal(col.white, white)
+    assert not (col.white & ~col.in_lattice).any()  # white lies inside in_lattice
     assert not col.white_at(X)
     assert (white & in_lattice).any() and int(in_lattice.sum()) > 8
 
@@ -609,6 +633,26 @@ def test_pgm_over_the_budget_is_refused_before_its_raster_is_read(tmp_path, caps
     assert capsys.readouterr() == ("", f"domain error: {message}\n")
 
 
+def test_pgm_header_lines_are_read_within_a_bound(tmp_path):
+    # a 32 MiB comment line with no newline was read whole (65 MiB traced)
+    # before it was refused; the file's bytes are a hole of zeros
+    path = tmp_path / "long.pgm"
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n# ")
+        fh.truncate(32 << 20)
+
+    def refuse():
+        with pytest.raises(ParseError, match="^line 2: truncated header$"):
+            load_colouring(path)
+    assert traced_peak(refuse) < 1 << 20
+    # the longest line a writer makes, an origin of two 4,300-digit ints, fits
+    far = 10**4299
+    col = oracle_from_origin((far, -far), Window((far, -far), (3, 2)))
+    save_colouring(col, tmp_path / "far.pgm")
+    again = load_colouring(tmp_path / "far.pgm")
+    assert again.window == col.window and np.array_equal(again.white, col.white)
+
+
 def test_coupling_disagreements_match_direct_scan():
     X = (7, 11)
     P = 97
@@ -698,14 +742,14 @@ def test_window_colourings_fill_their_masks_in_slabs(memory_contract):
     def squares(colour, *sides):
         return {n * n: partial(colour, Window((-5, -5), (n, n))) for n in sides}
 
-    # the bool mask, then one block of int64 gcds at a time
+    # the bool mask, then one block of gcds at a time
     memory_contract(1, 2**20, squares(partial(oracle_from_origin, (3, 5)), 512, 2048))
-    # a one-row window's row is cut into runs, each an int64 coordinate run
-    # and its gcds: two temporaries of 0.5 MiB, over the squares' 1 MiB
+    # a one-row window's row is cut into runs, each a coordinate run and its
+    # gcds, int32 at these reaches: temporaries of 0.25 MiB each
     memory_contract(1, 1.25 * 2**20, {n: partial(
         oracle_from_origin, (3, 5), Window((-5, -5), (n, 1))) for n in (2**18, 2**20)})
-    # the in-lattice and white masks, then the coordinates of one _blocks
-    # box and their membership test at a time (about 1 MiB)
+    # the in-lattice and white masks, then the coordinate rows of one
+    # _walk_box block and their membership test at a time
     d2 = sample_coset_config(lattice_from_id("D2"), 31, 0)
     memory_contract(2, 2 * 2**20, squares(partial(colour_window, d2), 256, 512))
     d3 = sample_coset_config(lattice_from_id("D3"), 97, 0)

@@ -946,6 +946,34 @@ def test_hypothesis_report_certifies_one_axis_per_orbit(monkeypatch):
     assert calls == {"adjacency": 2, "slices": 2}
 
 
+_BOX_CASES = [("E8", 1, None), ("E8", 2, 0), ("D4", 3, 1), ("triangular", 1, None),
+              ("Z2", 2, None)]
+
+
+def _box_rows(lattice_id, radius, axis):
+    spec = lattice_core.lattice_from_id(lattice_id)
+    rows = lattice_core._enumerate_box_points(spec, radius, axis)
+    found = set(map(tuple, rows.tolist()))
+    assert rows.dtype == np.int64 and len(found) == len(rows)
+    return found
+
+
+@pytest.mark.parametrize("entries", [1, 7, 40])
+def test_box_enumeration_is_chunk_independent(monkeypatch, entries):
+    whole = {case: _box_rows(*case) for case in _BOX_CASES}
+    monkeypatch.setattr(lattice_core, "_BATCH_ENTRIES", entries)
+    for case in _BOX_CASES:
+        assert _box_rows(*case) == whole[case], case
+
+
+def test_box_enumeration_walks_its_box_in_blocks(memory_contract):
+    # E8's slice targets at r = 3 are 1,093 of 7^7 candidates, which were
+    # once built whole (19.6 MiB traced); a block's rows are int8 here
+    e8 = lattice_core.lattice_from_id("E8")
+    memory_contract(0, 2**20, {r: partial(lattice_core._enumerate_box_points, e8, r, 0)
+                               for r in (2, 3)})
+
+
 def test_e8_slice_certificate_visits_only_the_generators_grid(memory_contract):
     # every E8 slice generator has even coordinates: the visited map covers
     # the (2r + 1)^7 even points of the (4r + 1)^7 search box
