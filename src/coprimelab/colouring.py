@@ -410,7 +410,8 @@ def load_colouring(path) -> Colouring:
     """Read a PGM that save_colouring wrote.  The header is read a line of at
     most _BATCH_ENTRIES bytes at a time, and the raster's length, checked
     against the file's size, and the window's budget both come before any
-    raster byte is read."""
+    raster byte is read.  The raster is then read in runs of _BATCH_ENTRIES
+    bytes straight into the white mask, one byte a position."""
 
     def header_line(lineno):
         line = fh.readline(_BATCH_ENTRIES)
@@ -460,13 +461,15 @@ def load_colouring(path) -> Colouring:
                 raise ParseError("origin comment needs two coordinates", line=meta["origin"][1])
             window = Window(origin, extents)
             window.require_budget()
-            arr = np.frombuffer(fh.read(held), dtype=np.uint8).reshape(height, width)
+            white = np.empty(held, dtype=bool)
+            for lo in range(0, held, _BATCH_ENTRIES):
+                run = np.frombuffer(fh.read(_BATCH_ENTRIES), dtype=np.uint8)
+                out = np.equal(run, 255, out=white[lo:lo + _BATCH_ENTRIES])
+                if np.count_nonzero(run) != np.count_nonzero(out):
+                    raise ParseError("raster contains values other than 0 and 255", line=lineno)
     except OSError as exc:
         raise ParseError(f"cannot read colouring file: {exc}") from None
-    white = arr == 255
-    if np.count_nonzero(arr) != np.count_nonzero(white):
-        raise ParseError("raster contains values other than 0 and 255", line=lineno)
     provenance, line = meta.get("provenance", ("unknown", None))
     if provenance.startswith("config "):
         parse_fields(provenance.removeprefix("config "), line)
-    return Colouring(window, white, provenance)
+    return Colouring(window, white.reshape(height, width), provenance)

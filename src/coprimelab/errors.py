@@ -7,11 +7,11 @@ SIZE_BUDGET = 1 << 26
 # Most entries of one temporary array in a loop over a big array: a block of
 # lattice_core._walk_box (gcd oracle, sublattice colouring, box enumeration)
 # or of perco.label_clusters' edges and faces, a raster run of save_pnm, a
-# header line of load_colouring, a forest run of label_clusters, or a Monte
-# Carlo sub-batch (residues plus tested lines, per trial), so memory stays
-# flat whatever the window, the box, the trial count or P.  A sub-batch's
-# residues are drawn in place: a lane (trial x prime) holds its state, its
-# dim residues and one draw with its scratch, 24 + 8 dim bytes.
+# header line or raster run of load_colouring, a forest run of label_clusters,
+# or a Monte Carlo sub-batch (residues plus tested lines, per trial), so
+# memory stays flat whatever the window, the box, the trial count or P.  A
+# sub-batch's residues are drawn in place: a lane (trial x prime) holds its
+# state, its dim residues and one draw with its scratch, 24 + 8 dim bytes.
 _BATCH_ENTRIES = 1 << 16
 
 # The most residue candidates inference may list (the sum of p^dim over

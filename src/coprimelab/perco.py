@@ -103,10 +103,10 @@ class McStats:
 class ClusterLabels:
     """Connected components of one colour under a generating-set adjacency.
 
-    labels holds a component id per grid position (-1 where the position has
-    the other colour or is not a lattice point); ids are assigned in raster
-    order of first appearance.  touches[c, k] tells whether component c meets
-    the low/high window face along coordinate axis k.
+    labels holds an int32 component id per grid position (-1 where the
+    position has the other colour or is not a lattice point); ids are
+    assigned in raster order of first appearance.  touches[c, k] tells
+    whether component c meets the low/high window face along coordinate axis k.
     """
 
     labels: np.ndarray
@@ -121,7 +121,7 @@ class ClusterLabels:
 def _find(parent: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Roots of the given positions."""
     while True:
-        up = parent[ids]
+        up = np.take(parent, ids, mode="clip")
         if (up == ids).all():
             return ids
         ids = up
@@ -136,7 +136,7 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
     the larger onto the smaller.  Roots in raster order are then components
     in first-visit order.
 
-    Memory: the int64 grid returned as `labels` is the union-find forest
+    Memory: the int32 grid returned as `labels` is the union-find forest
     until it takes the ids: each position is a node named by its raster
     index, and its entry is its parent, every position's root after each
     offset pair.  A pair's edges and each face that `touches` reads are
@@ -152,14 +152,14 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
         raise DomainError("generating set dimension mismatch")
     if not S.is_symmetric() or S.has_zero():
         raise DomainError("adjacency needs a symmetric generating set without 0")
-    colouring.window.require_budget()
+    colouring.window.require_budget()  # under 2^31: int32 names every position and -1
     mask = colouring.white if colour == "white" else ~colouring.white
-    if colouring.in_lattice is not None:
-        mask = mask & colouring.in_lattice
+    if colour == "black" and colouring.in_lattice is not None:
+        mask &= colouring.in_lattice  # white lies inside in_lattice
     shape, size = mask.shape, mask.size
     # the union-find forest over grid positions: position i's parent is
     # labels.flat[i]; no edge reaches a position of the other colour
-    labels = np.arange(size, dtype=np.int64).reshape(shape)
+    labels = np.arange(size, dtype=np.int32).reshape(shape)
     parent, coloured = labels.reshape(-1), mask.reshape(-1)
     step = _BATCH_ENTRIES
     # the lexicographically positive half of a symmetric set, one per pair
@@ -171,14 +171,14 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
             b_at = tuple(slice(a.start + o, a.stop + o) for a, o in zip(a_at, offset))
             # the grid held roots when the pair began; equal entries are joined
             a, b = labels[a_at], labels[b_at]
-            joined = (a != b) & mask[a_at] & mask[b_at]
+            joined = ((a != b) & mask[a_at] & mask[b_at]).reshape(-1)
             if not joined.any():
                 continue
-            a, b = a[joined], b[joined]
+            a, b = np.compress(joined, a), np.compress(joined, b)
             if hooked:  # an earlier block of the pair may have hooked these roots
                 a, b = _find(parent, a), _find(parent, b)
                 joined = a != b
-                a, b = a[joined], b[joined]
+                a, b = np.compress(joined, a), np.compress(joined, b)
             hooked = True
             while len(a):
                 high = np.maximum(a, b)
@@ -186,37 +186,37 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
                 np.minimum.at(parent, high, low)
                 jump = high
                 while len(jump):  # jump the hooked roots up to their new roots
-                    up = parent[jump]
-                    top = parent[up]
-                    parent[jump] = top
-                    jump = jump[up != top]
-                # in place; the ids are in range, and "clip", unlike "raise", needs no buffer
+                    # take/put/compress run int32 ids as fast as int64; "clip" needs no buffer
+                    up = np.take(parent, jump, mode="clip")
+                    top = np.take(parent, up, mode="clip")
+                    np.put(parent, jump, top, mode="clip")
+                    jump = np.compress(up != top, jump)
                 a = np.take(parent, low, out=low, mode="clip")
                 b = np.take(parent, high, out=b, mode="clip")
                 joined = a != b
-                a, b = a[joined], b[joined]
+                a, b = np.compress(joined, a), np.compress(joined, b)
         if not hooked:
             continue
         for lo in range(0, size, step):  # point every position at its root
             run = parent[lo:lo + step]
-            up = parent[run]
+            up = np.take(parent, run, mode="clip")
             # one gather over the run; then only entries whose parent is not
             # a root are followed up
             at = np.flatnonzero(up != run)
-            up = up[at]
+            up = np.take(up, at, mode="clip")
             while len(at):
-                run[at] = up
-                top = parent[up]
+                np.put(run, at, up, mode="clip")
+                top = np.take(parent, up, mode="clip")
                 keep = top != up
-                at, up = at[keep], top[keep]
+                at, up = np.compress(keep, at), np.compress(keep, top)
     # each root takes the next id in raster order, every other point its
     # root's, and each position of the other colour -1
     count = 0
     for lo in range(0, size, step):
         run, inside = parent[lo:lo + step], coloured[lo:lo + step]
         top = run.copy()  # each position's root
-        roots = np.flatnonzero((top == np.arange(lo, lo + len(run))) & inside)
-        run[roots] = np.arange(count, count + len(roots))
+        roots = np.flatnonzero((top == np.arange(lo, lo + len(run), dtype=np.int32)) & inside)
+        np.put(run, roots, np.arange(count, count + len(roots), dtype=np.int32), mode="clip")
         count += len(roots)
         # the roots of this run and of earlier ones now hold their ids
         np.take(parent, top, out=top, mode="clip")
@@ -225,7 +225,7 @@ def label_clusters(colouring: Colouring, S: GenSet, colour: str = "white") -> Cl
         run -= 1
     sizes = np.zeros(count, dtype=np.int64)
     for lo in range(0, size, step):
-        np.add.at(sizes, parent[lo:lo + step][coloured[lo:lo + step]], 1)
+        np.add.at(sizes, np.compress(coloured[lo:lo + step], parent[lo:lo + step]), 1)
     d = colouring.window.dim
     touches = np.zeros((count, d, 2), dtype=bool)
     full = tuple(slice(0, n) for n in shape)

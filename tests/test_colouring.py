@@ -39,7 +39,7 @@ from coprimelab.colouring import (
     save_pnm,
     truncation_error_bound,
 )
-from coprimelab.errors import DomainError, ParseError
+from coprimelab.errors import _BATCH_ENTRIES, DomainError, ParseError
 from coprimelab.rng import RNG_ID, SplitMix64, stream_seed
 from conftest import traced_peak
 
@@ -562,12 +562,13 @@ def test_pgm_load_errors(tmp_path):
 
 @pytest.mark.parametrize("value", [0x01, 0x7F, 0xFE])
 def test_pgm_refuses_raster_values_other_than_0_and_255(tmp_path, value):
-    col = colour_window(sample_coset_config(Z2, 7, 2), Window((0, 0), (6, 5)))
+    col = colour_window(sample_coset_config(Z2, 7, 2), Window((0, 0), (300, 300)))
     save_colouring(col, tmp_path / "w.pgm")
     data = bytearray((tmp_path / "w.pgm").read_bytes())
-    # P5, origin, extents, provenance, size, then maxval on line 6
-    raster = len(data) - 30
-    for at in (raster, raster + 17, len(data) - 1):
+    # P5, origin, extents, provenance, size, then maxval on line 6; the
+    # raster is read in two runs, the second from raster + _BATCH_ENTRIES
+    raster = len(data) - 300 * 300
+    for at in (raster, raster + 17, raster + _BATCH_ENTRIES, len(data) - 1):
         bad = data.copy()
         bad[at] = value
         (tmp_path / "bad.pgm").write_bytes(bad)
@@ -589,14 +590,14 @@ def test_pgm_of_one_colour_loads(tmp_path, white):
 
 
 def test_pgm_round_trips_in_about_the_file_and_its_mask(tmp_path, memory_contract):
-    # the PGM is written in runs of 2^16 bytes, and read where it lies in the
-    # file's bytes: a whole-window copy of either would pass the bounds
+    # the PGM is written in runs of 2^16 bytes, and read in such runs straight
+    # into its mask: a whole-window copy of either would pass the bounds
     cols = {n * n: colour_window(sample_coset_config(Z2, 997, 0), Window((0, 0), (n, n)))
             for n in (512, 1024)}
     paths = {units: tmp_path / f"{units}.pgm" for units in cols}
     memory_contract(0, 0.25 * 2**20, {u: partial(save_colouring, cols[u], paths[u]) for u in cols})
-    # the file's bytes and the white mask take 1 byte a position each
-    memory_contract(2, 0.25 * 2**20,
+    # the white mask takes 1 byte a position, and the raster one run at a time
+    memory_contract(1, 0.25 * 2**20,
                     {u: lambda p=paths[u]: infer_cosets(load_colouring(p), 13) for u in cols})
     for units, col in cols.items():  # 1024^2 is a raster of 16 runs
         assert np.array_equal(load_colouring(paths[units]).white, col.white)

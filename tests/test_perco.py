@@ -25,7 +25,7 @@ from coprimelab.colouring import (
     coset_residues,
     sample_coset_config,
 )
-from coprimelab.errors import DomainError
+from coprimelab.errors import SIZE_BUDGET, DomainError
 from coprimelab.lattice import GenSet, standard_lattice
 from coprimelab.rng import RNG_ID
 from coprimelab.perco import (
@@ -58,7 +58,7 @@ SQUARE = standard_lattice("square")[1]
 TRIANGULAR = standard_lattice("triangular")[1]
 SPREAD2 = standard_lattice("spread_out", 2, alpha=2)[1]
 Z3, SPREAD3 = standard_lattice("spread_out", 3, alpha=2)
-D2 = standard_lattice("D", 2)[0]
+D2, D2_MIN = standard_lattice("D", 2)
 D3, D3_MIN = standard_lattice("D", 3)
 
 PRIMES_TO_97 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -674,19 +674,34 @@ def test_labels_do_not_depend_on_the_batch_budget(monkeypatch, spec, S, window):
 @pytest.mark.parametrize("S", [SQUARE, SPREAD2], ids=["square", "spread2"])
 @pytest.mark.parametrize("colour", ["white", "black"])
 def test_label_clusters_memory_stays_near_the_label_grid(memory_contract, S, colour):
-    # the int64 labels, which are the union-find forest, take 8 bytes a
+    # the int32 labels, which are the union-find forest, take 4 bytes a
     # position, the colour's mask 1 and the blocks, sizes and touches about
-    # 1-3; an int64 parent per point of the colour, or a grid-sized int64
-    # temporary, would pass the bound
+    # 1-2; an int64 forest, or a grid-sized int32 temporary, would pass the
+    # bound
     config = sample_coset_config(Z2, 997, 0)
-    memory_contract(11, 1.5 * 2**20, {n * n: partial(
+    memory_contract(7, 1.5 * 2**20, {n * n: partial(
         label_clusters, colour_window(config, Window((0, 0), (n, n))), S, colour)
         for n in (512, 1024)})
-    # a line has about 0.35-0.47 components a point, and each takes 8 bytes
+    # a line has about 0.33-0.47 components a point, and each takes 8 bytes
     # of sizes and 4 of touches; its rows and faces are cut into blocks too
-    memory_contract(16, 1.5 * 2**20, {e[0] * e[1]: partial(
+    memory_contract(11, 1.5 * 2**20, {e[0] * e[1]: partial(
         label_clusters, colour_window(config, Window((0, 0), e)), S, colour)
         for e in ((2**18, 1), (1, 2**20))})
+
+
+def test_white_labels_take_no_copy_of_the_mask(memory_contract):
+    # white lies inside in_lattice, so only black is re-masked: the int32
+    # forest takes 4 bytes a position, and a copy of the window's mask (1 more)
+    # would pass the bound
+    col = colour_window(sample_coset_config(D2, 97, 0), Window((0, 0), (512, 512)))
+    memory_contract(4, 2**20, {512 * 512: partial(label_clusters, col, D2_MIN, "white")})
+
+
+def test_label_ids_are_int32_under_the_window_budget():
+    # every raster position and -1 fit int32 only while the budget does
+    assert SIZE_BUDGET <= np.iinfo(np.int32).max
+    col = colour_window(sample_coset_config(Z2, 7, 0), Window((0, 0), (5, 4)))
+    assert label_clusters(col, SQUARE).labels.dtype == np.int32
 
 
 # ---------------------------------------------------------------------------
