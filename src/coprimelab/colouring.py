@@ -22,7 +22,7 @@ from functools import reduce
 from .arith import primes_up_to
 from .errors import _BATCH_ENTRIES, CANDIDATE_BUDGET, SIZE_BUDGET, DomainError, ParseError
 from .lattice_core import LatticeSpec, _walk_box, contains_bulk, lattice_from_id
-from .rng import RNG_ID, below_lanes, stream_seeds
+from .rng import RNG_ID, below_lanes, fill_stream_seeds, stream_heads
 
 import numpy as np
 
@@ -151,6 +151,33 @@ class Colouring:
 # sampling
 
 
+class CosetDraws:
+    """coset_residues(seeds, P, dim)[1] drawn on demand: draws[trials, group]."""
+
+    # indexed by seed positions and a slice of the primes, it hashes and draws
+    # only those seeds' keys of those primes; each seed's key prefix is
+    # absorbed once, here
+
+    def __init__(self, seeds, P: int, dim: int):
+        self.primes = primes_up_to(P).array
+        self.heads = stream_heads(seeds, "coset")
+        self.dim = dim
+
+    def __len__(self) -> int:
+        return len(self.heads)
+
+    def __getitem__(self, at) -> np.ndarray:
+        trials, group = at
+        primes = self.primes[group]
+        states = np.empty((len(trials), len(primes)), dtype=np.uint64)
+        heads = [self.heads[t] for t in np.asarray(trials).tolist()]
+        fill_stream_seeds(states, heads, primes, len(self.primes))
+        residues = np.empty((*states.shape, self.dim), dtype=np.int64)
+        for k in range(self.dim):
+            residues[..., k] = below_lanes(states, primes)
+        return residues
+
+
 def coset_residues(seeds, P: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(primes, residues) for every seed: residues[t, j, k] is the k-th of dim
     uniform residues mod primes[j] drawn from that prime's own substream of
@@ -159,12 +186,8 @@ def coset_residues(seeds, P: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     A prime's residues do not depend on which other primes or seeds are
     drawn.  Both arrays are int64; residues has shape (seeds, primes, dim).
     """
-    primes = primes_up_to(P).array
-    states = stream_seeds(seeds, "coset", primes)
-    residues = np.empty((*states.shape, dim), dtype=np.int64)
-    for k in range(dim):
-        residues[..., k] = below_lanes(states, primes)
-    return primes, residues
+    draws = CosetDraws(seeds, P, dim)
+    return draws.primes, draws[range(len(draws)), :]
 
 
 def sample_coset_config(spec: LatticeSpec, P: int, seed: int) -> CosetConfig:

@@ -2,9 +2,9 @@
 
 Events are evaluated on finite windows of the truncated model.  The
 estimators derive one independent RNG substream per trial from the master
-seed, draw the residues of many trials as one array, and decide each event
-from which lines of its window stay white; success counts are plain integer
-sums and results are identical for any worker count.  Truncating the prime
+seed and decide each event from which lines of its window stay white, one
+prime group at a time; success counts are plain integer sums and results
+are identical for any worker count.  Truncating the prime
 set only ever adds white points, which keeps the estimated crossing
 probabilities on the safe side of the second-moment upper bounds.
 """
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 # package modules before numpy (see coprimelab/__init__.py)
 from .arith import decimal_str, primes_up_to
-from .colouring import Colouring, Window, colour_window, coset_residues, sample_coset_config
+from .colouring import Colouring, CosetDraws, Window, colour_window, sample_coset_config
 from .errors import _BATCH_ENTRIES, SIZE_BUDGET, DomainError
 from .lattice_core import GenSet, _blocks, lattice_from_id, minimal_vectors
 from .rng import stream_seed, stream_seeds
@@ -433,46 +433,62 @@ def spanning_stats(colouring: Colouring) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimators.  The residues of a sub-batch of trials are drawn as
-# one (trials, primes, dim) array, and an event kernel, called with
-# (primes, residues, event), returns every trial's success from the survival
-# of white lines alone, without colouring a window: _crossed for the (rect,
-# kind) crossings of a 2-D event, _spanning_kernel for a column length.
+# Monte Carlo estimators.  An event kernel, called with (primes, residues,
+# event), returns every trial's success from the survival of white lines
+# alone, without colouring a window: _crossed for the (rect, kind) crossings
+# of a 2-D event, _spanning_kernel for a column length.  residues[trials,
+# group] gives the (trials, primes, dim) residues of those trials and a slice
+# of the primes: a residue array, or the CosetDraws of a sub-batch of trials,
+# which hashes and draws only what is asked for.  A kernel decides its trials
+# one prime group of _groups at a time, and a decided trial draws no further
+# group: a prime's residues do not depend on the other primes.
 
-# Fewest entries of one chunk of trials.  An entry costs about 0.1-0.3 us in
-# process (0.12 for a crossing, 0.28 for a staircase, 2-core host), so a chunk
-# is about 0.1-0.3 s of work, well above the start and stop of a worker
-# process (4-6 ms of wall time for a forked pool of one); a run of one chunk
-# starts no pool.
+# Fewest entries of one chunk of trials.  An entry costs at most about
+# 0.1-0.3 us in process (0.12 for a crossing, 0.28 for a staircase, 2-core
+# host, when every trial draws every prime; a trial settled early costs
+# less), so a chunk is at most about 0.1-0.3 s of work, well above the start
+# and stop of a worker process (4-6 ms of wall time for a forked pool of
+# one); a run of one chunk starts no pool.
 _CHUNK_ENTRIES = 1 << 20
 
 
+def _groups(primes) -> list[slice]:
+    """Slices of primes, each from the smallest prime q not yet taken to 2q."""
+    ends = [0]
+    while ends[-1] < len(primes):
+        ends.append(int(np.searchsorted(primes, 2 * primes[ends[-1]])))
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
 def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
-                 across_lo: int, across_len: int) -> np.ndarray:
-    """White flags, shape (trials, length), of lines line_lo..line_lo+length-1
-    tested across across_lo..across_lo+across_len-1.
+                 across_lo: int, across_len: int, white: np.ndarray) -> np.ndarray:
+    """White flags, white[:, :length], of lines line_lo..line_lo+length-1
+    tested across across_lo..across_lo+across_len-1, blackened in place.
 
     r_line and r_across are the (trials, primes) residues of the coordinate
     that names a line and of the coordinate along it.  Prime p blackens
     line c iff (c - r_line) % p == 0 and (r_across - across_lo) % p < across_len.
     """
-    rows = np.arange(len(r_line))[:, None]
-    # the first line each prime blackens, or the spare column `length` if
-    # none, built in place beside one (trials, primes) scratch array
+    # white: C-contiguous (trials, length + 1) flags, the last column spare
+    trials, width = len(r_line), length + 1
+    # the first line each prime blackens, or the spare column if none
     first = r_line - line_lo
     first %= primes
-    np.minimum(first, length, out=first)
     across = r_across - across_lo
     across %= primes
     first[across >= across_len] = length
     del across
-    white = np.ones((len(r_line), length + 1), dtype=bool)
-    small = int(np.searchsorted(primes, length))
-    for j, p in enumerate(primes[:small].tolist()):
-        lines = first[:, j, None] + p * np.arange(-(-length // p))
-        white[rows, np.minimum(lines, length)] = False
-    # a prime p >= length blackens at most one line
-    white[rows, first[:, small:]] = False
+    # prime p can blacken lines first + p k for k < ceil(length / p): one
+    # column per (prime, k), capped at the spare column and offset to its
+    # trial's row, so one scatter into the flat flags blackens them all
+    reps = -(-length // primes)
+    if reps.max() > 1:  # else each prime's one column is its first line
+        col = np.repeat(np.arange(len(primes)), reps)
+        first = np.take(first, col, axis=1)
+        first += primes[col] * (np.arange(len(col)) - np.repeat(np.cumsum(reps) - reps, reps))
+    np.minimum(first, length, out=first)
+    first += np.arange(0, trials * width, width)[:, None]
+    white.reshape(-1)[first] = False
     return white[:, :length]
 
 
@@ -484,11 +500,31 @@ def _line_count(crossings) -> int:
 def _crossed(primes, residues, crossings) -> np.ndarray:
     """Every (rect, kind) crossing crossed, as crossing() decides it on a
     window colouring: some line of each rect stays white."""
-    hit = np.ones(len(residues), dtype=bool)
-    for c in crossings:
-        axis, *spans = _lines(*c)
-        hit &= _white_lines(residues[..., axis], residues[..., 1 - axis], primes,
-                            *spans).any(axis=1)
+    # Each crossing keeps its trials' white-line flags from group to group.  A
+    # trial fails once some crossing has no white line left, and succeeds once
+    # every crossing has more white lines than the primes left can blacken:
+    # prime p blackens at most ceil(lines / p) of a crossing's lines.
+    spans = [_lines(*c) for c in crossings]
+    white = [np.ones((len(residues), n + 1), dtype=bool) for _, _, n, _, _ in spans]
+    # reach[c][j]: the most lines of crossing c that primes[j:] can blacken
+    reach = [np.append(np.cumsum((-(-n // primes))[::-1])[::-1], 0) for _, _, n, _, _ in spans]
+    hit = np.zeros(len(residues), dtype=bool)
+    live = np.arange(len(residues))
+    for group in _groups(primes):
+        if not len(live):
+            break
+        drawn = residues[live, group]
+        crossed, settled = np.ones(len(live), dtype=bool), np.ones(len(live), dtype=bool)
+        for lines, (axis, *span), most in zip(white, spans, reach):
+            flags = _white_lines(drawn[..., axis], drawn[..., 1 - axis], primes[group], *span,
+                                 lines)
+            crossed &= flags.any(axis=1)
+            # no trial settles while the primes left can blacken every line
+            settled &= most[group.stop] < span[1] and flags.sum(axis=1) > most[group.stop]
+        hit[live[settled]] = True  # a settled trial keeps a white line in every crossing
+        keep = crossed & ~settled
+        if not keep.all():
+            live, white = live[keep], [lines[keep] for lines in white]
     return hit
 
 
@@ -499,8 +535,17 @@ def _box_crossings(n: int, x: int) -> list:
 
 def _spanning_kernel(primes, residues, L: int) -> np.ndarray:
     """The column {0}^2 x [0, L] all white: no prime's coset meets it."""
-    r1, r2, r3 = residues[..., 0], residues[..., 1], residues[..., 2]
-    return ~((r1 == 0) & (r2 == 0) & (r3 <= L)).any(axis=1)
+    # a trial fails in the group of its first prime whose coset meets the
+    # column, and succeeds after the last group
+    live = np.arange(len(residues))
+    for group in _groups(primes):
+        if not len(live):
+            break
+        r = residues[live, group]
+        live = live[~((r[..., 0] == 0) & (r[..., 1] == 0) & (r[..., 2] <= L)).any(axis=1)]
+    hit = np.zeros(len(residues), dtype=bool)
+    hit[live] = True
+    return hit
 
 
 def _trial_chunk(args):
@@ -510,7 +555,8 @@ def _trial_chunk(args):
     successes, first = 0, None
     for start in range(lo, hi, step):
         seeds = stream_seeds([master_seed], _TRIAL_TAG, range(start, min(hi, start + step)))[0]
-        hit = kernel(*coset_residues(seeds, P, dim), event)
+        draws = CosetDraws(seeds, P, dim)
+        hit = kernel(draws.primes, draws, event)
         successes += int(hit.sum())
         if first is None and hit.any():
             first = start + int(hit.argmax())

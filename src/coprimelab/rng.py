@@ -8,7 +8,8 @@ that records randomness.
 
 SplitMix64 is the readable reference generator.  stream_seeds and below_lanes
 run the same derivation and the same draws over numpy uint64 arrays, one lane
-per stream, bit for bit equal to it.
+per stream, bit for bit equal to it; stream_seeds is fill_stream_seeds over
+every index, from heads that absorb each master seed's prefix once.
 
 SHA-256 comes from the interpreter's built-in module (_sha2 on Python 3.12+,
 _sha256 before), the one hashlib falls back to without OpenSSL: importing
@@ -75,27 +76,33 @@ class SplitMix64:
 _LANE_MAX = np.uint64(_MASK64)
 
 
+def stream_heads(master_seeds, tag: str) -> list:
+    """SHA-256 states that have absorbed each master seed's key prefix."""
+    return [sha256(f"{int(m) & _MASK64}\x1f{tag}\x1f".encode()) for m in master_seeds]
+
+
+def fill_stream_seeds(out: np.ndarray, heads, indices, keys: int = 0) -> np.ndarray:
+    """Fill row j of out with heads[j]'s stream_seed keys at the indices,
+    holding about `keys` digests (one row at least) alive at once."""
+    tails = [str(int(i)).encode() for i in indices]
+    rows = max(1, keys // max(1, len(tails)))
+    for lo in range(0, len(heads), rows):
+        digests = []
+        for head in heads[lo:lo + rows]:
+            for t in tails:
+                h = head.copy()
+                h.update(t)
+                digests.append(h.digest())
+        # the first 8 of each digest's 32 bytes, read little-endian
+        out[lo:lo + rows].flat = np.frombuffer(b"".join(digests), "<u8")[::4]
+    return out
+
+
 def stream_seeds(master_seeds, tag: str, indices) -> np.ndarray:
     """stream_seed(m, tag, i) for every master seed m and index i, as a uint64
-    array of shape (len(master_seeds), len(indices)).
-
-    One SHA-256 per pair defines the stream, so this hashing is the floor.
-    Each master seed's row is filled in turn, every index hashed from a copy
-    of the state that has already absorbed the seed and tag, so only one
-    row's digests are alive at once; the keys are those of stream_seed.
-    """
-    tails = [str(int(i)).encode() for i in indices]
-    out = np.empty((len(master_seeds), len(tails)), dtype=np.uint64)
-    for row, m in zip(out, master_seeds):
-        head = sha256(f"{int(m) & _MASK64}\x1f{tag}\x1f".encode())
-        digests = []
-        for t in tails:
-            h = head.copy()
-            h.update(t)
-            digests.append(h.digest())
-        # the first 8 of each digest's 32 bytes, read little-endian
-        row[:] = np.frombuffer(b"".join(digests), "<u8")[::4]
-    return out
+    array of shape (len(master_seeds), len(indices))."""
+    out = np.empty((len(master_seeds), len(indices)), dtype=np.uint64)
+    return fill_stream_seeds(out, stream_heads(master_seeds, tag), indices)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -131,12 +138,12 @@ def below_lanes(states: np.ndarray, n) -> np.ndarray:
     # largest accepted draw, 2^64 - (2^64 mod n) - 1, without leaving uint64,
     # once per bound and broadcast over the lanes
     top = np.broadcast_to(_LANE_MAX - (_LANE_MAX % n + np.uint64(1)) % n, states.shape)
-    n = np.broadcast_to(n, states.shape)
     states += np.uint64(_GAMMA)
     out = _mix(states.copy())
     redraw = np.flatnonzero(out > top)
     np.remainder(out, n, out=out)
-    flat, drawn = states.reshape(-1), out.reshape(-1)
+    if redraw.size:  # rejected lanes by flat position
+        n, flat, drawn = np.broadcast_to(n, states.shape), states.reshape(-1), out.reshape(-1)
     while redraw.size:
         z = flat[redraw] + np.uint64(_GAMMA)
         flat[redraw] = z

@@ -20,6 +20,7 @@ from coprimelab.arith import line_white_trunc, pair_line_trunc, primes_up_to
 from coprimelab.colouring import (
     Colouring,
     CosetConfig,
+    CosetDraws,
     Window,
     colour_window,
     coset_residues,
@@ -231,9 +232,10 @@ def test_staircase_blocked_stage():
 
 
 def test_row_shortcut_equals_full_window():
-    for t in range(120):
-        seed = trial_seed(999, t)
-        fast = _crossed(*coset_residues([seed], 53, 2), _box_crossings(17, 23))[0]
+    # the kernel draws group by group from the estimator's CosetDraws
+    seeds = [trial_seed(999, t) for t in range(120)]
+    draws = CosetDraws(seeds, 53, 2)
+    for seed, fast in zip(seeds, _crossed(draws.primes, draws, _box_crossings(17, 23)).tolist()):
         config = sample_coset_config(Z2, 53, seed)
         col = colour_window(config, Window((1, 1), (23, 17)))
         assert fast == (crossing(col, (1, 23, 1, 17), "horizontal") is not None)
@@ -257,7 +259,8 @@ def test_line_kernels_equal_full_window_events(case):
     kernel, arg, P, lattice, window, event = _KERNEL_CASES[case]
     spec = Z2 if lattice == "square" else Z3
     seeds = [trial_seed(31337, t) for t in range(120)]
-    got = kernel(*coset_residues(seeds, P, spec.dim), arg)
+    draws = CosetDraws(seeds, P, spec.dim)
+    got = kernel(draws.primes, draws, arg)
     want = [event(colour_window(sample_coset_config(spec, P, s), window)) for s in seeds]
     assert got.tolist() == want
     assert 0 < sum(want) < len(want)  # both outcomes are exercised
@@ -281,21 +284,78 @@ def test_estimates_do_not_depend_on_the_batch_budget(monkeypatch, entries):
 
 def test_monte_carlo_memory_is_flat_in_trials(memory_contract):
     # trials are drawn and tested in sub-batches of about _BATCH_ENTRIES
-    # entries, so ten times the trials peak no higher
-    memory_contract(0, 1.25 * 2**20, {t: partial(estimate_crossing, 128, 256, t, 512, 0)
-                                      for t in (200, 2000)})
-    memory_contract(0, 1.5 * 2**20, {t: partial(estimate_spanning, 1000, t, 997, 0)
+    # entries, so ten times the trials peak no higher; a sub-batch draws one
+    # prime group at a time, so its residues are a group's, not every prime's
+    memory_contract(0, 0.5 * 2**20, {t: partial(estimate_crossing, 128, 256, t, 512, 0)
                                      for t in (200, 2000)})
-    memory_contract(0, 1.75 * 2**20, {t: partial(estimate_annulus, 27, t, 997, 0)
-                                      for t in (200, 2000)})
-    memory_contract(0, 1.5 * 2**20, {t: partial(estimate_staircase, 6, t, 997, 0)
+    memory_contract(0, 0.5 * 2**20, {t: partial(estimate_spanning, 1000, t, 997, 0)
                                      for t in (200, 2000)})
+    memory_contract(0, 0.625 * 2**20, {t: partial(estimate_annulus, 27, t, 997, 0)
+                                       for t in (200, 2000)})
+    memory_contract(0, 0.3125 * 2**20, {t: partial(estimate_staircase, 6, t, 997, 0)
+                                        for t in (200, 2000)})
+    # every trial of the workload's annulus stays live to the last group: the
+    # keys of a group are hashed about one trial's worth (pi(P)) of digests at
+    # a time, not a whole group's for every live trial (1.66 MiB)
+    memory_contract(0, 0.625 * 2**20, {t: partial(estimate_annulus, 243, t, 997, 0)
+                                       for t in (200, 400)})
     # a sub-batch draws in place: per lane (trial x prime) its state, its dim
     # int64 residues and one draw with its scratch, at most 64 bytes
     lanes = len(primes_up_to(997))
     for dim in (1, 2, 3):
         memory_contract(64, 0, {t * lanes: partial(coset_residues, range(t), 997, dim)
                                 for t in (70, 140)})
+
+
+# Groupings of the primes other than _groups' dyadic one
+_GROUPINGS = {
+    "one prime a group": lambda primes: [slice(j, j + 1) for j in range(len(primes))],
+    "one group": lambda primes: [slice(0, len(primes))],
+}
+
+
+@pytest.mark.parametrize("grouping", sorted(_GROUPINGS))
+def test_estimates_do_not_depend_on_the_prime_grouping(monkeypatch, grouping):
+    from coprimelab import perco
+
+    def run():
+        return [estimate_crossing(6, 10, 60, 97, 3), estimate_annulus(9, 60, 97, 3),
+                estimate_staircase(3, 60, 97, 3), estimate_spanning(40, 60, 97, 3)]
+
+    dyadic = run()
+    monkeypatch.setattr(perco, "_groups", _GROUPINGS[grouping])
+    regrouped = run()
+    assert regrouped == dyadic
+    assert [s.witness for s in regrouped] == [s.witness for s in dyadic]
+    assert all(s.witness is not None for s in dyadic)
+    assert all(0 < s.successes < s.trials for s in dyadic)
+
+
+def test_settled_trials_stop_drawing(monkeypatch):
+    # a trial leaves once its event is decided and hashes no key of a later
+    # prime group.  The counts of coset keys are exact (the staircase's holds
+    # its witness config's 25); drawing every trial to the end would take
+    # trials x pi(P) = 5000
+    from coprimelab import colouring
+
+    fill = colouring.fill_stream_seeds
+    keys = []
+
+    def counted(out, *args):
+        keys.append(out.size)
+        return fill(out, *args)
+
+    monkeypatch.setattr(colouring, "fill_stream_seeds", counted)
+    runs = {"staircase": (partial(estimate_staircase, 3, 200, 97, 5), 1655),
+            "spanning": (partial(estimate_spanning, 40, 200, 97, 5), 2920),
+            "crossing": (partial(estimate_crossing, 4, 16, 200, 97, 5), 3430)}
+    counts = {}
+    for name, (run, _) in runs.items():
+        keys.clear()
+        assert run().witness is not None
+        counts[name] = sum(keys)
+    assert counts == {name: pinned for name, (_, pinned) in runs.items()}
+    assert all(n < 200 * len(primes_up_to(97)) for n in counts.values())
 
 
 def test_two_by_two_crossing_has_exact_truncated_probability():
@@ -727,7 +787,8 @@ def test_line_kernels_match_exact_products_over_every_configuration(P):
         one_row = _crossed(primes, residues, _box_crossings(1, x))
         assert Fraction(int(one_row.sum()), configs) == line_white_trunc(x, P)
         for d in range(1, x + 1):
-            rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, d + 1, 1, x)
+            rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, d + 1, 1, x,
+                                np.ones((configs, d + 2), dtype=bool))
             both = rows[:, 0] & rows[:, d]
             assert Fraction(int(both.sum()), configs) == pair_line_trunc(d, x, P)
 
@@ -738,7 +799,8 @@ def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
     # the finite identity behind second_moment_bound: N counts the white rows
     # 1..n across columns 1..x, and E[N^2] splits into single rows and pairs
     primes, residues = all_residues(P)
-    rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x)
+    rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x,
+                        np.ones((len(residues), n + 1), dtype=bool))
     N = rows.sum(axis=1, dtype=np.int64)
     moment = Fraction(int((N * N).sum()), len(rows))
     assert moment == n * line_white_trunc(x, P) + sum(
@@ -810,10 +872,10 @@ def test_line_kernels_equal_window_events_on_every_configuration(monkeypatch, ca
     kernel, arg, window, event = _EXHAUSTIVE_CASES[case]
     spec = Z2 if window.dim == 2 else Z3
     primes, residues = all_residues(5, window.dim)
-    lengths = []
+    calls = []
 
     def spy(r_line, r_across, primes, line_lo, length, *along):
-        lengths.append(length)
+        calls.append((length, primes.min()))
         return _white_lines(r_line, r_across, primes, line_lo, length, *along)
 
     monkeypatch.setattr(perco, "_white_lines", spy)
@@ -825,8 +887,13 @@ def test_line_kernels_equal_window_events_on_every_configuration(monkeypatch, ca
         want.append(event(colour_window(config, window)))
     assert got == want
     assert 0 < sum(want) < len(want)  # both outcomes are exercised
+    for grouping in _GROUPINGS.values():  # and decided alike however the primes are grouped
+        with monkeypatch.context() as regrouped:
+            regrouped.setattr(perco, "_groups", grouping)
+            assert kernel(primes, residues, arg).tolist() == want
     if window.dim == 2:
-        # both branches of _white_lines: a prime below some line count loops
-        # over its lines, and a prime at or above one blackens at most one
-        assert any(n > primes[0] for n in lengths)
-        assert any(n <= primes[-1] for n in lengths)
+        # both branches of _white_lines: a group with a prime below the line
+        # count steps through its lines, and one whose primes are all at or
+        # above it blackens at most one line a prime
+        assert any(n > p for n, p in calls)
+        assert any(n <= p for n, p in calls)

@@ -15,6 +15,8 @@ from coprimelab.rng import (
     RNG_ID,
     SplitMix64,
     below_lanes,
+    fill_stream_seeds,
+    stream_heads,
     stream_seed,
     stream_seeds,
 )
@@ -112,6 +114,25 @@ def test_stream_seeds_match_the_scalar_derivation():
     assert got.tolist() == [[stream_seed(m, "coset", i) for i in indices] for m in masters]
     lanes = stream_seeds(np.array(masters[:4], dtype=np.uint64), "coset", indices)
     assert np.array_equal(lanes, got[:4])
+
+
+@given(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=5), st.data())
+def test_kept_heads_fill_any_trials_and_index_slices(masters, data):
+    # heads absorb each master seed's prefix once; fills of any subset of them
+    # and any slice of the indices, in any order and block size, and again
+    # from the same heads, give stream_seed's keys
+    masters.append(2**63 + data.draw(st.integers(0, 2**63 - 1)))
+    indices = [0, 2, 3, 97, 10**6, 2**64 + 1]
+    heads = stream_heads(masters, "coset")
+    for _ in range(3):
+        rows = data.draw(st.lists(st.integers(0, len(masters) - 1), max_size=8))
+        lo = data.draw(st.integers(0, len(indices)))
+        hi = data.draw(st.integers(lo, len(indices)))
+        out = np.empty((len(rows), hi - lo), dtype=np.uint64)
+        fill_stream_seeds(out, [heads[r] for r in rows], indices[lo:hi],
+                          data.draw(st.integers(0, 20)))
+        assert out.tolist() == [[stream_seed(masters[r], "coset", i) for i in indices[lo:hi]]
+                                for r in rows]
 
 
 def test_stream_seeds_hold_one_row_of_digests_at_a_time(memory_contract):
