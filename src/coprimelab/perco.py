@@ -469,7 +469,7 @@ def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
     that names a line and of the coordinate along it.  Prime p blackens
     line c iff (c - r_line) % p == 0 and (r_across - across_lo) % p < across_len.
     """
-    # white: C-contiguous (trials, length + 1) flags, the last column spare
+    # white: (trials, length + 1) flags, the last column spare
     trials, width = len(r_line), length + 1
     # the first line each prime blackens, or the spare column if none
     first = r_line - line_lo
@@ -488,7 +488,7 @@ def _white_lines(r_line, r_across, primes, line_lo: int, length: int,
         first += primes[col] * (np.arange(len(col)) - np.repeat(np.cumsum(reps) - reps, reps))
     np.minimum(first, length, out=first)
     first += np.arange(0, trials * width, width)[:, None]
-    white.reshape(-1)[first] = False
+    np.put(white, first, False, mode="clip")
     return white[:, :length]
 
 

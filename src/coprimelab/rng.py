@@ -81,7 +81,7 @@ def stream_heads(master_seeds, tag: str) -> list:
     return [sha256(f"{int(m) & _MASK64}\x1f{tag}\x1f".encode()) for m in master_seeds]
 
 
-def fill_stream_seeds(out: np.ndarray, heads, indices, keys: int = 0) -> np.ndarray:
+def fill_stream_seeds(out: np.ndarray, heads, indices, keys: int) -> np.ndarray:
     """Fill row j of out with heads[j]'s stream_seed keys at the indices,
     holding about `keys` digests (one row at least) alive at once."""
     tails = [str(int(i)).encode() for i in indices]
@@ -102,7 +102,7 @@ def stream_seeds(master_seeds, tag: str, indices) -> np.ndarray:
     """stream_seed(m, tag, i) for every master seed m and index i, as a uint64
     array of shape (len(master_seeds), len(indices))."""
     out = np.empty((len(master_seeds), len(indices)), dtype=np.uint64)
-    return fill_stream_seeds(out, stream_heads(master_seeds, tag), indices)
+    return fill_stream_seeds(out, stream_heads(master_seeds, tag), indices, len(indices))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -335,7 +335,8 @@ def test_settled_trials_stop_drawing(monkeypatch):
     # a trial leaves once its event is decided and hashes no key of a later
     # prime group.  The counts of coset keys are exact (the staircase's holds
     # its witness config's 25); drawing every trial to the end would take
-    # trials x pi(P) = 5000
+    # trials x pi(P) = 5000.  Every trial of the 64 x 64 crossing succeeds, so
+    # only settling a success before the last group ({97}) keeps it below
     from coprimelab import colouring
 
     fill = colouring.fill_stream_seeds
@@ -348,7 +349,8 @@ def test_settled_trials_stop_drawing(monkeypatch):
     monkeypatch.setattr(colouring, "fill_stream_seeds", counted)
     runs = {"staircase": (partial(estimate_staircase, 3, 200, 97, 5), 1655),
             "spanning": (partial(estimate_spanning, 40, 200, 97, 5), 2920),
-            "crossing": (partial(estimate_crossing, 4, 16, 200, 97, 5), 3430)}
+            "crossing": (partial(estimate_crossing, 4, 16, 200, 97, 5), 3430),
+            "wide crossing": (partial(estimate_crossing, 64, 64, 200, 97, 5), 4800)}
     counts = {}
     for name, (run, _) in runs.items():
         keys.clear()
@@ -801,6 +803,10 @@ def test_second_moment_matches_exact_products_over_every_configuration(P, n, x):
     primes, residues = all_residues(P)
     rows = _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x,
                         np.ones((len(residues), n + 1), dtype=bool))
+    # the flags are blackened in place whatever their memory layout
+    column_major = np.ones((len(residues), n + 1), dtype=bool, order="F")
+    _white_lines(residues[..., 1], residues[..., 0], primes, 1, n, 1, x, column_major)
+    assert (column_major[:, :n] == rows).all()
     N = rows.sum(axis=1, dtype=np.int64)
     moment = Fraction(int((N * N).sum()), len(rows))
     assert moment == n * line_white_trunc(x, P) + sum(
